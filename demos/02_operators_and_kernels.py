@@ -46,7 +46,7 @@ print("Gaussian Gram PSD:", np.linalg.eigvalsh(gk.gram(xs)).min() > -1e-10)
 stack = mk.KernelStack.uniform([(gk, ident), (pk, mult), (gk, trunc)])
 gram = mk.assemble_gram(stack, xs)
 alpha = mk.CurveVec(gout, rng.normal(size=(6, gout.size)))
-action = mk.gram_apply(gram, alpha)
+action = gram.apply(alpha)
 
 dense = gram.densify()          # testing escape hatch only
 expected = (dense @ alpha.values.ravel()).reshape(alpha.values.shape)

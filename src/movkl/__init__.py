@@ -39,7 +39,6 @@ from .kernels import (
     OvKernelTerm,
     PolynomialKernel,
     assemble_gram,
-    gram_apply,
     median_pairwise_distance,
 )
 from .linsolve import (
@@ -83,7 +82,7 @@ __all__ = [
     "trace_normalized", "block_trace_normalized",
     "IdentityOperator", "MultiplicationOperator", "IntegralOperator",
     "OvKernelTerm", "KernelStack", "BlockGram",
-    "assemble_gram", "gram_apply", "median_pairwise_distance",
+    "assemble_gram", "median_pairwise_distance",
     "SolveConfig", "SolveReport",
     "dense_solve", "kron_solve", "gauss_seidel_solve", "split_block_solve",
     "FitConfig", "MovklModel",

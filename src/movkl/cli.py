@@ -43,8 +43,6 @@ from .kernels import (
 from .learn import FitConfig, load_model, movkl_fit, predict_many, save_model
 from .linsolve import SolveConfig, dense_solve, gauss_seidel_solve, kron_solve
 
-log = logging.getLogger(__name__)
-
 CONFIG_VERSION = 1
 
 DEFAULT_BANDWIDTH_FACTORS = [0.1, 0.5, 1.0, 5.0, 10.0]
@@ -226,19 +224,14 @@ def _fit_config(config: dict, lam=None) -> FitConfig:
         lam = section.get("lambda")
         if lam is None:
             raise ConfigError("config needs fit.lambda")
-    solver = section.get("solver", {})
+    # only the keys the config sets; the dataclasses hold the defaults
+    stopping = {k: section[k] for k in ("mkl_tol", "mkl_max_iter") if k in section}
     try:
         return FitConfig(
             lam=float(lam),
             r=_fit_r(config),
-            mkl_tol=section.get("mkl_tol", 1e-4),
-            mkl_max_iter=section.get("mkl_max_iter", 100),
-            solve=SolveConfig(
-                outer_tol=solver.get("outer_tol", 1e-8),
-                outer_max_iter=solver.get("outer_max_iter", 500),
-                inner_tol=solver.get("inner_tol", 1e-10),
-                inner_max_iter=solver.get("inner_max_iter", 200),
-            ),
+            solve=SolveConfig(**section.get("solver", {})),
+            **stopping,
         )
     except ValueError as exc:
         raise ConfigError(f"bad fit config: {exc}")

@@ -43,7 +43,6 @@ __all__ = [
     "KernelStack",
     "BlockGram",
     "assemble_gram",
-    "gram_apply",
     "median_pairwise_distance",
     "scalar_kernel_from_config",
     "operator_from_config",
@@ -264,9 +263,14 @@ class OutputOperator:
             raise ValueError("scale must be nonnegative")
         if b.grid != self.grid:
             raise DimensionError("curve does not live on the operator grid")
-        return Curve(self.grid, self._shifted_solve_values(c, scale, b.values))
+        return Curve(self.grid, self.shifted_inverse(scale, c).solve(b.values))
 
-    def _shifted_solve_values(self, c, scale, b: np.ndarray) -> np.ndarray:
+    def shifted_inverse(self, scale: float, shift: float):
+        """(scale * T + shift * I) with its factors computed once.
+
+        The result's ``solve(b)`` inverts the shifted operator and its
+        ``apply(v)`` gives scale * T v, both on 1-d value arrays.
+        """
         raise NotImplementedError
 
     def matrix(self) -> np.ndarray:
@@ -292,8 +296,8 @@ class IdentityOperator(OutputOperator):
     def full_basis(self):
         return self.spectrum()
 
-    def _shifted_solve_values(self, c, scale, b):
-        return b / (scale + c)
+    def shifted_inverse(self, scale, shift):
+        return DiagonalShiftedInverse(np.ones(self.grid.size), scale, shift)
 
     def matrix(self):
         return np.eye(self.grid.size)
@@ -332,8 +336,8 @@ class MultiplicationOperator(OutputOperator):
     def full_basis(self):
         return self.spectrum()
 
-    def _shifted_solve_values(self, c, scale, b):
-        return b / (scale * self.diag + c)
+    def shifted_inverse(self, scale, shift):
+        return DiagonalShiftedInverse(self.diag, scale, shift)
 
     def matrix(self):
         return np.diag(self.diag)
@@ -414,11 +418,9 @@ class IntegralOperator(OutputOperator):
             vals[self.rank:] = 0.0
         return vals, vecs.copy()
 
-    def _shifted_solve_values(self, c, scale, b):
+    def shifted_inverse(self, scale, shift):
         vals, vecs = self.spectrum()
-        coeffs = (self.grid.weights * b) @ vecs
-        # spectral part plus the (eigenvalue zero) complement handled by 1/c
-        return vecs @ (coeffs / (scale * vals + c) - coeffs / c) + b / c
+        return SpectralShiftedInverse(vals, vecs, self.grid.weights, scale, shift)
 
     def matrix(self):
         if self.rank is None:
@@ -441,6 +443,46 @@ class IntegralOperator(OutputOperator):
 
     def to_config(self):
         return {"kind": "integral", "rank": self.rank}
+
+
+class DiagonalShiftedInverse:
+    """scale * diag(t) + shift * I for an operator diagonal on the grid."""
+
+    __slots__ = ("gain", "inv")
+
+    def __init__(self, diag, scale, shift):
+        self.gain = scale * diag
+        self.inv = 1.0 / (self.gain + shift)
+
+    def apply(self, v):
+        return self.gain * v
+
+    def solve(self, b):
+        return self.inv * b
+
+
+class SpectralShiftedInverse:
+    """scale * T + shift * I for T = V diag(vals) V^T W (W the quadrature
+    weights, V orthonormal under them).
+
+    Directions outside the retained eigenvectors see the shift alone, so
+    truncated operators invert exactly.
+    """
+
+    __slots__ = ("vecs", "wvecs", "gain", "corr", "inv_shift")
+
+    def __init__(self, vals, vecs, weights, scale, shift):
+        self.vecs = vecs
+        self.wvecs = weights[:, None] * vecs
+        self.gain = scale * vals
+        self.corr = 1.0 / (self.gain + shift) - 1.0 / shift
+        self.inv_shift = 1.0 / shift
+
+    def apply(self, v):
+        return self.vecs @ ((self.wvecs.T @ v) * self.gain)
+
+    def solve(self, b):
+        return self.vecs @ ((self.wvecs.T @ b) * self.corr) + self.inv_shift * b
 
 
 def operator_from_config(cfg: dict, grid: Grid) -> OutputOperator:
@@ -519,11 +561,26 @@ class KernelStack:
 
     def shared_operator(self) -> OutputOperator | None:
         """The single output operator if all terms agree, else None."""
-        op = self.terms[0].operator
-        for t in self.terms[1:]:
-            if not (t.operator is op or t.operator == op):
-                return None
-        return op
+        groups = group_by_operator((t.operator, 0) for t in self.terms)
+        return groups[0][0] if len(groups) == 1 else None
+
+
+def group_by_operator(pairs):
+    """Sum the values of (operator, value) pairs over equal operators.
+
+    Groups keep the order in which their operators first appear.  Values
+    may be scalars or arrays; arrays are summed in place into the first
+    value of their group, so pass arrays the caller does not use again.
+    """
+    groups: list[list] = []
+    for op, value in pairs:
+        for entry in groups:
+            if op is entry[0] or op == entry[0]:
+                entry[1] += value
+                break
+        else:
+            groups.append([op, value])
+    return [(op, value) for op, value in groups]
 
 
 def weight_constraint(d: np.ndarray, r: float) -> float:
@@ -556,20 +613,11 @@ class BlockGram:
         for g in self.scalar_grams:
             if g.shape != (self.n, self.n):
                 raise DimensionError("scalar Gram matrices must share one shape")
-        self._groups = self._merge_by_operator()
-
-    def _merge_by_operator(self):
-        groups: list[tuple[OutputOperator, np.ndarray]] = []
-        for gmat, op, d in zip(self.scalar_grams, self.operators, self.weights):
-            if d == 0.0:
-                continue
-            for i, (seen, acc) in enumerate(groups):
-                if op is seen or op == seen:
-                    groups[i] = (seen, acc + d * gmat)
-                    break
-            else:
-                groups.append((op, d * gmat))
-        return groups
+        self._groups = group_by_operator(
+            (op, d * gmat)
+            for gmat, op, d in zip(self.scalar_grams, self.operators, self.weights)
+            if d != 0.0
+        )
 
     @property
     def n_terms(self) -> int:
@@ -610,24 +658,6 @@ class BlockGram:
         """Merged (operator, sum_k d_k G_k[i, i]) pairs for diagonal block i."""
         return [(op, float(gmat[i, i])) for op, gmat in self._groups]
 
-    def row_sum_values(self, i: int, caches) -> np.ndarray:
-        """sum_{j != i} K(x_i, x_j) alpha_j given per-group operator caches.
-
-        ``caches`` holds, for each merged group, the (n, m) array of
-        operator-applied curve values T(alpha_j).
-        """
-        m = self.grid.size
-        out = np.zeros(m)
-        for (op, gmat), cache in zip(self._groups, caches):
-            row = gmat[i]
-            out += row @ cache
-            out -= row[i] * cache[i]
-        return out
-
-    def group_caches(self, A: np.ndarray):
-        """Operator-applied curve values per merged group."""
-        return [op.apply_rows(A) for op, _ in self._groups]
-
     def densify(self) -> np.ndarray:
         """Explicit (n*m) x (n*m) matrix; testing escape hatch."""
         m = self.grid.size
@@ -643,8 +673,3 @@ def assemble_gram(stack: KernelStack, inputs: CurveVec) -> BlockGram:
     return BlockGram(
         grams, [t.operator for t in stack.terms], stack.weights, stack.output_grid
     )
-
-
-def gram_apply(gram: BlockGram, alpha: CurveVec) -> CurveVec:
-    """Block matrix-vector product (free-function alias of BlockGram.apply)."""
-    return gram.apply(alpha)

@@ -28,6 +28,7 @@ from .kernels import (
     KernelStack,
     OvKernelTerm,
     assemble_gram,
+    group_by_operator,
     operator_from_config,
     scalar_kernel_from_config,
 )
@@ -136,14 +137,13 @@ def fk_norm_sq(gram: BlockGram, alpha: CurveVec, k: int) -> float:
     return float(d_k ** 2 * max(gram.quad_form_term(k, alpha.values), 0.0))
 
 
-def _objective(gram: BlockGram, alpha_values, targets_values, lam, quads=None):
+def _objective(gram: BlockGram, alpha_values, targets_values, lam):
     # primal value: sum_k ||f_k||^2/(2 d_k) + ||xi||^2/(2 lambda), with
     # ||f_k||^2/d_k = d_k * <(G_k kron T_k) a, a> (zero-weight terms vanish)
-    if quads is None:
-        quads = [
-            gram.quad_form_term(k, alpha_values) if gram.weights[k] > 0 else 0.0
-            for k in range(gram.n_terms)
-        ]
+    quads = [
+        gram.quad_form_term(k, alpha_values) if gram.weights[k] > 0 else 0.0
+        for k in range(gram.n_terms)
+    ]
     smooth = 0.5 * float(np.dot(gram.weights, np.maximum(quads, 0.0)))
     xi = targets_values - gram.apply_values(alpha_values)
     w = gram.grid.weights
@@ -167,14 +167,30 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     every term shares one operator, Gauss-Seidel warm-started from the
     previous alpha otherwise), and stops once the dual curves move less
     than ``mkl_tol`` in the quadrature norm.  With a finite norm exponent
-    the weights are then refreshed from the component norms; an infinite
-    exponent keeps the evenly weighted combination throughout.
+    and several terms the weights are then refreshed from the component
+    norms; otherwise they cannot change and the first solve is final.  The
+    weights are never refreshed after the last allowed round, so the
+    returned alpha always solves the system of the returned weights.
     """
+    return _alternate(stack, inputs, targets, cfg)
+
+
+def krr_fit(term: OvKernelTerm, inputs: CurveVec, targets: CurveVec,
+            cfg: FitConfig) -> MovklModel:
+    """Single-kernel ridge fit: one eigendecomposition solve, weight 1."""
+    stack = KernelStack([OvKernelTerm(term.scalar, term.operator, 1.0)],
+                        norm_exponent=cfg.r)
+    return _alternate(stack, inputs, targets, cfg)
+
+
+def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
+               cfg: FitConfig) -> MovklModel:
     _check_fit_args(inputs, targets)
     M = len(stack)
     d = np.full(M, 1.0 / M)
     base = assemble_gram(stack.with_weights(d), inputs)
     alpha = CurveVec.zero(stack.output_grid, targets.n)
+    fixed_weights = M == 1 or math.isinf(cfg.r)
     trace: list[float] = []
     solver_iters: list[int] = []
     outer = 0
@@ -199,11 +215,10 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
         trace.append(obj)
         change = vec_norm(alpha_new - alpha)
         alpha = alpha_new
-        if change < cfg.mkl_tol:
+        if change < cfg.mkl_tol or fixed_weights or outer == cfg.mkl_max_iter:
             break
-        if not math.isinf(cfg.r):
-            fnorms = d ** 2 * np.maximum(quads, 0.0)
-            d = weight_update(fnorms, cfg.r)
+        fnorms = d ** 2 * np.maximum(quads, 0.0)
+        d = weight_update(fnorms, cfg.r)
     return MovklModel(
         alpha=alpha,
         weights=d,
@@ -216,43 +231,16 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     )
 
 
-def krr_fit(term: OvKernelTerm, inputs: CurveVec, targets: CurveVec,
-            cfg: FitConfig) -> MovklModel:
-    """Single-kernel ridge fit: one eigendecomposition solve, weight 1."""
-    _check_fit_args(inputs, targets)
-    stack = KernelStack([OvKernelTerm(term.scalar, term.operator, 1.0)],
-                        norm_exponent=cfg.r)
-    gram = assemble_gram(stack, inputs)
-    alpha, report = kron_solve(gram, cfg.lam, targets)
-    obj, _ = _objective(gram, alpha.values, targets.values, cfg.lam)
-    return MovklModel(
-        alpha=alpha,
-        weights=np.array([1.0]),
-        stack=stack,
-        train_inputs=inputs,
-        lam=cfg.lam,
-        objective_trace=[obj],
-        outer_iterations=1,
-        solver_iterations=[report.iterations],
-    )
-
-
 def _cross_contributions(model: MovklModel, xs: CurveVec) -> np.ndarray:
     if xs.grid != model.input_grid:
         raise DimensionError("query curves do not live on the training grid")
     A = model.alpha.values
     out = np.zeros((xs.n, model.output_grid.size))
-    merged: list[list] = []
-    for term, d_k in zip(model.stack.terms, model.weights):
-        if d_k == 0.0:
-            continue
-        cross = d_k * term.scalar.gram(model.train_inputs, xs)
-        for entry in merged:
-            if term.operator is entry[0] or term.operator == entry[0]:
-                entry[1] += cross
-                break
-        else:
-            merged.append([term.operator, cross])
+    merged = group_by_operator(
+        (term.operator, d_k * term.scalar.gram(model.train_inputs, xs))
+        for term, d_k in zip(model.stack.terms, model.weights)
+        if d_k != 0.0
+    )
     for op, cross in merged:
         out += op.apply_rows(cross.T @ A)
     return out

@@ -8,10 +8,14 @@ Three routes are provided:
   where the block matrix is a Kronecker product and the system diagonalizes
   in the eigenbases of the combined scalar Gram and of the operator.
 * :func:`gauss_seidel_solve` sweeps over samples, solving one diagonal
-  block [K(x_i, x_i) + ridge*I] at a time; diagonal blocks that mix several
-  operators are handled by :func:`split_block_solve`, which decouples the
-  operators so that every sub-step inverts a single shifted operator
-  analytically, with a dense fallback if the inner iteration stalls.
+  block [K(x_i, x_i) + ridge*I] at a time.  Identity terms join the ridge
+  shift and a lone remaining operator is inverted directly.  A block that
+  mixes operators is solved in closed form first (Woodbury identity, for
+  one diagonal plus one low-rank operator), then by variable splitting,
+  which decouples the operators so that every sub-step inverts a single
+  shifted operator, and last by a cached dense LU factorization if the
+  splitting stalls.  :func:`split_block_solve` runs that block solver on
+  one block.
 
 All residuals are measured in the quadrature norm of the output space,
 relative to the norm of the right-hand side.
@@ -27,9 +31,13 @@ import scipy.linalg
 
 from .errors import CapacityError, DimensionError, SolverError
 from .funcspace import Curve, CurveVec
-from .kernels import BlockGram, IdentityOperator, OutputOperator
-
-_IDENTITY_TYPES = (IdentityOperator,)
+from .kernels import (
+    BlockGram,
+    DiagonalShiftedInverse,
+    IdentityOperator,
+    SpectralShiftedInverse,
+    group_by_operator,
+)
 
 __all__ = [
     "SolveConfig",
@@ -143,21 +151,17 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
         )
     w = gram.grid.weights
     Y = y.values
-    if not groups:
+    if groups:
+        op, G = groups[0]
+        G = 0.5 * (G + G.T)
+        gvals, U = np.linalg.eigh(G)
+        svals, V = op.full_basis()
+        B = U.T @ Y @ (w[:, None] * V)
+        Z = B / (np.multiply.outer(gvals, svals) + ridge)
+        X = U @ Z @ V.T
+    else:
         # all weights zero: pure ridge system
         X = Y / ridge
-        resid = _rel_residual(gram, ridge, X, Y, w)
-        return (
-            CurveVec(gram.grid, X),
-            SolveReport(1, resid, resid <= KRON_TOL, "kron"),
-        )
-    op, G = groups[0]
-    G = 0.5 * (G + G.T)
-    gvals, U = np.linalg.eigh(G)
-    svals, V = op.full_basis()
-    B = U.T @ Y @ (w[:, None] * V)
-    Z = B / (np.multiply.outer(gvals, svals) + ridge)
-    X = U @ Z @ V.T
     resid = _rel_residual(gram, ridge, X, Y, w)
     return (
         CurveVec(gram.grid, X),
@@ -170,179 +174,67 @@ def split_block_solve(diag_terms, ridge: float, s: Curve, cfg: SolveConfig | Non
     """Solve (sum_k c_k T_k + ridge*I) u = s for one diagonal block.
 
     ``diag_terms`` is a list of (c_k, T_k) pairs with c_k the weighted
-    scalar-kernel diagonal value.  The operators are decoupled by variable
-    splitting: one auxiliary function per kernel, tied together by equality
-    constraints, so that each Gauss-Seidel sub-step inverts exactly one
-    shifted operator (c_k T_k + ridge*I).  If the inner iteration fails to
-    reach ``inner_tol`` it falls back to a dense solve of the block.
+    scalar-kernel diagonal value.  Terms sharing an operator are merged
+    and the block goes through the solver that :func:`gauss_seidel_solve`
+    uses for each sample update.
     """
-    cfg = cfg or SolveConfig()
     if ridge <= 0:
         raise ValueError("ridge must be positive")
-    pairs = []
-    for scale, op in diag_terms:
-        if scale < 0:
-            raise ValueError("diagonal scalar values must be nonnegative")
-        if scale > 0:
-            pairs.append((float(scale), op))
-    values = _split_block_solve_values(
-        pairs,
-        ridge,
-        s.values,
-        s.grid.weights,
-        cfg,
-        warm=None if warm is None else warm.values,
-    )
-    return Curve(s.grid, values)
-
-
-def _merge_diag_pairs(pairs):
-    merged: list[list] = []
-    for scale, op in pairs:
-        for entry in merged:
-            if op is entry[1] or op == entry[1]:
-                entry[0] += scale
-                break
-        else:
-            merged.append([scale, op])
-    return [(scale, op) for scale, op in merged]
-
-
-def _split_block_solve_values(pairs, ridge, s, w, cfg, warm=None) -> np.ndarray:
-    pairs = _merge_diag_pairs(pairs)
-    # identity-operator terms are pure shifts, so they join the ridge the
-    # same way the ridge itself enters every decoupled sub-solve
-    shift = ridge
-    kept = []
-    for scale, op in pairs:
-        if isinstance(op, _IDENTITY_TYPES):
-            shift += scale
-        else:
-            kept.append((scale, op))
-    pairs = kept
-    if not pairs:
-        return s / shift
-    if len(pairs) == 1:
-        scale, op = pairs[0]
-        return op._shifted_solve_values(shift, scale, s)
-
-    snorm = max(1.0, _wnorm(s, w))
-    alpha = np.zeros_like(s) if warm is None else np.array(warm, copy=True)
-    gammas = [scale * op.apply_rows(alpha[None, :])[0] for scale, op in pairs]
-    for _ in range(cfg.inner_max_iter):
-        for k, (scale, op) in enumerate(pairs):
-            rhs = s - sum(gammas[j] for j in range(len(pairs)) if j != k)
-            alpha = op._shifted_solve_values(shift, scale, rhs)
-            gammas[k] = scale * op.apply_rows(alpha[None, :])[0]
-        resid_vec = ridge * alpha - s
-        for scale, op in pairs:
-            resid_vec = resid_vec + scale * op.apply_rows(alpha[None, :])[0]
-        resid_vec += (shift - ridge) * alpha
-        if _wnorm(resid_vec, w) <= cfg.inner_tol * snorm:
-            return alpha
-
-    m = s.size
-    if m > DENSE_FALLBACK_GUARD:
-        raise CapacityError(
-            f"diagonal block of size {m} exceeds the dense fallback guard"
-        )
-    log.warning(
-        "split solve did not reach %.1e in %d iterations; dense fallback",
-        cfg.inner_tol,
-        cfg.inner_max_iter,
-    )
-    A = sum(scale * op.matrix() for scale, op in pairs)
-    A[np.diag_indices_from(A)] += shift
-    return np.linalg.solve(A, s)
-
-
-def _diag_solve_values(gram, i, ridge, s, cfg, warm=None) -> np.ndarray:
-    groups = [(op, c) for op, c in gram.diag_scalar_groups(i) if c > 0]
-    if not groups:
-        return s / ridge
-    if len(groups) == 1:
-        op, c = groups[0]
-        return op._shifted_solve_values(ridge, c, s)
-    return _split_block_solve_values(
-        [(c, op) for op, c in groups], ridge, s, gram.grid.weights, cfg, warm=warm
-    )
-
-
-class _PreparedTerm:
-    """One non-identity operator of a diagonal block with its solve data
-    precomputed for a fixed scale and shift."""
-
-    __slots__ = ("scale", "apply", "solve")
-
-    def __init__(self, scale, op, shift, weights):
-        self.scale = scale
-        if isinstance(op, _IDENTITY_TYPES):
-            raise ValueError("identity terms fold into the shift")
-        spectrum = getattr(op, "spectrum", None)
-        diag = getattr(op, "diag", None)
-        if diag is not None:
-            scaled = scale * diag
-            inv = 1.0 / (scaled + shift)
-            self.apply = lambda v, d=scaled: d * v
-            self.solve = lambda b, r=inv: r * b
-        else:
-            vals, vecs = spectrum()
-            wv = weights[:, None] * vecs
-            gain = scale * vals
-            corr = 1.0 / (gain + shift) - 1.0 / shift
-            inv_shift = 1.0 / shift
-            self.apply = lambda v, V=vecs, WV=wv, g=gain: V @ ((WV.T @ v) * g)
-            self.solve = (
-                lambda b, V=vecs, WV=wv, c=corr, r=inv_shift:
-                V @ ((WV.T @ b) * c) + r * b
-            )
+    diag_terms = list(diag_terms)
+    if any(scale < 0 for scale, _ in diag_terms):
+        raise ValueError("diagonal scalar values must be nonnegative")
+    groups = group_by_operator((op, float(scale)) for scale, op in diag_terms)
+    solver = _PreparedDiagSolver(groups, ridge, s.grid.weights, cfg or SolveConfig())
+    return Curve(s.grid, solver.solve(s.values, None if warm is None else warm.values))
 
 
 class _PreparedDiagSolver:
-    """Per-sample diagonal block solver with all scale/shift data baked in.
+    """Solver for one diagonal block (sum_k c_k T_k + ridge*I) u = s.
 
-    Semantics match :func:`split_block_solve`: identity terms join the
-    ridge shift, the remaining operators are decoupled by the splitting
-    iteration, and a (cached) dense factorization serves as fallback.
+    ``groups`` holds (operator, c_k) pairs with distinct operators.  Zero
+    scales drop out and identity terms join the ridge shift.  The other
+    operators are inverted through their prepared shifted inverses, tried
+    in order: the closed form for one diagonal plus one low-rank operator,
+    the splitting iteration (one auxiliary function per operator, so that
+    every sub-step inverts a single shifted operator), and a cached dense
+    factorization if the iteration does not reach ``inner_tol``.
     """
 
-    def __init__(self, gram, i, ridge, cfg):
+    def __init__(self, groups, ridge, weights, cfg):
         self.cfg = cfg
-        self.w = gram.grid.weights
+        self.w = weights
         shift = ridge
         kept = []
-        for op, c in gram.diag_scalar_groups(i):
+        for op, c in groups:
             if c <= 0:
                 continue
-            if isinstance(op, _IDENTITY_TYPES):
+            if isinstance(op, IdentityOperator):
                 shift += c
             else:
-                kept.append((c, op))
+                kept.append((op, c))
         self.shift = shift
-        self.terms = [_PreparedTerm(c, op, shift, self.w) for c, op in kept]
+        self.terms = [op.shifted_inverse(c, shift) for op, c in kept]
         self._ops = kept
         self._fallback = None
-        self._woodbury = self._prepare_woodbury(kept, shift)
+        self._woodbury = self._prepare_woodbury()
 
-    def _prepare_woodbury(self, kept, shift):
+    def _prepare_woodbury(self):
         # a diagonal operator plus one truncated integral solves in closed
         # form through the low-rank update identity on the spectral factors
-        if len(kept) != 2:
+        if len(self.terms) != 2:
             return None
-        diag_pair = [(c, op) for c, op in kept if getattr(op, "diag", None) is not None]
-        spec_pair = [(c, op) for c, op in kept if getattr(op, "diag", None) is None]
-        if len(diag_pair) != 1 or len(spec_pair) != 1:
+        diag, spec = self.terms
+        if isinstance(diag, SpectralShiftedInverse):
+            diag, spec = spec, diag
+        if not (isinstance(diag, DiagonalShiftedInverse)
+                and isinstance(spec, SpectralShiftedInverse)
+                and spec.gain.size <= 64):
             return None
-        c_s, spec_op = spec_pair[0]
-        vals, vecs = spec_op.spectrum()
-        if vals.size > 64:
-            return None
-        c_d, diag_op = diag_pair[0]
-        b_inv = 1.0 / (c_d * diag_op.diag + shift)
-        wv = self.w[:, None] * vecs
-        core = np.linalg.inv(np.diag(1.0 / (c_s * vals)) + wv.T @ (b_inv[:, None] * vecs))
-        return (b_inv, (b_inv[:, None] * vecs) @ core, wv,
-                c_s * vals, vecs)
+        b_inv = diag.inv
+        core = np.linalg.inv(np.diag(1.0 / spec.gain)
+                             + spec.wvecs.T @ (b_inv[:, None] * spec.vecs))
+        return (b_inv, (b_inv[:, None] * spec.vecs) @ core, spec.wvecs,
+                spec.gain, spec.vecs)
 
     def _dense_fallback(self, s):
         m = s.size
@@ -356,7 +248,7 @@ class _PreparedDiagSolver:
                 self.cfg.inner_tol,
                 self.cfg.inner_max_iter,
             )
-            A = sum(c * op.matrix() for c, op in self._ops)
+            A = sum(c * op.matrix() for op, c in self._ops)
             A[np.diag_indices_from(A)] += self.shift
             self._fallback = scipy.linalg.lu_factor(A)
         return scipy.linalg.lu_solve(self._fallback, s)
@@ -404,8 +296,8 @@ def gauss_seidel_solve(gram: BlockGram, ridge: float, y: CurveVec,
         s_i = y_i - sum_{j<i} K(x_i, x_j) alpha_j(new)
               - sum_{j>i} K(x_i, x_j) alpha_j(old),
 
-    delegating to a single shifted-operator solve when one operator is
-    active and to :func:`split_block_solve` otherwise.  The cheap per-sweep
+    with the block solver of :func:`split_block_solve`: closed form
+    first, then variable splitting, then dense LU.  The cheap per-sweep
     stopping test is the relative iterate change; convergence is only
     declared once the true relative residual is below ``outer_tol``.
     """
@@ -422,12 +314,11 @@ def gauss_seidel_solve(gram: BlockGram, ridge: float, y: CurveVec,
         A = np.array(warm.values, copy=True)
 
     groups = gram.merged_groups
-    caches = gram.group_caches(A)
-    diag_solvers = [_PreparedDiagSolver(gram, i, ridge, cfg) for i in range(n)]
+    caches = [op.apply_rows(A) for op, _ in groups]
+    diag_solvers = [_PreparedDiagSolver(gram.diag_scalar_groups(i), ridge, w, cfg)
+                    for i in range(n)]
     group_rows = [(gmat, np.diag(gmat).copy()) for _, gmat in groups]
-    sweeps = 0
-    resid = None
-    converged = False
+    sweeps, resid = 0, None
     for sweeps in range(1, cfg.outer_max_iter + 1):
         prev = A.copy()
         for i in range(n):
@@ -441,20 +332,19 @@ def gauss_seidel_solve(gram: BlockGram, ridge: float, y: CurveVec,
                 cache[i] = op.apply_rows(row)[0]
         change = _wnorm(A - prev, w) / max(1.0, _wnorm(A, w))
         # a single block is solved exactly in one sweep, so skip the
-        # iterate-change gate there
+        # iterate-change gate there; resid stays set only if it was
+        # measured on the final iterate
+        resid = None
         if change <= cfg.outer_tol or n == 1:
             resid = _rel_residual(gram, ridge, A, Y, w)
             if resid <= cfg.outer_tol:
-                converged = True
                 break
-            resid = None
-    if resid is None or not converged:
+    if resid is None:
         resid = _rel_residual(gram, ridge, A, Y, w)
-        converged = resid <= cfg.outer_tol
     report = SolveReport(
         iterations=sweeps,
         final_residual=resid,
-        converged=converged,
+        converged=resid <= cfg.outer_tol,
         solver_kind="gauss_seidel",
     )
     return CurveVec(gram.grid, A), report

@@ -15,7 +15,6 @@ from movkl import (
     OvKernelTerm,
     PolynomialKernel,
     assemble_gram,
-    gram_apply,
     l2_inner,
     median_pairwise_distance,
     vec_inner,
@@ -316,7 +315,7 @@ class TestBlockGram:
         xs = random_curve_vec(rng, Grid.uniform(0, 1, 5), 3)
         stack = KernelStack.uniform([(GaussianKernel(1.0), IdentityOperator(grid))])
         gram = assemble_gram(stack, xs)
-        out = gram_apply(gram, CurveVec.zero(grid, 3))
+        out = gram.apply(CurveVec.zero(grid, 3))
         assert np.all(out.values == 0.0)
 
     def test_gram_apply_identity_case(self, rng, grid):
@@ -326,7 +325,7 @@ class TestBlockGram:
                                           IdentityOperator(grid), 1.0)])
         gram = assemble_gram(stack, xs)
         alpha = random_curve_vec(rng, grid, 1)
-        assert np.allclose(gram_apply(gram, alpha).values, alpha.values,
+        assert np.allclose(gram.apply(alpha).values, alpha.values,
                            atol=1e-14)
 
     def test_random_small_instance_oracle(self, rng):

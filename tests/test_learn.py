@@ -29,6 +29,7 @@ from movkl import (
     predict_many,
     rsse,
     save_model,
+    vec_norm,
     weight_update,
 )
 from conftest import random_curve, random_curve_vec
@@ -327,7 +328,22 @@ class TestMovklFit:
             norm_exponent=math.inf)
         model = movkl_fit(stack, X, Y, tight_cfg(0.1, r=math.inf))
         assert np.allclose(model.weights, 1.0 / 3.0)
-        assert len(model.objective_trace) >= 2
+        # the weights cannot move, so the first solve is final
+        assert model.outer_iterations == 1
+
+    def test_iteration_cap_returns_consistent_model(self, rng):
+        # stopped at mkl_max_iter before mkl_tol is met, alpha must still
+        # solve the ridge system of the returned weights
+        X, Y = small_problem(rng, n=9, m_in=12, m_out=12)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
+             (PolynomialKernel(2), MultiplicationOperator(Y.grid))])
+        cfg = tight_cfg(0.01, mkl_max_iter=2)
+        model = movkl_fit(stack, X, Y, cfg)
+        assert model.outer_iterations == 2
+        gram = assemble_gram(model.stack, X)
+        resid = Y - gram.apply(model.alpha) - cfg.lam * model.alpha
+        assert vec_norm(resid) <= cfg.solve.outer_tol * vec_norm(Y)
 
     def test_mismatched_counts_rejected(self, rng):
         X, Y = small_problem(rng)

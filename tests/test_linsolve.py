@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from movkl import (
     BlockGram,
@@ -290,6 +291,57 @@ class TestSplitBlockSolve:
         with pytest.raises(ValueError):
             split_block_solve([(-0.1, IdentityOperator(gout))], 1.0,
                               random_curve(rng, gout))
+
+
+BLOCK_KINDS = ["identity", "multiplication", "integral", "integral_r3", "integral_r5"]
+
+
+def block_operator(kind, grid):
+    # a fresh instance per term, so equal operators arrive as distinct objects
+    if kind.startswith("integral_r"):
+        return IntegralOperator(grid, rank=min(int(kind[10:]), grid.size))
+    return make_operator(kind, grid)
+
+
+class TestSplitBlockSolveProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.one_of(st.integers(6, 16), st.integers(65, 72)),
+        terms=st.lists(
+            st.tuples(st.sampled_from(BLOCK_KINDS),
+                      st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
+            min_size=1, max_size=4),
+        ridge=st.floats(0.01, 1.0),
+        inner_max_iter=st.sampled_from([1, 200]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    # equal but distinct instances, merged into one group
+    @example(m=9, terms=[("multiplication", 0.3), ("multiplication", 0.4),
+                         ("integral_r3", 0.5)], ridge=0.1, inner_max_iter=200, seed=1)
+    # zero scales drop out
+    @example(m=8, terms=[("integral", 0.0), ("multiplication", 0.0),
+                         ("integral_r3", 0.6)], ridge=0.2, inner_max_iter=200, seed=2)
+    # identity only: a pure shift
+    @example(m=7, terms=[("identity", 0.7), ("identity", 0.2)], ridge=0.3,
+             inner_max_iter=200, seed=3)
+    # two integral ranks: no closed form, so the splitting iteration runs
+    @example(m=12, terms=[("integral_r3", 0.8), ("integral_r5", 0.6)],
+             ridge=0.05, inner_max_iter=200, seed=4)
+    # full-rank integral with m > 64: the closed form is skipped
+    @example(m=70, terms=[("multiplication", 0.9), ("integral", 0.4)],
+             ridge=0.05, inner_max_iter=200, seed=5)
+    # three operators and one splitting iteration: the dense fallback answers
+    @example(m=10, terms=[("multiplication", 0.9), ("integral_r3", 0.7),
+                          ("integral", 0.5)], ridge=0.02, inner_max_iter=1, seed=6)
+    def test_matches_dense_block(self, m, terms, ridge, inner_max_iter, seed):
+        grid = Grid.uniform(0.0, 1.0, m)
+        pairs = [(scale, block_operator(kind, grid)) for kind, scale in terms]
+        s = random_curve(np.random.default_rng(seed), grid)
+        cfg = SolveConfig(inner_max_iter=inner_max_iter)
+        u = split_block_solve(pairs, ridge, s, cfg)
+        A = sum(c * op.matrix() for c, op in pairs) + ridge * np.eye(m)
+        expected = np.linalg.solve(A, s.values)
+        assert np.linalg.norm(u.values - expected) <= 1e-7 * np.linalg.norm(expected)
 
 
 class TestSolveConfig:
