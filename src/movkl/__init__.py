@@ -47,7 +47,9 @@ from .linsolve import (
     dense_solve,
     gauss_seidel_solve,
     kron_solve,
+    solve_route,
     split_block_solve,
+    structured_solve,
 )
 from .learn import (
     FitConfig,
@@ -84,7 +86,8 @@ __all__ = [
     "OvKernelTerm", "KernelStack", "BlockGram",
     "assemble_gram", "median_pairwise_distance",
     "SolveConfig", "SolveReport",
-    "dense_solve", "kron_solve", "gauss_seidel_solve", "split_block_solve",
+    "dense_solve", "kron_solve", "structured_solve", "solve_route",
+    "gauss_seidel_solve", "split_block_solve",
     "FitConfig", "MovklModel",
     "krr_fit", "movkl_fit", "weight_update", "fk_norm_sq",
     "predict", "predict_many", "save_model", "load_model",

@@ -41,7 +41,13 @@ from .kernels import (
     scalar_kernel_from_config,
 )
 from .learn import FitConfig, load_model, movkl_fit, predict_many, save_model
-from .linsolve import SolveConfig, dense_solve, gauss_seidel_solve, kron_solve
+from .linsolve import (
+    SolveConfig,
+    dense_solve,
+    gauss_seidel_solve,
+    kron_solve,
+    structured_solve,
+)
 
 CONFIG_VERSION = 1
 
@@ -233,7 +239,7 @@ def _fit_config(config: dict, lam=None) -> FitConfig:
             solve=SolveConfig(**section.get("solver", {})),
             **stopping,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config: {exc}")
 
 
@@ -286,6 +292,7 @@ def cmd_train(args) -> int:
         "objective_trace": [float(v) for v in model.objective_trace],
         "outer_iterations": model.outer_iterations,
         "solver_iterations": model.solver_iterations,
+        "solver_routes": model.solver_routes,
         "model_file": model_path.name,
     }
     _write_json(out_dir / "fit_report.json", report)
@@ -421,29 +428,37 @@ def cmd_bench(args) -> int:
         t_dense = time.perf_counter() - t0
         ref_norm = np.sqrt(np.sum((ref.values ** 2) @ gram.grid.weights))
         rows.append([idx, n, m, M, "dense", ref_report.iterations,
-                     ref_report.final_residual, 0.0, t_dense])
-        solvers = [("gauss_seidel",
-                    lambda: gauss_seidel_solve(gram, ridge, Y))]
-        if len(gram.merged_groups) <= 1:
-            solvers.append(("kron", lambda: kron_solve(gram, ridge, Y)))
+                     ref_report.final_residual, int(ref_report.converged),
+                     0.0, t_dense])
+        solvers = [
+            ("gauss_seidel", lambda: gauss_seidel_solve(gram, ridge, Y)),
+            ("kron", lambda: kron_solve(gram, ridge, Y)),
+            ("structured", lambda: structured_solve(gram, ridge, Y)),
+        ]
         for name, run in solvers:
             t0 = time.perf_counter()
-            sol, report = run()
+            try:
+                sol, report = run()
+            except SolverError:
+                continue  # the route does not apply to this stack
             seconds = time.perf_counter() - t0
             err = np.sqrt(np.sum(((sol.values - ref.values) ** 2)
                                  @ gram.grid.weights))
             rows.append([idx, n, m, M, name, report.iterations,
-                         report.final_residual,
+                         report.final_residual, int(report.converged),
                          err / ref_norm if ref_norm > 0 else err, seconds])
     out_dir = _out_dir(config, args)
     with open(out_dir / "bench.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance", "n", "m", "M", "solver", "iterations",
-                         "rel_residual", "rel_err_vs_dense", "seconds"])
+                         "rel_residual", "converged", "rel_err_vs_dense",
+                         "seconds"])
         for row in rows:
             writer.writerow(row)
-    worst = max(r[7] for r in rows)
-    print(f"benchmarked {instances} instances; worst deviation from dense {worst:.3e}")
+    worst = max(r[8] for r in rows)
+    failed = [f"{r[0]}/{r[4]}" for r in rows if not r[7]]
+    print(f"benchmarked {instances} instances; worst deviation from dense "
+          f"{worst:.3e}; not converged: {', '.join(failed) or 'none'}")
     return 0
 
 

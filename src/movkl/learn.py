@@ -32,7 +32,14 @@ from .kernels import (
     operator_from_config,
     scalar_kernel_from_config,
 )
-from .linsolve import SolveConfig, gauss_seidel_solve, kron_solve
+from .linsolve import (
+    SolveConfig,
+    gauss_seidel_solve,
+    iteration_cap,
+    kron_solve,
+    solve_route,
+    structured_solve,
+)
 
 __all__ = [
     "FitConfig",
@@ -68,8 +75,7 @@ class FitConfig:
             raise ValueError("norm exponent must be >= 1")
         if self.mkl_tol <= 0:
             raise ValueError("mkl_tol must be positive")
-        if self.mkl_max_iter < 1:
-            raise ValueError("mkl_max_iter must be at least 1")
+        self.mkl_max_iter = iteration_cap("mkl_max_iter", self.mkl_max_iter)
 
 
 @dataclass
@@ -84,6 +90,7 @@ class MovklModel:
     objective_trace: list[float]
     outer_iterations: int = 0
     solver_iterations: list[int] = field(default_factory=list)
+    solver_routes: list[str] = field(default_factory=list)
 
     @property
     def input_grid(self) -> Grid:
@@ -163,10 +170,14 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     """Alternate the dual ridge solve with the closed-form weight update.
 
     Weights start uniform at 1/M.  Each round rebuilds the weighted block
-    Gram, solves (K + lambda*I) alpha = y (eigendecomposition route when
-    every term shares one operator, Gauss-Seidel warm-started from the
-    previous alpha otherwise), and stops once the dual curves move less
-    than ``mkl_tol`` in the quadrature norm.  With a finite norm exponent
+    Gram, solves (K + lambda*I) alpha = y by the route
+    :func:`movkl.linsolve.solve_route` picks (eigendecomposition when every
+    term shares one operator; the exact structured solve for identity,
+    multiplication and truncated integral operators, accepted when its
+    residual meets ``outer_tol`` and otherwise the warm start of
+    Gauss-Seidel; Gauss-Seidel warm-started from the previous alpha for any
+    other mix), and stops once the dual curves move less than ``mkl_tol``
+    in the quadrature norm.  With a finite norm exponent
     and several terms the weights are then refreshed from the component
     norms; otherwise they cannot change and the first solve is final.  The
     weights are never refreshed after the last allowed round, so the
@@ -193,24 +204,21 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     fixed_weights = M == 1 or math.isinf(cfg.r)
     trace: list[float] = []
     solver_iters: list[int] = []
+    routes: list[str] = []
     outer = 0
     for outer in range(1, cfg.mkl_max_iter + 1):
         gram = base.with_weights(d)
-        if len(gram.merged_groups) <= 1:
-            alpha_new, report = kron_solve(gram, cfg.lam, targets)
-        else:
-            alpha_new, report = gauss_seidel_solve(
-                gram, cfg.lam, targets, cfg.solve, warm=alpha
+        alpha_new, report, route = _ridge_solve(gram, targets, alpha, cfg)
+        if report.solver_kind == "gauss_seidel" and not report.converged:
+            err = SolverError(
+                "Gauss-Seidel solve did not converge "
+                f"(residual {report.final_residual:.3e} after "
+                f"{report.iterations} sweeps)"
             )
-            if not report.converged:
-                err = SolverError(
-                    "Gauss-Seidel solve did not converge "
-                    f"(residual {report.final_residual:.3e} after "
-                    f"{report.iterations} sweeps)"
-                )
-                err.trace = trace
-                raise err
+            err.trace = trace
+            raise err
         solver_iters.append(report.iterations)
+        routes.append(route)
         obj, quads = _objective(gram, alpha_new.values, targets.values, cfg.lam)
         trace.append(obj)
         change = vec_norm(alpha_new - alpha)
@@ -228,7 +236,24 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
         objective_trace=trace,
         outer_iterations=outer,
         solver_iterations=solver_iters,
+        solver_routes=routes,
     )
+
+
+def _ridge_solve(gram: BlockGram, targets: CurveVec, warm: CurveVec,
+                 cfg: FitConfig):
+    """Solve (K + lambda*I) alpha = y; returns alpha, report and route."""
+    route = solve_route(gram)
+    if route == "kron":
+        alpha, report = kron_solve(gram, cfg.lam, targets)
+        return alpha, report, route
+    if route == "structured":
+        alpha, report = structured_solve(gram, cfg.lam, targets)
+        if report.final_residual <= cfg.solve.outer_tol:
+            return alpha, report, route
+        warm, route = alpha, "structured+gauss_seidel"
+    alpha, report = gauss_seidel_solve(gram, cfg.lam, targets, cfg.solve, warm=warm)
+    return alpha, report, route
 
 
 def _cross_contributions(model: MovklModel, xs: CurveVec) -> np.ndarray:
@@ -290,6 +315,7 @@ def model_to_doc(model: MovklModel) -> dict:
         "objective_trace": [float(v) for v in model.objective_trace],
         "outer_iterations": model.outer_iterations,
         "solver_iterations": [int(v) for v in model.solver_iterations],
+        "solver_routes": list(model.solver_routes),
     }
 
 
@@ -321,6 +347,7 @@ def model_from_doc(doc: dict) -> MovklModel:
         objective_trace=[float(v) for v in doc["objective_trace"]],
         outer_iterations=int(doc.get("outer_iterations", 0)),
         solver_iterations=[int(v) for v in doc.get("solver_iterations", [])],
+        solver_routes=[str(v) for v in doc.get("solver_routes", [])],
     )
 
 

@@ -1,12 +1,18 @@
 """Solvers for the block operator ridge system (K + ridge*I) alpha = y.
 
-Three routes are provided:
+Four routes are provided:
 
 * :func:`dense_solve` densifies the block matrix and factorizes it; it is
   the reference oracle for small problems.
 * :func:`kron_solve` handles stacks whose terms share one output operator,
   where the block matrix is a Kronecker product and the system diagonalizes
   in the eigenbases of the combined scalar Gram and of the operator.
+* :func:`structured_solve` is exact for any mix of identity, multiplication
+  and truncated integral operators.  The identity and multiplication parts
+  are diagonal on the grid, so one generalized eigendecomposition of the
+  two scalar Grams inverts their Kronecker sum; the integral operators add
+  a term of rank n*Q (Q their summed rank), handled by the Woodbury
+  identity with one dense (n*Q) x (n*Q) capacitance system.
 * :func:`gauss_seidel_solve` sweeps over samples, solving one diagonal
   block [K(x_i, x_i) + ridge*I] at a time.  Identity terms join the ridge
   shift and a lone remaining operator is inverted directly.  A block that
@@ -17,6 +23,14 @@ Three routes are provided:
   splitting stalls.  :func:`split_block_solve` runs that block solver on
   one block.
 
+:func:`solve_route` names the route :func:`movkl.learn.movkl_fit` takes:
+``kron`` when the stack has one operator; ``structured`` when it mixes
+only identity, multiplication and truncated integral operators with
+n*Q <= 5000; ``gauss_seidel`` otherwise (a full-rank integral operator, or
+a capacitance system over the guard).  The fit accepts a structured answer
+only if its residual meets ``outer_tol``, and otherwise warm-starts
+Gauss-Seidel from it.
+
 All residuals are measured in the quadrature norm of the output space,
 relative to the norm of the right-hand side.
 """
@@ -25,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import logging
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +50,8 @@ from .kernels import (
     BlockGram,
     DiagonalShiftedInverse,
     IdentityOperator,
+    IntegralOperator,
+    MultiplicationOperator,
     SpectralShiftedInverse,
     group_by_operator,
 )
@@ -44,6 +61,8 @@ __all__ = [
     "SolveReport",
     "dense_solve",
     "kron_solve",
+    "structured_solve",
+    "solve_route",
     "gauss_seidel_solve",
     "split_block_solve",
 ]
@@ -72,8 +91,19 @@ class SolveConfig:
     def __post_init__(self):
         if self.outer_tol <= 0 or self.inner_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.outer_max_iter < 1 or self.inner_max_iter < 1:
-            raise ValueError("iteration caps must be at least 1")
+        self.outer_max_iter = iteration_cap("outer_max_iter", self.outer_max_iter)
+        self.inner_max_iter = iteration_cap("inner_max_iter", self.inner_max_iter)
+
+
+def iteration_cap(name: str, value) -> int:
+    """Validate an iteration cap: an integer (or integral float) >= 1."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
 
 
 @dataclass
@@ -166,6 +196,113 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     return (
         CurveVec(gram.grid, X),
         SolveReport(1, resid, resid <= KRON_TOL, "kron"),
+    )
+
+
+def _low_rank_size(groups) -> int | None:
+    """Summed rank Q of the integral groups when every group is an identity,
+    multiplication or truncated integral operator; None otherwise."""
+    total = 0
+    for op, _ in groups:
+        if isinstance(op, IntegralOperator) and op.rank is not None:
+            total += op.rank
+        elif not isinstance(op, (IdentityOperator, MultiplicationOperator)):
+            return None
+    return total
+
+
+def solve_route(gram: BlockGram) -> str:
+    """The route :func:`movkl.learn.movkl_fit` takes for this system:
+    ``kron``, ``structured`` or ``gauss_seidel`` (see the module docstring)."""
+    groups = gram.merged_groups
+    if len(groups) <= 1:
+        return "kron"
+    q = _low_rank_size(groups)
+    if q is not None and gram.n * q <= DENSE_GUARD:
+        return "structured"
+    return "gauss_seidel"
+
+
+def structured_solve(gram: BlockGram, ridge: float, y: CurveVec):
+    """Exact solve for stacks of identity, multiplication and truncated
+    integral operators.
+
+    In coordinates the system reads C X + G_M X D + sum_k G_k X W V_k L_k V_k^T
+    = Y, with C = ridge*I + G_identity, D the multiplication diagonal, W the
+    quadrature weights and (V_k, L_k) the retained spectrum of the k-th
+    integral operator.  ``scipy.linalg.eigh(G_M, C)`` gives S with
+    S^T C S = I and S^T G_M S = diag(mu), so the diagonal part B inverts as
+    B^-1(R) = S [(S^T R) / (1 + mu d^T)].  The integral part has rank n*Q;
+    with Z = X W V (n x Q) the Woodbury identity leaves one dense
+    (n*Q) x (n*Q) capacitance system for Z, after which
+    X = B^-1(Y - sum_k G_k Z_k L_k V_k^T).  Guarded to n*Q <= 5000.  Like
+    :func:`dense_solve`, the report counts as converged at a relative
+    residual of at most 1e-10.
+    """
+    _check_solve_args(gram, ridge, y)
+    groups = gram.merged_groups
+    q = _low_rank_size(groups)
+    if q is None:
+        raise SolverError(
+            "kernel stack has a full-rank integral operator; use gauss_seidel_solve"
+        )
+    n = gram.n
+    if n * q > DENSE_GUARD:
+        raise CapacityError(
+            f"capacitance system of size {n * q} exceeds the guard {DENSE_GUARD}"
+        )
+    w = gram.grid.weights
+    Y = y.values
+    C = ridge * np.eye(n)
+    GM = np.zeros((n, n))
+    D = np.zeros(gram.grid.size)
+    low = []
+    for op, G in groups:
+        if isinstance(op, IdentityOperator):
+            C = C + G
+        elif isinstance(op, MultiplicationOperator):
+            GM, D = G, op.diag
+        else:
+            vals, vecs = op.spectrum()
+            low.append((G, vals, vecs))
+    mu, S = scipy.linalg.eigh(GM, C)
+    H = 1.0 / (1.0 + np.multiply.outer(mu, D))
+
+    def b_inv(R):
+        return S @ ((S.T @ R) * H)
+
+    X = b_inv(Y)
+    if low:
+        gains = np.concatenate([vals for _, vals, _ in low])
+        V = np.hstack([vecs for _, _, vecs in low])
+        P = w[:, None] * V
+        # capacitance I + (P^T B^-1 V) (G L), with row (s, c) and column
+        # (a, b) equal to gain_b sum_i S[s, i] (S^T G_k)[i, a] F_b[i, c] for
+        # F_b[i, c] = sum_l H[i, l] V[l, b] P[l, c]; built one column b at
+        # a time, so no intermediate exceeds n*n*Q entries
+        cap = np.empty((n, q, n, q))
+        b = 0
+        for G, vals, _ in low:
+            A = S.T @ G
+            for _ in range(vals.size):
+                Fb = gains[b] * (H @ (V[:, b, None] * P))
+                T = A[:, :, None] * Fb[:, None, :]
+                cap[:, :, :, b] = (S @ T.reshape(n, n * q)).reshape(n, n, q) \
+                    .transpose(0, 2, 1)
+                b += 1
+        cap = cap.reshape(n * q, n * q)
+        cap[np.diag_indices_from(cap)] += 1.0
+        Z = scipy.linalg.solve(cap, (X @ P).reshape(-1)).reshape(n, q)
+        R = np.array(Y, copy=True)
+        b = 0
+        for G, vals, vecs in low:
+            R -= G @ (Z[:, b:b + vals.size] * vals) @ vecs.T
+            b += vals.size
+        X = b_inv(R)
+    resid = _rel_residual(gram, ridge, X, Y, w)
+    return (
+        CurveVec(gram.grid, X),
+        SolveReport(1, resid, resid <= DENSE_TOL, "structured"),
     )
 
 

@@ -69,6 +69,27 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("section,key", [
+        ("fit", "mkl_tol"), ("solver", "outer_tol"), ("solver", "inner_tol"),
+    ])
+    def test_non_numeric_fit_value_rejected(self, tmp_path, section, key):
+        cfg = base_config(tmp_path)
+        target = cfg["fit"] if section == "fit" else cfg["fit"].setdefault("solver", {})
+        target[key] = "x"
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+
+    @pytest.mark.parametrize("section,key", [
+        ("fit", "mkl_max_iter"), ("solver", "outer_max_iter"),
+        ("solver", "inner_max_iter"),
+    ])
+    def test_float_iteration_cap_rejected(self, tmp_path, section, key):
+        cfg = base_config(tmp_path)
+        target = cfg["fit"] if section == "fit" else cfg["fit"].setdefault("solver", {})
+        target[key] = 2.5
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+
 
 class TestGen:
     def test_writes_dataset(self, tmp_path):
@@ -111,6 +132,8 @@ class TestTrain:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["weights"] == [1.0]
         assert report["n_terms"] == 1
+        assert report["solver_routes"] == ["kron"]
+        assert model.solver_routes == ["kron"]
 
         ds = load_dataset(data)
         ref = krr_fit(
@@ -146,6 +169,17 @@ class TestTrain:
         report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
         trace = report["objective_trace"]
         assert all(b <= a + 1e-10 for a, b in zip(trace, trace[1:]))
+
+    def test_mixed_menu_reports_structured_routes(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["kernels"] = {"menu": {"gaussian_bandwidth_factors": [1.0],
+                                   "polynomial_degrees": [1],
+                                   "integral_rank": 4}}
+        assert main(["train", "--config",
+                     write_config(tmp_path / "c.json", cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
+        routes = report["solver_routes"]
+        assert routes == ["structured"] * report["outer_iterations"]
 
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -242,7 +276,22 @@ class TestBench:
         header, body = rows[0], rows[1:]
         assert header[:5] == ["instance", "n", "m", "M", "solver"]
         solvers = {row[4] for row in body}
-        assert "dense" in solvers and "gauss_seidel" in solvers
+        assert {"dense", "gauss_seidel", "kron", "structured"} <= solvers
         err_col = header.index("rel_err_vs_dense")
+        conv_col = header.index("converged")
         for row in body:
+            assert row[conv_col] == "1"
             assert float(row[err_col]) <= 1e-6
+
+    def test_bench_flags_unconverged_rows(self, tmp_path, capsys):
+        # the first seed-3 instance stops Gauss-Seidel at its 500-sweep cap
+        cfg = base_config(tmp_path)
+        cfg["seed"] = 3
+        cfg["bench"] = {"instances": 1}
+        cfg_path = write_config(tmp_path / "c.json", cfg)
+        assert main(["bench", "--config", cfg_path]) == 0
+        assert "not converged: 0/gauss_seidel" in capsys.readouterr().out
+        with open(tmp_path / "out" / "bench.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        flags = {row["solver"]: row["converged"] for row in rows}
+        assert flags == {"dense": "1", "gauss_seidel": "0", "kron": "1"}

@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import movkl.learn
 
 from movkl import (
     BlockGram,
@@ -19,6 +22,7 @@ from movkl import (
     OvKernelTerm,
     PolynomialKernel,
     SolveConfig,
+    SolverError,
     assemble_gram,
     fk_norm_sq,
     krr_fit,
@@ -345,6 +349,11 @@ class TestMovklFit:
         resid = Y - gram.apply(model.alpha) - cfg.lam * model.alpha
         assert vec_norm(resid) <= cfg.solve.outer_tol * vec_norm(Y)
 
+    def test_non_integral_iteration_cap_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            FitConfig(mkl_max_iter=2.5)
+        assert FitConfig(mkl_max_iter=4.0).mkl_max_iter == 4
+
     def test_mismatched_counts_rejected(self, rng):
         X, Y = small_problem(rng)
         bad_Y = CurveVec(Y.grid, Y.values[:3])
@@ -352,6 +361,88 @@ class TestMovklFit:
                                       IdentityOperator(Y.grid))])
         with pytest.raises(Exception):
             movkl_fit(stack, X, bad_Y, tight_cfg(0.1))
+
+
+def failing_structured_solve(*args):
+    raise AssertionError("structured_solve must not be reached")
+
+
+class TestSolveRouting:
+    def test_full_rank_integral_goes_to_gauss_seidel(self, rng, monkeypatch):
+        X, Y = small_problem(rng, n=5)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(1.0), MultiplicationOperator(Y.grid)),
+             (PolynomialKernel(1), IntegralOperator(Y.grid))])
+        monkeypatch.setattr(movkl.learn, "structured_solve",
+                            failing_structured_solve)
+        model = movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
+        assert model.solver_routes == ["gauss_seidel"] * model.outer_iterations
+
+    def test_over_guard_capacitance_goes_to_gauss_seidel(self, rng, monkeypatch):
+        # n*Q = 85 * 59 exceeds the 5,000 guard of the capacitance system
+        X, Y = small_problem(rng, n=85, m_in=8, m_out=60)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(0.05), IdentityOperator(Y.grid)),
+             (GaussianKernel(0.05), IntegralOperator(Y.grid, rank=59))],
+            norm_exponent=math.inf)
+        monkeypatch.setattr(movkl.learn, "structured_solve",
+                            failing_structured_solve)
+        model = movkl_fit(stack, X, Y, tight_cfg(1.0, r=math.inf))
+        assert model.solver_routes == ["gauss_seidel"]
+
+    def test_loose_structured_answer_warm_starts_gauss_seidel(self, rng,
+                                                              monkeypatch):
+        X, Y = small_problem(rng, n=6)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
+             (PolynomialKernel(2), MultiplicationOperator(Y.grid)),
+             (GaussianKernel(0.5), IntegralOperator(Y.grid, rank=3))])
+        exact = movkl.learn.structured_solve
+
+        def loose(gram, ridge, y):
+            alpha, report = exact(gram, ridge, y)
+            alpha = CurveVec(alpha.grid, alpha.values * (1.0 + 1e-3))
+            report.final_residual = 1e-3
+            return alpha, report
+
+        monkeypatch.setattr(movkl.learn, "structured_solve", loose)
+        cfg = tight_cfg(0.1, mkl_tol=1e-6)
+        model = movkl_fit(stack, X, Y, cfg)
+        assert set(model.solver_routes) == {"structured+gauss_seidel"}
+        gram = assemble_gram(model.stack, X)
+        resid = Y - gram.apply(model.alpha) - cfg.lam * model.alpha
+        assert vec_norm(resid) <= cfg.solve.outer_tol * vec_norm(Y)
+
+    def test_unconverged_gauss_seidel_after_structured_raises(self, rng,
+                                                              monkeypatch):
+        X, Y = small_problem(rng, n=6)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
+             (GaussianKernel(0.5), IntegralOperator(Y.grid, rank=3))])
+        # a residual floor no solver reaches: the structured answer is
+        # refused and Gauss-Seidel stops at its sweep cap
+        cfg = FitConfig(lam=0.1, solve=SolveConfig(outer_tol=1e-300,
+                                                   outer_max_iter=3))
+        with pytest.raises(SolverError, match="did not converge"):
+            movkl_fit(stack, X, Y, cfg)
+
+
+def readme_quick_start() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeQuickStart:
+    def test_runs_verbatim_under_defaults(self):
+        code = readme_quick_start()
+        assert "mk.FitConfig(lam=0.05, r=2.0)" in code
+        scope = {}
+        exec(compile(code, "README.md", "exec"), scope)
+        model = scope["model"]
+        assert model.solver_routes == ["structured"] * model.outer_iterations
+        assert np.sum(model.weights ** 2) == pytest.approx(1.0)
+        assert scope["pred"].values.shape == (80,)
 
 
 class TestPredict:
@@ -416,6 +507,8 @@ class TestModelArchive:
         assert np.array_equal(loaded.input_grid.points, model.input_grid.points)
         assert loaded.lam == model.lam
         assert loaded.objective_trace == model.objective_trace
+        assert model.solver_routes == ["structured"] * model.outer_iterations
+        assert loaded.solver_routes == model.solver_routes
 
         q = random_curve(rng, X.grid)
         assert np.array_equal(predict(loaded, q).values,
@@ -440,3 +533,17 @@ class TestModelArchive:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_archive_without_routes_loads(self, rng, tmp_path):
+        # archives written before routes were recorded still load
+        X, Y = small_problem(rng)
+        stack = KernelStack.uniform([(GaussianKernel(1.0),
+                                      IdentityOperator(Y.grid))])
+        model = movkl_fit(stack, X, Y, tight_cfg(0.5))
+        assert model.solver_routes == ["kron"]
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        doc = json.loads(path.read_text())
+        del doc["solver_routes"]
+        path.write_text(json.dumps(doc))
+        assert load_model(path).solver_routes == []

@@ -21,7 +21,9 @@ from movkl import (
     dense_solve,
     gauss_seidel_solve,
     kron_solve,
+    solve_route,
     split_block_solve,
+    structured_solve,
     vec_norm,
 )
 from conftest import random_curve, random_curve_vec
@@ -344,6 +346,86 @@ class TestSplitBlockSolveProperty:
         assert np.linalg.norm(u.values - expected) <= 1e-7 * np.linalg.norm(expected)
 
 
+STRUCTURED_KINDS = ["identity", "multiplication", "integral_r3", "integral_r5"]
+
+
+def random_grid(rng, m):
+    # uneven points and weights, spanning the slope of exp(-t^2)
+    points = np.cumsum(rng.uniform(0.05, 0.5, m)) - 1.0
+    return Grid(points, rng.uniform(0.05, 0.5, m))
+
+
+def structured_system(m, n, terms, seed):
+    rng = np.random.default_rng(seed)
+    gout = random_grid(rng, m)
+    X = random_curve_vec(rng, Grid.uniform(0.0, 1.0, m + 1), n)
+    kernels = [GaussianKernel(0.8), PolynomialKernel(2), GaussianKernel(1.5)]
+    # a fresh operator per term, so equal operators arrive as distinct objects
+    gram = BlockGram([kernels[k % 3].gram(X) for k in range(len(terms))],
+                     [block_operator(kind, gout) for kind, _ in terms],
+                     [weight for _, weight in terms], gout)
+    return gram, random_curve_vec(rng, gout, n)
+
+
+class TestStructuredSolve:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(6, 14),
+        n=st.integers(1, 7),
+        terms=st.lists(
+            st.tuples(st.sampled_from(STRUCTURED_KINDS),
+                      st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
+            min_size=1, max_size=5),
+        ridge=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2 ** 16),
+    )
+    # identity and multiplication with one integral rank
+    @example(m=9, n=5, terms=[("identity", 0.4), ("multiplication", 0.3),
+                              ("integral_r3", 0.5)], ridge=0.05, seed=1)
+    # multiplication only beside two integral ranks
+    @example(m=10, n=4, terms=[("multiplication", 0.5), ("integral_r3", 0.3),
+                               ("integral_r5", 0.4)], ridge=0.02, seed=2)
+    # identity only beside an integral operator
+    @example(m=8, n=6, terms=[("identity", 0.5), ("integral_r5", 0.5)],
+             ridge=0.1, seed=3)
+    # zero weights drop whole operators, down to a pure ridge system
+    @example(m=7, n=3, terms=[("multiplication", 0.0), ("integral_r3", 0.0)],
+             ridge=0.3, seed=4)
+    # equal but distinct instances merge into one group
+    @example(m=11, n=5, terms=[("integral_r3", 0.2), ("integral_r3", 0.3),
+                               ("multiplication", 0.25), ("multiplication", 0.1),
+                               ("identity", 0.1)], ridge=0.01, seed=5)
+    def test_matches_dense(self, m, n, terms, ridge, seed):
+        gram, y = structured_system(m, n, terms, seed)
+        alpha, report = structured_solve(gram, ridge, y)
+        ref, _ = dense_solve(gram, ridge, y)
+        assert vec_norm(alpha - ref) <= 1e-10 * vec_norm(ref)
+        assert report.solver_kind == "structured"
+        assert report.converged
+
+    def test_full_rank_integral_rejected(self, rng):
+        gram, y = random_system(rng, 3, 6, 2, op_kinds=["integral"])
+        with pytest.raises(SolverError, match="gauss_seidel"):
+            structured_solve(gram, 0.1, y)
+
+    def test_routes(self, rng):
+        gout = Grid.uniform(0, 1, 60)
+        eye = np.eye(84)
+        mixed = [IdentityOperator(gout), IntegralOperator(gout, rank=59)]
+        # n*Q = 84 * 59 = 4956 fits under the guard, 85 * 59 does not
+        assert solve_route(BlockGram([eye, eye], mixed, [0.5, 0.5], gout)) \
+            == "structured"
+        big = np.eye(85)
+        over = BlockGram([big, big], mixed, [0.5, 0.5], gout)
+        assert solve_route(over) == "gauss_seidel"
+        with pytest.raises(CapacityError):
+            structured_solve(over, 0.1, random_curve_vec(rng, gout, 85))
+        full = [MultiplicationOperator(gout), IntegralOperator(gout)]
+        assert solve_route(BlockGram([eye, eye], full, [0.5, 0.5], gout)) \
+            == "gauss_seidel"
+        assert solve_route(BlockGram([eye], full[1:], [1.0], gout)) == "kron"
+
+
 class TestSolveConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -352,3 +434,14 @@ class TestSolveConfig:
             SolveConfig(outer_max_iter=0)
         with pytest.raises(ValueError):
             SolveConfig(inner_tol=-1.0)
+
+    @pytest.mark.parametrize("cap", [2.5, "3", float("inf"), True])
+    def test_non_integral_caps_rejected(self, cap):
+        with pytest.raises(ValueError, match="integer"):
+            SolveConfig(outer_max_iter=cap)
+        with pytest.raises(ValueError, match="integer"):
+            SolveConfig(inner_max_iter=cap)
+
+    def test_integral_float_cap_becomes_int(self):
+        cfg = SolveConfig(outer_max_iter=3.0)
+        assert cfg.outer_max_iter == 3 and isinstance(cfg.outer_max_iter, int)
