@@ -27,6 +27,7 @@ from .errors import CapacityError, ConfigError, DataError, MovklError, SolverErr
 from .evaluation import CvSpec, lcr, loo_cv, rsse
 from .funcspace import CurveVec, Grid
 from .kernels import (
+    CurveStats,
     GaussianKernel,
     IdentityOperator,
     IntegralOperator,
@@ -124,11 +125,10 @@ def _resolve_dataset(config: dict, override_path=None) -> CurveDataset:
 
 
 def _normalize_inputs(ds: CurveDataset) -> CurveDataset:
-    X = ds.inputs.values
-    norms = np.sqrt((X * X) @ ds.input_grid.weights)
+    norms = np.sqrt(CurveStats(ds.inputs).sq_norms)
     norms = np.where(norms > 0, norms, 1.0)
     return CurveDataset(
-        inputs=CurveVec(ds.input_grid, X / norms[:, None]),
+        inputs=CurveVec(ds.input_grid, ds.inputs.values / norms[:, None]),
         targets=ds.targets,
         labels=ds.labels,
     )
@@ -174,7 +174,7 @@ def build_stack(config: dict, ds: CurveDataset, rank_override=None) -> KernelSta
                         operator_from_config(op_cfg, grid),
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad kernel term: {exc}")
     else:
         menu = section["menu"]
@@ -190,18 +190,13 @@ def build_stack(config: dict, ds: CurveDataset, rank_override=None) -> KernelSta
         scale = median_pairwise_distance(ds.inputs)
         if scale <= 0:
             scale = 1.0
-        scalars = [GaussianKernel(f * scale) for f in factors]
-        scalars += [PolynomialKernel(d, offset) for d in degrees]
-        operators = []
-        for kind in op_kinds:
-            if kind == "identity":
-                operators.append(IdentityOperator(grid))
-            elif kind == "multiplication":
-                operators.append(MultiplicationOperator(grid))
-            elif kind == "integral":
-                operators.append(IntegralOperator(grid, rank))
-            else:
-                raise ConfigError(f"unknown operator kind {kind!r} in menu")
+        try:
+            scalars = [GaussianKernel(f * scale) for f in factors]
+            scalars += [PolynomialKernel(d, offset) for d in degrees]
+            operators = [operator_from_config({"kind": kind, "rank": rank}, grid)
+                         for kind in op_kinds]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad kernel menu: {exc}")
         if menu.get("normalize", True):
             pairs = [
                 (block_trace_normalized(s, op, ds.inputs), op)

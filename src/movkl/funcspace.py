@@ -35,6 +35,9 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
+_TOO_FEW_POINTS = "a grid needs at least 2 points"
+
+
 class Grid:
     """Sampling locations and quadrature weights over a 1-d domain.
 
@@ -58,7 +61,7 @@ class Grid:
                 f"got {points.size} points but {weights.size} weights"
             )
         if points.size < 2:
-            raise ValueError("a grid needs at least 2 points")
+            raise ValueError(_TOO_FEW_POINTS)
         if not np.all(np.diff(points) > 0):
             raise ValueError("grid points must be strictly increasing")
         if not np.all(weights > 0):
@@ -71,6 +74,8 @@ class Grid:
     @classmethod
     def uniform(cls, start: float, stop: float, size: int) -> "Grid":
         """Uniform grid on [start, stop] with trapezoid weights."""
+        if size < 2:
+            raise ValueError(_TOO_FEW_POINTS)
         points = np.linspace(start, stop, size)
         step = (stop - start) / (size - 1)
         weights = np.full(size, step)
@@ -81,6 +86,8 @@ class Grid:
     def from_points(cls, points) -> "Grid":
         """Trapezoid weights for arbitrary strictly increasing points."""
         points = np.asarray(points, dtype=float)
+        if points.size < 2:
+            raise ValueError(_TOO_FEW_POINTS)
         gaps = np.diff(points)
         weights = np.empty_like(points)
         weights[0] = gaps[0] / 2.0

@@ -9,7 +9,9 @@ A stack of such terms defines K = sum_k d_k G_k T_k, and the n x n block
 Gram matrix [K(x_i, x_j)] is kept in factored form: one n x n scalar Gram
 per term plus the structured operators.  The dense (n*m) x (n*m) matrix is
 only materialized through the explicit :meth:`BlockGram.densify` escape
-hatch used by the reference solver and the tests.
+hatch used by the reference solver and the tests.  Scalar kernels evaluate
+from shared statistics: the quadrature inner products and norms that
+:class:`CurveStats` computes once per curve set.
 
 Output operators act on curves over a fixed grid and are self-adjoint and
 positive semidefinite with respect to the quadrature inner product.  Three
@@ -50,28 +52,47 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels on curves
+# kernel statistics and scalar kernels on curves
 # ---------------------------------------------------------------------------
+
+class CurveStats:
+    """Weighted values X * w and squared quadrature norms of a curve set."""
+
+    def __init__(self, xs: CurveVec):
+        self.curves = xs
+        self.weighted = xs.values * xs.grid.weights
+        self.sq_norms = np.einsum("ij,ij->i", self.weighted, xs.values)
+
+    def pairs(self, zs: CurveVec | None = None):
+        """Inner products and squared distances of every pair (x_i, z_j), the
+        arguments of :meth:`ScalarKernel.evaluate`; zs defaults to xs."""
+        if zs is not None and zs.grid != self.curves.grid:
+            raise DimensionError("kernel arguments live on different grids")
+        other = self if zs is None else CurveStats(zs)
+        ip = self.weighted @ other.curves.values.T
+        sq_dist = self.sq_norms[:, None] + other.sq_norms[None, :] - 2.0 * ip
+        return ip, np.maximum(sq_dist, 0.0)
+
 
 class ScalarKernel:
     """Positive definite kernel on pairs of curves over a shared grid."""
 
     def __call__(self, x: Curve, z: Curve) -> float:
-        if x.grid != z.grid:
-            raise DimensionError("kernel arguments live on different grids")
-        return float(self._eval_matrix(x.values[None, :], z.values[None, :],
-                                       x.grid.weights)[0, 0])
+        xs, zs = (CurveVec.from_curves([c]) for c in (x, z))
+        return float(self.gram(xs, zs)[0, 0])
 
     def gram(self, xs: CurveVec, zs: CurveVec | None = None) -> np.ndarray:
         """Gram matrix G[i, j] = G(xs_i, zs_j); zs defaults to xs."""
-        if zs is None:
-            zs = xs
-        elif zs.grid != xs.grid:
-            raise DimensionError("kernel arguments live on different grids")
-        return self._eval_matrix(xs.values, zs.values, xs.grid.weights)
+        return self.evaluate(*CurveStats(xs).pairs(zs))
 
-    def _eval_matrix(self, X, Z, w) -> np.ndarray:
+    def evaluate(self, ip: np.ndarray, sq_dist: np.ndarray) -> np.ndarray:
+        """Kernel values from the quadrature inner products and squared
+        distances of curve pairs, elementwise."""
         raise NotImplementedError
+
+    def unscaled(self) -> tuple["ScalarKernel", float]:
+        """The kernel under any ScaledKernel wrappers and their total factor."""
+        return self, 1.0
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -82,16 +103,12 @@ class GaussianKernel(ScalarKernel):
 
     def __init__(self, bandwidth: float):
         bandwidth = float(bandwidth)
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         self.bandwidth = bandwidth
 
-    def _eval_matrix(self, X, Z, w) -> np.ndarray:
-        ip = (X * w) @ Z.T
-        xx = (X * w * X).sum(axis=1)
-        zz = (Z * w * Z).sum(axis=1)
-        d2 = np.maximum(xx[:, None] + zz[None, :] - 2.0 * ip, 0.0)
-        return np.exp(-d2 / (2.0 * self.bandwidth ** 2))
+    def evaluate(self, ip, sq_dist):
+        return np.exp(-sq_dist / (2.0 * self.bandwidth ** 2))
 
     def __eq__(self, other):
         return isinstance(other, GaussianKernel) and other.bandwidth == self.bandwidth
@@ -114,13 +131,12 @@ class PolynomialKernel(ScalarKernel):
         offset = float(offset)
         if degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
+        if not 0 <= offset < math.inf:
+            raise ValueError("offset must be nonnegative and finite")
         self.degree = degree
         self.offset = offset
 
-    def _eval_matrix(self, X, Z, w) -> np.ndarray:
-        ip = (X * w) @ Z.T
+    def evaluate(self, ip, sq_dist):
         return (ip + self.offset) ** self.degree
 
     def __eq__(self, other):
@@ -150,13 +166,17 @@ class ScaledKernel(ScalarKernel):
 
     def __init__(self, base: ScalarKernel, factor: float):
         factor = float(factor)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ValueError("scale factor must be positive and finite")
         self.base = base
         self.factor = factor
 
-    def _eval_matrix(self, X, Z, w) -> np.ndarray:
-        return self.factor * self.base._eval_matrix(X, Z, w)
+    def evaluate(self, ip, sq_dist):
+        return self.factor * self.base.evaluate(ip, sq_dist)
+
+    def unscaled(self):
+        base, factor = self.base.unscaled()
+        return base, self.factor * factor
 
     def __eq__(self, other):
         return (
@@ -178,11 +198,7 @@ class ScaledKernel(ScalarKernel):
 
 def trace_normalized(kernel: ScalarKernel, xs: CurveVec) -> ScalarKernel:
     """Rescale a kernel so its Gram on ``xs`` has unit mean diagonal."""
-    diag = np.diag(kernel.gram(xs))
-    mean = float(diag.mean())
-    if mean <= 0:
-        return kernel
-    return ScaledKernel(kernel, 1.0 / mean)
+    return block_trace_normalized(kernel, IdentityOperator(xs.grid), xs)
 
 
 def block_trace_normalized(kernel: ScalarKernel, operator, xs: CurveVec) -> ScalarKernel:
@@ -193,7 +209,8 @@ def block_trace_normalized(kernel: ScalarKernel, operator, xs: CurveVec) -> Scal
     different trace (the identity versus a truncated integral operator,
     say) compete on an even footing in a weighted combination.
     """
-    gram_scale = float(np.diag(kernel.gram(xs)).mean())
+    sq = CurveStats(xs).sq_norms  # the pairs (x_i, x_i), in O(n m)
+    gram_scale = float(kernel.evaluate(sq, np.zeros_like(sq)).mean())
     vals, _ = operator.full_basis()
     op_scale = float(vals.sum()) / vals.size
     scale = gram_scale * op_scale
@@ -204,14 +221,11 @@ def block_trace_normalized(kernel: ScalarKernel, operator, xs: CurveVec) -> Scal
 
 def median_pairwise_distance(xs: CurveVec) -> float:
     """Median quadrature distance over distinct curve pairs."""
-    X, w = xs.values, xs.grid.weights
-    ip = (X * w) @ X.T
-    sq = np.diag(ip)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * ip, 0.0)
-    iu = np.triu_indices(len(xs), k=1)
-    if iu[0].size == 0:
-        return float(np.sqrt(sq[0]))
-    return float(np.median(np.sqrt(d2[iu])))
+    curves = CurveStats(xs)
+    if len(xs) < 2:
+        return float(np.sqrt(curves.sq_norms[0]))
+    _, sq_dist = curves.pairs()
+    return float(np.median(np.sqrt(sq_dist[np.triu_indices(len(xs), k=1)])))
 
 
 def scalar_kernel_from_config(cfg: dict) -> ScalarKernel:
@@ -566,11 +580,11 @@ class KernelStack:
 
 
 def group_by_operator(pairs):
-    """Sum the values of (operator, value) pairs over equal operators.
+    """Sum the values of (key, value) pairs over equal operators or kernels.
 
-    Groups keep the order in which their operators first appear.  Values
-    may be scalars or arrays; arrays are summed in place into the first
-    value of their group, so pass arrays the caller does not use again.
+    Groups keep the order in which their keys first appear.  Values may be
+    scalars, arrays or lists; arrays and lists are summed (concatenated) in
+    place into the first value of their group, so pass fresh ones.
     """
     groups: list[list] = []
     for op, value in pairs:
@@ -669,7 +683,8 @@ class BlockGram:
 
 def assemble_gram(stack: KernelStack, inputs: CurveVec) -> BlockGram:
     """Compute the per-term scalar Gram matrices for a set of input curves."""
-    grams = [t.scalar.gram(inputs) for t in stack.terms]
+    stats = CurveStats(inputs).pairs()
+    grams = [t.scalar.evaluate(*stats) for t in stack.terms]
     return BlockGram(
         grams, [t.operator for t in stack.terms], stack.weights, stack.output_grid
     )

@@ -25,6 +25,7 @@ from .errors import DegenerateModelError, DimensionError, SolverError
 from .funcspace import Curve, CurveVec, Grid, vec_norm
 from .kernels import (
     BlockGram,
+    CurveStats,
     KernelStack,
     OvKernelTerm,
     assemble_gram,
@@ -91,6 +92,13 @@ class MovklModel:
     outer_iterations: int = 0
     solver_iterations: list[int] = field(default_factory=list)
     solver_routes: list[str] = field(default_factory=list)
+    _train_stats: CurveStats | None = field(default=None, init=False, repr=False)
+
+    def train_stats(self) -> CurveStats:
+        """Statistics of ``train_inputs``, cached per object, never archived."""
+        if self._train_stats is None or self._train_stats.curves is not self.train_inputs:
+            self._train_stats = CurveStats(self.train_inputs)
+        return self._train_stats
 
     @property
     def input_grid(self) -> Grid:
@@ -257,17 +265,22 @@ def _ridge_solve(gram: BlockGram, targets: CurveVec, warm: CurveVec,
 
 
 def _cross_contributions(model: MovklModel, xs: CurveVec) -> np.ndarray:
-    if xs.grid != model.input_grid:
-        raise DimensionError("query curves do not live on the training grid")
-    A = model.alpha.values
-    out = np.zeros((xs.n, model.output_grid.size))
-    merged = group_by_operator(
-        (term.operator, d_k * term.scalar.gram(model.train_inputs, xs))
-        for term, d_k in zip(model.stack.terms, model.weights)
-        if d_k != 0.0
+    # ScaledKernel factors fold into the term weights, so each distinct base
+    # kernel is evaluated once, and its map is dropped after its terms
+    stats = model.train_stats().pairs(xs)
+    bases = group_by_operator(
+        (base, [(term.operator, d_k * factor)])
+        for term, d_k in zip(model.stack.terms, model.weights) if d_k != 0.0
+        for base, factor in [term.scalar.unscaled()]
     )
-    for op, cross in merged:
-        out += op.apply_rows(cross.T @ A)
+    crosses = group_by_operator(
+        (op, coeff * gram)
+        for base, uses in bases for gram in [base.evaluate(*stats)]
+        for op, coeff in uses
+    )
+    out = np.zeros((xs.n, model.output_grid.size))
+    for op, cross in crosses:
+        out += op.apply_rows(cross.T @ model.alpha.values)
     return out
 
 

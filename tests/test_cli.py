@@ -90,6 +90,32 @@ class TestConfigValidation:
         rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("menu", [
+        {"polynomial_degrees": [4]},
+        {"gaussian_bandwidth_factors": [-1.0]},
+        {"gaussian_bandwidth_factors": ["wide"]},
+        {"polynomial_offset": float("nan")},
+        {"integral_rank": 0},
+        {"operators": ["spline"]},
+    ])
+    def test_bad_menu_kernel_rejected(self, tmp_path, menu):
+        cfg = base_config(tmp_path, kernels={"menu": menu})
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+
+    @pytest.mark.parametrize("scalar", [
+        {"kind": "gaussian", "bandwidth": None},
+        {"kind": "gaussian", "bandwidth": float("nan")},
+        {"kind": "gaussian", "bandwidth": float("inf")},
+        {"kind": "scaled", "factor": float("nan"),
+         "base": {"kind": "polynomial", "degree": 2}},
+    ])
+    def test_bad_term_kernel_rejected(self, tmp_path, scalar):
+        cfg = base_config(tmp_path)
+        cfg["kernels"]["terms"][0]["scalar"] = scalar
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+
 
 class TestGen:
     def test_writes_dataset(self, tmp_path):
@@ -158,6 +184,13 @@ class TestTrain:
             blobs.append(((out_dir / "model.json").read_bytes(),
                           (out_dir / "fit_report.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_normalize_inputs_gives_unit_norm_curves(self, tmp_path):
+        cfg = base_config(tmp_path, normalize_inputs=True)
+        assert main(["train", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        X = load_model(tmp_path / "out" / "model.json").train_inputs
+        norms = np.sqrt((X.values ** 2) @ X.grid.weights)
+        assert np.allclose(norms, 1.0, rtol=1e-12)
 
     def test_objective_trace_reported_non_increasing(self, tmp_path):
         cfg = base_config(tmp_path)

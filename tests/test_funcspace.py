@@ -36,6 +36,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid([0.0], [1.0])
 
+    @pytest.mark.parametrize("make", [
+        lambda: Grid.from_points([0.0]),
+        lambda: Grid.from_points([]),
+        lambda: Grid.uniform(0.0, 1.0, 1),
+        lambda: Grid.uniform(0.0, 1.0, 0),
+    ])
+    def test_constructors_reject_fewer_than_two_points(self, make):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            make()
+
     def test_equality(self):
         assert Grid.uniform(0, 1, 4) == Grid.uniform(0, 1, 4)
         assert Grid.uniform(0, 1, 4) != Grid.uniform(0, 1, 5)

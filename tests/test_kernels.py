@@ -92,6 +92,17 @@ class TestScalarKernels:
         with pytest.raises(ValueError):
             PolynomialKernel(2, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_params(self, bad):
+        from movkl import ScaledKernel
+
+        with pytest.raises(ValueError):
+            GaussianKernel(bad)
+        with pytest.raises(ValueError):
+            PolynomialKernel(2, bad)
+        with pytest.raises(ValueError):
+            ScaledKernel(GaussianKernel(1.0), bad)
+
     def test_scaled_kernel(self, rng, grid):
         from movkl import ScaledKernel, block_trace_normalized, trace_normalized
         from movkl.kernels import scalar_kernel_from_config

@@ -1,6 +1,9 @@
 import json
 import math
+import tempfile
 from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 import pytest
@@ -18,12 +21,15 @@ from movkl import (
     IdentityOperator,
     IntegralOperator,
     KernelStack,
+    MovklModel,
     MultiplicationOperator,
     OvKernelTerm,
     PolynomialKernel,
+    ScaledKernel,
     SolveConfig,
     SolverError,
     assemble_gram,
+    block_trace_normalized,
     fk_norm_sq,
     krr_fit,
     kron_solve,
@@ -487,6 +493,123 @@ class TestPredict:
         from movkl import DimensionError
         with pytest.raises(DimensionError):
             predict(model, random_curve(rng, Grid.uniform(0, 2, X.grid.size)))
+
+
+# base kernels as (kind, parameters); terms draw from this pool, so the
+# same base kernel recurs under several operators as distinct instances
+BASE_POOL = [("gaussian", 0.7), ("gaussian", 1.9), ("polynomial", 1, 0.5),
+             ("polynomial", 2, 1.0), ("polynomial", 3, 0.0)]
+OPERATORS = {
+    "identity": IdentityOperator,
+    "multiplication": MultiplicationOperator,
+    "integral": IntegralOperator,
+    "integral rank 2": lambda grid: IntegralOperator(grid, rank=2),
+}
+
+
+def oracle_gram(spec, factors, X, Z, w):
+    """G(x_i, z_j) from the kernel's plain formula, scale factors applied."""
+    if spec[0] == "gaussian":
+        d2 = ((X[:, None, :] - Z[None, :, :]) ** 2) @ w
+        gram = np.exp(-d2 / (2.0 * spec[1] ** 2))
+    else:
+        gram = (np.einsum("il,jl,l->ij", X, Z, w) + spec[2]) ** spec[1]
+    return math.prod(factors) * gram
+
+
+def build_term_parts(spec, factors, kind, grid):
+    kernel = (GaussianKernel(spec[1]) if spec[0] == "gaussian"
+              else PolynomialKernel(spec[1], spec[2]))
+    for f in factors:
+        kernel = ScaledKernel(kernel, f)
+    return kernel, OPERATORS[kind](grid)
+
+
+TERM = st.tuples(
+    st.integers(0, len(BASE_POOL) - 1),
+    st.lists(st.floats(0.2, 5.0), max_size=2),
+    st.sampled_from(list(OPERATORS)),
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+)
+ARCHIVE_KEYS = {
+    "format", "version", "lambda", "norm_exponent", "input_grid", "output_grid",
+    "terms", "alpha", "train_inputs", "objective_trace", "outer_iterations",
+    "solver_iterations", "solver_routes",
+}
+
+
+class TestSharedPredictionPath:
+    """Prediction from shared kernel statistics against a per-term oracle
+    sum_k d_k T_k(G_k(X, Z)^T A), each G_k from its plain formula."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+           p=st.integers(1, 5), m_in=st.integers(3, 8), m_out=st.integers(3, 8),
+           terms=st.lists(TERM, min_size=1, max_size=7))
+    # one base kernel, nested scales, under every operator, one weight zero
+    @example(seed=1, n=4, p=3, m_in=5, m_out=6, terms=[
+        (0, [2.0, 0.5], "identity", 0.4), (0, [3.0], "multiplication", 0.3),
+        (0, [], "integral", 0.0), (0, [0.25, 4.0], "integral rank 2", 0.5)])
+    # equal distinct instances under one operator; every weight zero
+    @example(seed=2, n=3, p=2, m_in=4, m_out=4, terms=[
+        (3, [], "identity", 0.0), (3, [], "identity", 0.0)])
+    @example(seed=3, n=1, p=1, m_in=3, m_out=3, terms=[
+        (4, [0.3], "integral", 0.6), (2, [], "multiplication", 0.2),
+        (1, [1.5, 1.5], "multiplication", 0.7)])
+    def test_matches_per_term_oracle(self, seed, n, p, m_in, m_out, terms):
+        rng = np.random.default_rng(seed)
+        gin = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, m_in)))
+        gout = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, m_out)))
+        X = CurveVec(gin, rng.normal(size=(n, m_in)))
+        Z = CurveVec(gin, rng.normal(size=(p, m_in)))
+        A = rng.normal(size=(n, m_out))
+        d = np.array([t[3] for t in terms])
+        d /= max(1.0, float(np.linalg.norm(d)))
+        parts = [build_term_parts(BASE_POOL[b], f, kind, gout)
+                 for b, f, kind, _ in terms]
+        stack = KernelStack([OvKernelTerm(k, op, dk)
+                             for (k, op), dk in zip(parts, d)])
+        model = MovklModel(
+            alpha=CurveVec(gout, A), weights=d, stack=stack, train_inputs=X,
+            lam=0.1, objective_trace=[])
+
+        want = np.zeros((p, m_out))
+        bound = np.zeros((p, m_out))  # the same sum in absolute values
+        w = gin.weights
+        for (b, f, _, _), (kernel, op), dk in zip(terms, parts, d):
+            G, M = oracle_gram(BASE_POOL[b], f, X.values, Z.values, w), op.matrix()
+            want += dk * (G.T @ A) @ M.T
+            bound += dk * (np.abs(G.T) @ np.abs(A)) @ np.abs(M.T)
+            diag = np.diag(oracle_gram(BASE_POOL[b], f, X.values, X.values, w))
+            factor = 1.0 / (diag.mean() * np.trace(M) / m_out)
+            assert block_trace_normalized(kernel, op, X).factor == pytest.approx(
+                factor, rel=1e-12)
+        got = predict_many(model, Z).values
+        tol = 1e-12 * max(bound.max(), 1e-300)
+        assert np.abs(got - want).max() <= tol
+        for j in range(p):
+            assert np.abs(predict(model, Z[j]).values - got[j]).max() <= tol
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(path, model)
+            doc = json.loads(path.read_text())
+            loaded = load_model(path)
+        assert set(doc) == ARCHIVE_KEYS
+        assert loaded._train_stats is None
+        assert np.array_equal(predict_many(loaded, Z).values, got)
+        assert np.array_equal(predict(loaded, Z[0]).values, predict(model, Z[0]).values)
+
+    def test_training_statistics_follow_train_inputs(self, rng):
+        X, Y = small_problem(rng)
+        model = krr_fit(OvKernelTerm(GaussianKernel(1.0), IdentityOperator(Y.grid)),
+                        X, Y, FitConfig(lam=0.1))
+        stats = model.train_stats()
+        assert model.train_stats() is stats
+        model.train_inputs = CurveVec(X.grid, X.values + 1.0)
+        assert model.train_stats() is not stats
+        assert np.array_equal(model.train_stats().weighted,
+                              (X.values + 1.0) * X.grid.weights)
 
 
 class TestModelArchive:
