@@ -1,8 +1,12 @@
 """Hyperparameter selection and the command-line pipeline.
 
 One-curve-leave-out cross-validation scores every (ridge, rank)
-candidate by refitting with a single curve held out; the CLI wraps the
+candidate by the error on each curve held out in turn; the CLI wraps the
 same machinery behind JSON configs and writes deterministic reports.
+The single-term stack below keeps a fixed weight and one operator, so
+its folds are scored in closed form from one eigendecomposition per
+rank; a multi-term stack with a finite norm exponent, whose weights
+differ per fold, or one mixing operators refits every fold.
 """
 
 import json

@@ -271,8 +271,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     ds = _resolve_dataset(config, args.data)
-    stack = build_stack(config, ds)
     cfg = _fit_config(config)
+    stack = build_stack(config, ds)
     model = movkl_fit(stack, ds.inputs, ds.targets, cfg)
     out_dir = _out_dir(config, args)
     model_path = Path(args.out) if args.out else out_dir / "model.json"
@@ -355,8 +355,7 @@ def cmd_cv(args) -> int:
     try:
         spec = CvSpec(
             lambda_grid=[float(v) for v in section["lambda_grid"]],
-            rank_grid=[None if v is None else int(v)
-                       for v in section.get("rank_grid", [None])],
+            rank_grid=section.get("rank_grid", [None]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad cv grids: {exc}")

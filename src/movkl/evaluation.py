@@ -6,16 +6,28 @@ percentage of labels correctly recognized (LCR) after thresholding the
 regressed curve.  Hyperparameters (the ridge value and, when integral
 operators are in play, their truncation rank) are selected by holding out
 one full input-output curve pair per fold.
+
+A stack whose fit keeps fixed weights (one term, or r = inf) and whose
+terms share one output operator is scored in closed form: in the product
+eigenbasis of the scalar Gram and the operator the fit splits into scalar
+kernel ridge problems, whose exact leave-one-out residuals follow from the
+hat matrix without refitting.  Any other stack (several terms under a
+finite r, whose weights differ per fold, or several operators) refits
+every fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
+
 import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
 from .funcspace import CurveVec
-from .learn import FitConfig, movkl_fit, predict
+from .kernels import assemble_gram
+from .learn import FitConfig, movkl_fit, predict, weights_fixed
+from .linsolve import iteration_cap, product_basis
 
 __all__ = ["CvSpec", "CvCandidate", "rsse", "lcr", "loo_cv"]
 
@@ -25,8 +37,10 @@ class CvSpec:
     """Hyperparameter grids for leave-one-curve-out selection.
 
     ``rank_grid`` entries are integral-operator truncation ranks; ``None``
-    keeps whatever rank the stack builder uses by default.  Selection
-    minimizes accumulated RSSE over folds.
+    keeps whatever rank the stack builder uses by default.  Ranks follow
+    the rule of :func:`movkl.linsolve.iteration_cap` (an integral float
+    such as 3.0 becomes 3).  Selection minimizes accumulated RSSE over
+    folds.
     """
 
     lambda_grid: list[float]
@@ -35,12 +49,12 @@ class CvSpec:
     def __post_init__(self):
         if not self.lambda_grid:
             raise ValueError("lambda grid must be non-empty")
-        if not list(self.rank_grid):
+        if not all(0 < lam < math.inf for lam in self.lambda_grid):
+            raise ValueError("lambda candidates must be positive and finite")
+        self.rank_grid = [None if q is None else iteration_cap("rank candidate", q)
+                          for q in self.rank_grid]
+        if not self.rank_grid:
             raise ValueError("rank grid must be non-empty")
-        if any(lam <= 0 for lam in self.lambda_grid):
-            raise ValueError("lambda candidates must be positive")
-        if any(q is not None and q < 1 for q in self.rank_grid):
-            raise ValueError("rank candidates must be >= 1")
 
 
 @dataclass
@@ -91,10 +105,15 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
 
     ``stack_builder`` maps a truncation rank (possibly ``None``) to a
     :class:`KernelStack`; it is the stack template.  Every candidate pair
-    is scored by refitting on the n-1 remaining curves and accumulating
-    the held-out RSSE over all n folds.  Candidates whose folds fail are
-    marked invalid and excluded.  Ties break toward the smallest lambda,
-    then the smallest rank.
+    is scored by the held-out RSSE accumulated over all n folds.  When the
+    fit keeps fixed weights (the stack has one term, or ``cfg.r`` is
+    infinite) and every term shares one output operator, the scores come
+    in closed form from one eigendecomposition per rank, with no fold
+    refit.  Otherwise (several terms under a finite ``cfg.r``, whose
+    learned weights differ from fold to fold, or several operators) each
+    fold is refitted on the n-1 remaining curves.  Candidates whose folds
+    fail are marked invalid and excluded.  Ties break toward the smallest
+    lambda, then the smallest rank.
 
     Returns ``(best_lambda, best_rank, candidates)``.
     """
@@ -105,32 +124,14 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
         raise DimensionError(f"{n} inputs paired with {targets.n} targets")
 
     candidates: list[CvCandidate] = []
-    ranks = list(spec.rank_grid)
     lams = list(spec.lambda_grid)
-    for rank in ranks:
+    for rank in spec.rank_grid:
         stack = stack_builder(rank)
-        for lam in lams:
-            fold_cfg = FitConfig(
-                lam=lam, r=cfg.r, mkl_tol=cfg.mkl_tol,
-                mkl_max_iter=cfg.mkl_max_iter, solve=cfg.solve,
-            )
-            total = 0.0
-            valid = True
-            for i in range(n):
-                keep = [j for j in range(n) if j != i]
-                tr_in = CurveVec(inputs.grid, inputs.values[keep])
-                tr_out = CurveVec(targets.grid, targets.values[keep])
-                try:
-                    model = movkl_fit(stack, tr_in, tr_out, fold_cfg)
-                    pred = predict(model, inputs[i])
-                except (SolverError, DegenerateModelError, np.linalg.LinAlgError):
-                    valid = False
-                    break
-                held = CurveVec(targets.grid, targets.values[i][None, :])
-                total += rsse(held, CurveVec(targets.grid, pred.values[None, :]))
-            candidates.append(
-                CvCandidate(lam, rank, total if valid else None, valid)
-            )
+        scores = _closed_form_scores(stack, inputs, targets, lams, cfg.r)
+        if scores is None:
+            scores = _refit_scores(stack, inputs, targets, lams, cfg)
+        candidates += [CvCandidate(lam, rank, total, total is not None)
+                       for lam, total in zip(lams, scores)]
 
     best = None
     for cand in candidates:
@@ -144,6 +145,73 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
     if best is None:
         raise SolverError("every cross-validation candidate failed")
     return best.lam, best.rank, candidates
+
+
+def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r):
+    """Exact leave-one-out RSSE per lambda for a fixed-weight stack whose
+    terms share one operator; None for any other stack.
+
+    With G = U diag(g) U^T the merged scalar Gram, (s, V) the operator's
+    full basis and B = U^T Y W V, each eigencomponent l of the operator is
+    a scalar ridge problem with Gram s_l G, whose residual operator
+    I - H_l = U diag(kappa_l) U^T has kappa = lambda / (g s^T + lambda).
+    The held-out residual coordinates are then
+    E = U (kappa o B) / ((U o U) kappa), the leave-one-out identity
+    e_i = [(I - H) c]_i / (I - H)_ii (Rifkin & Lippert, "Notes on
+    Regularized Least Squares", 2007), and the RSSE is sum E^2.  The
+    residual is formed from kappa directly, not as C - H C, which loses
+    digits at small lambda.  A truncated operator's zero eigenvalues give
+    kappa = 1: those components are predicted as zero.
+    """
+    M = len(stack)
+    if not weights_fixed(M, r):
+        return None
+    groups = assemble_gram(stack.with_weights(np.full(M, 1.0 / M)),
+                           inputs).merged_groups
+    if len(groups) != 1:
+        return None
+    if targets.grid != stack.output_grid:
+        raise DimensionError("targets do not live on the stack's output grid")
+    [(op, G)] = groups
+    g, U, s, _, B = product_basis(op, G, targets.grid.weights, targets.values)
+    gs = np.multiply.outer(g, s)
+    UU = U * U
+    scores = []
+    for lam in lams:
+        kappa = lam / (gs + lam)
+        E = (U @ (kappa * B)) / (UU @ kappa)
+        total = float(np.sum(E * E))
+        scores.append(total if math.isfinite(total) else None)
+    return scores
+
+
+def _refit_scores(stack, inputs: CurveVec, targets: CurveVec, lams,
+                  cfg: FitConfig):
+    """Leave-one-out RSSE per lambda by refitting all n folds; None marks a
+    lambda whose folds failed.  The oracle for :func:`_closed_form_scores`
+    and the route for every stack that has no closed form."""
+    n = inputs.n
+    scores = []
+    for lam in lams:
+        fold_cfg = FitConfig(
+            lam=lam, r=cfg.r, mkl_tol=cfg.mkl_tol,
+            mkl_max_iter=cfg.mkl_max_iter, solve=cfg.solve,
+        )
+        total = 0.0
+        for i in range(n):
+            keep = [j for j in range(n) if j != i]
+            tr_in = CurveVec(inputs.grid, inputs.values[keep])
+            tr_out = CurveVec(targets.grid, targets.values[keep])
+            try:
+                model = movkl_fit(stack, tr_in, tr_out, fold_cfg)
+                pred = predict(model, inputs[i])
+            except (SolverError, DegenerateModelError, np.linalg.LinAlgError):
+                total = None
+                break
+            held = CurveVec(targets.grid, targets.values[i][None, :])
+            total += rsse(held, CurveVec(targets.grid, pred.values[None, :]))
+        scores.append(total)
+    return scores
 
 
 def _rank_key(rank):

@@ -137,7 +137,12 @@ class PolynomialKernel(ScalarKernel):
         self.offset = offset
 
     def evaluate(self, ip, sq_dist):
-        return (ip + self.offset) ** self.degree
+        # repeated products: numpy's power has a fast path for squares only
+        b = ip + self.offset
+        out = b
+        for _ in range(self.degree - 1):
+            out = out * b
+        return out
 
     def __eq__(self, other):
         return (
@@ -539,7 +544,7 @@ class KernelStack:
             if t.operator.grid != grid:
                 raise DimensionError("all terms must share the output grid")
         norm_exponent = float(norm_exponent)
-        if norm_exponent < 1:
+        if not norm_exponent >= 1:
             raise ValueError("norm exponent must be >= 1")
         d = np.array([t.weight for t in terms])
         if weight_constraint(d, norm_exponent) > 1.0 + 1e-9:

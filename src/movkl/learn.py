@@ -70,11 +70,12 @@ class FitConfig:
     solve: SolveConfig = field(default_factory=SolveConfig)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.r < 1:
+        # written so that NaN fails every test; r = inf stays valid
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
+        if not self.r >= 1:
             raise ValueError("norm exponent must be >= 1")
-        if self.mkl_tol <= 0:
+        if not self.mkl_tol > 0:
             raise ValueError("mkl_tol must be positive")
         self.mkl_max_iter = iteration_cap("mkl_max_iter", self.mkl_max_iter)
 
@@ -166,6 +167,12 @@ def _objective(gram: BlockGram, alpha_values, targets_values, lam):
     return smooth + fit, quads
 
 
+def weights_fixed(n_terms: int, r: float) -> bool:
+    """Whether a fit keeps its uniform starting weights 1/M: with one term
+    or r = inf the weight update cannot change them."""
+    return n_terms == 1 or math.isinf(r)
+
+
 def _check_fit_args(inputs: CurveVec, targets: CurveVec) -> None:
     if inputs.n != targets.n:
         raise DimensionError(
@@ -209,7 +216,7 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     d = np.full(M, 1.0 / M)
     base = assemble_gram(stack.with_weights(d), inputs)
     alpha = CurveVec.zero(stack.output_grid, targets.n)
-    fixed_weights = M == 1 or math.isinf(cfg.r)
+    fixed_weights = weights_fixed(M, cfg.r)
     trace: list[float] = []
     solver_iters: list[int] = []
     routes: list[str] = []

@@ -96,7 +96,8 @@ class SolveConfig:
 
 
 def iteration_cap(name: str, value) -> int:
-    """Validate an iteration cap: an integer (or integral float) >= 1."""
+    """Validate a count such as an iteration cap or a truncation rank: an
+    integer (or integral float) >= 1; booleans and strings are refused."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -183,10 +184,7 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     Y = y.values
     if groups:
         op, G = groups[0]
-        G = 0.5 * (G + G.T)
-        gvals, U = np.linalg.eigh(G)
-        svals, V = op.full_basis()
-        B = U.T @ Y @ (w[:, None] * V)
+        gvals, U, svals, V, B = product_basis(op, G, w, Y)
         Z = B / (np.multiply.outer(gvals, svals) + ridge)
         X = U @ Z @ V.T
     else:
@@ -197,6 +195,21 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
         CurveVec(gram.grid, X),
         SolveReport(1, resid, resid <= KRON_TOL, "kron"),
     )
+
+
+def product_basis(op, G: np.ndarray, w: np.ndarray, Y: np.ndarray):
+    """Eigenbasis of the one-operator system G kron T and Y in its coordinates.
+
+    Returns ``(g, U, s, V, B)`` with G = U diag(g) U^T, ``(s, V) =
+    op.full_basis()`` (V orthonormal under the quadrature weights ``w``) and
+    B = U^T Y W V, so that (G kron T + ridge*I) decouples into the scalar
+    equations (g_a s_l + ridge) z_al = B_al.  Shared by :func:`kron_solve`
+    and the closed-form leave-one-out scores of :func:`movkl.evaluation.loo_cv`.
+    """
+    G = 0.5 * (G + G.T)
+    g, U = np.linalg.eigh(G)
+    s, V = op.full_basis()
+    return g, U, s, V, U.T @ Y @ (w[:, None] * V)
 
 
 def _low_rank_size(groups) -> int | None:

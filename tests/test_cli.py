@@ -79,6 +79,17 @@ class TestConfigValidation:
         rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("key,bad", [
+        ("lambda", float("nan")), ("lambda", float("inf")),
+        ("lambda", -float("inf")), ("mkl_tol", float("nan")),
+        ("r", float("nan")),
+    ])
+    def test_non_finite_fit_value_rejected(self, tmp_path, key, bad):
+        cfg = base_config(tmp_path)
+        cfg["fit"][key] = bad
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+
     @pytest.mark.parametrize("section,key", [
         ("fit", "mkl_max_iter"), ("solver", "outer_max_iter"),
         ("solver", "inner_max_iter"),
@@ -290,6 +301,29 @@ class TestCv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lambda", "rank", "cv_rsse", "valid"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("grids", [
+        {"lambda_grid": [float("nan")]},
+        {"lambda_grid": [0.1, float("inf")]},
+        {"lambda_grid": [0.1], "rank_grid": [2.5]},
+        {"lambda_grid": [0.1], "rank_grid": [True]},
+        {"lambda_grid": [0.1], "rank_grid": ["3"]},
+    ])
+    def test_bad_candidates_rejected(self, tmp_path, grids):
+        cfg = base_config(tmp_path)
+        cfg["cv"] = grids
+        assert main(["cv", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+
+    def test_integral_float_rank_is_an_integer(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["dataset"]["synth"]["n_samples"] = 5
+        cfg["kernels"]["terms"][0]["operator"] = {"kind": "integral", "rank": 2}
+        cfg["cv"] = {"lambda_grid": [0.1], "rank_grid": [3.0]}
+        assert main(["cv", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        out = tmp_path / "out"
+        assert json.loads((out / "cv_selected.json").read_text())["rank"] == 3
+        with open(out / "cv_table.csv") as fh:
+            assert list(csv.reader(fh))[1][1] == "3"
 
     def test_cv_requires_grid(self, tmp_path):
         cfg = base_config(tmp_path)

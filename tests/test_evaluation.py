@@ -1,6 +1,10 @@
+import math
+
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+import movkl.evaluation
 from movkl import (
     CurveVec,
     CvSpec,
@@ -11,6 +15,9 @@ from movkl import (
     IdentityOperator,
     IntegralOperator,
     KernelStack,
+    MultiplicationOperator,
+    PolynomialKernel,
+    ScaledKernel,
     SolveConfig,
     lcr,
     loo_cv,
@@ -204,3 +211,102 @@ class TestLooCv:
             CvSpec(lambda_grid=[1.0], rank_grid=[])
         with pytest.raises(ValueError):
             CvSpec(lambda_grid=[-1.0])
+
+    @pytest.mark.parametrize("lams", [[float("nan")], [0.1, float("inf")],
+                                      [-float("inf")]])
+    def test_non_finite_lambda_rejected(self, lams):
+        with pytest.raises(ValueError, match="finite"):
+            CvSpec(lambda_grid=lams)
+
+    @pytest.mark.parametrize("rank", [2.5, True, "3", 0])
+    def test_non_integral_rank_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank candidate"):
+            CvSpec(lambda_grid=[1.0], rank_grid=[None, rank])
+
+    def test_integral_ranks_become_int(self):
+        spec = CvSpec(lambda_grid=[1.0], rank_grid=[3.0, None, np.int64(2)])
+        assert spec.rank_grid == [3, None, 2]
+        assert type(spec.rank_grid[0]) is int and type(spec.rank_grid[2]) is int
+
+
+CV_OPERATORS = {
+    "identity": IdentityOperator,
+    "multiplication": MultiplicationOperator,
+    "integral rank 2": lambda grid: IntegralOperator(grid, rank=2),
+    "integral": IntegralOperator,
+}
+# r = inf stacks draw their terms from this pool; nested scales included
+CV_KERNELS = [GaussianKernel(1.0), ScaledKernel(GaussianKernel(0.5), 2.0),
+              ScaledKernel(ScaledKernel(PolynomialKernel(2), 0.5), 0.2)]
+
+
+def no_fold_fit(*args):
+    raise AssertionError("a closed-form candidate must not refit folds")
+
+
+class TestClosedFormCv:
+    """The closed-form table of fixed-weight single-operator stacks against
+    the fold-refit oracle ``movkl.evaluation._refit_scores``."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12),
+           m_out=st.integers(3, 9), kind=st.sampled_from(sorted(CV_OPERATORS)),
+           terms=st.lists(st.integers(0, len(CV_KERNELS) - 1), min_size=1,
+                          max_size=3),
+           log_lams=st.lists(st.floats(-4.0, 2.0), min_size=1, max_size=3))
+    @example(seed=1, n=3, m_out=5, kind="identity", terms=[0], log_lams=[-4.0, 2.0])
+    @example(seed=2, n=12, m_out=9, kind="multiplication", terms=[1],
+             log_lams=[-4.0, -2.0, 2.0])
+    @example(seed=3, n=7, m_out=6, kind="integral rank 2", terms=[0],
+             log_lams=[-3.0, 0.0])
+    @example(seed=4, n=9, m_out=8, kind="integral", terms=[0], log_lams=[-4.0, 1.0])
+    @example(seed=5, n=8, m_out=7, kind="integral rank 2", terms=[0, 2, 1],
+             log_lams=[-4.0, -1.0, 2.0])
+    def test_matches_fold_refits(self, seed, n, m_out, kind, terms, log_lams):
+        rng = np.random.default_rng(seed)
+        gin = Grid.uniform(0.0, 1.0, 6)
+        gout = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, m_out)))
+        X = CurveVec(gin, rng.normal(size=(n, 6)))
+        Y = CurveVec(gout, rng.normal(size=(n, m_out)))
+        op = CV_OPERATORS[kind](gout)
+        stack = KernelStack.uniform([(CV_KERNELS[k], op) for k in terms],
+                                    norm_exponent=math.inf)
+        # one term keeps its weight under any r; several need r = inf
+        cfg = FitConfig(lam=1.0, r=2.0 if len(terms) == 1 else math.inf)
+        lams = [10.0 ** e for e in log_lams]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(movkl.evaluation, "movkl_fit", no_fold_fit)
+            _, _, table = loo_cv(lambda rank: stack, X, Y,
+                                 CvSpec(lambda_grid=lams), cfg)
+        want = movkl.evaluation._refit_scores(stack, X, Y, lams, cfg)
+        for cand, ref in zip(table, want):
+            assert cand.valid
+            rel = 1e-12 if cand.lam >= 1e-2 else 1e-9
+            assert cand.cv_rsse == pytest.approx(ref, rel=rel)
+
+    def test_fold_fits_follow_the_route(self, rng, monkeypatch):
+        X, Y = tiny_task(rng, n=6)
+        gout = Y.grid
+        fits = []
+        refit = movkl.evaluation.movkl_fit
+
+        def counting(*args):
+            fits.append(1)
+            return refit(*args)
+
+        monkeypatch.setattr(movkl.evaluation, "movkl_fit", counting)
+        spec = CvSpec(lambda_grid=[0.1, 1.0])
+        shared = [(GaussianKernel(1.0), IdentityOperator(gout)),
+                  (PolynomialKernel(1), IdentityOperator(gout))]
+        mixed = [(GaussianKernel(1.0), IdentityOperator(gout)),
+                 (GaussianKernel(1.0), MultiplicationOperator(gout))]
+        cases = [
+            (KernelStack.uniform(shared[:1]), 2.0, 0),
+            (KernelStack.uniform(shared, norm_exponent=math.inf), math.inf, 0),
+            (KernelStack.uniform(shared), 2.0, X.n),
+            (KernelStack.uniform(mixed, norm_exponent=math.inf), math.inf, X.n),
+        ]
+        for stack, r, per_candidate in cases:
+            fits.clear()
+            _, _, table = loo_cv(lambda rank: stack, X, Y, spec, FitConfig(r=r))
+            assert len(fits) == per_candidate * len(table)

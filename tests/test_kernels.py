@@ -92,6 +92,12 @@ class TestScalarKernels:
         with pytest.raises(ValueError):
             PolynomialKernel(2, -1.0)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_polynomial_matches_power(self, rng, degree):
+        ip = rng.normal(scale=3.0, size=(7, 9))
+        got = PolynomialKernel(degree, 0.7).evaluate(ip, np.zeros_like(ip))
+        np.testing.assert_allclose(got, (ip + 0.7) ** degree, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_params(self, bad):
         from movkl import ScaledKernel
@@ -255,6 +261,11 @@ class TestStack:
             KernelStack([OvKernelTerm(k, IdentityOperator(grid), 1.0),
                          OvKernelTerm(k, IdentityOperator(grid), 1.0)],
                         norm_exponent=2.0)
+
+    def test_nan_norm_exponent_rejected(self, grid):
+        with pytest.raises(ValueError):
+            KernelStack.uniform([(GaussianKernel(1.0), IdentityOperator(grid))],
+                                norm_exponent=float("nan"))
 
     def test_uniform_weights(self, grid):
         stack = KernelStack.uniform(

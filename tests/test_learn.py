@@ -360,6 +360,15 @@ class TestMovklFit:
             FitConfig(mkl_max_iter=2.5)
         assert FitConfig(mkl_max_iter=4.0).mkl_max_iter == 4
 
+    @pytest.mark.parametrize("field,bad", [
+        ("lam", math.nan), ("lam", math.inf), ("lam", -math.inf),
+        ("mkl_tol", math.nan), ("r", math.nan),
+    ])
+    def test_non_finite_values_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            FitConfig(**{field: bad})
+        assert FitConfig(r=math.inf).r == math.inf
+
     def test_mismatched_counts_rejected(self, rng):
         X, Y = small_problem(rng)
         bad_Y = CurveVec(Y.grid, Y.values[:3])
