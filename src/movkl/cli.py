@@ -22,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CurveDataset, SynthSpec, generate_synthetic, load_dataset, save_dataset
+from .data import (
+    CurveDataset,
+    SynthSpec,
+    _format_row,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 from .errors import CapacityError, ConfigError, DataError, MovklError, SolverError
 from .evaluation import CvSpec, lcr, loo_cv, rsse
 from .funcspace import CurveVec, Grid
@@ -308,11 +315,9 @@ def cmd_predict(args) -> int:
     preds = predict_many(model, ds.inputs)
     out = Path(args.out) if args.out else _out_dir(config, args) / "predictions.csv"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write("# output_grid_points="
-                 + ",".join(format(v, ".17g") for v in model.output_grid.points)
-                 + "\n")
+        fh.write("# output_grid_points=" + _format_row(model.output_grid.points) + "\n")
         for row in preds.values:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            fh.write(_format_row(row) + "\n")
     print(f"wrote {preds.n} predicted curves to {out}")
     return 0
 

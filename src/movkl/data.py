@@ -8,6 +8,13 @@ noise.  Multi-channel inputs are concatenated into a single curve over a
 stacked grid whose quadrature weights integrate each channel segment
 separately.
 
+Generation runs in fixed blocks of samples.  Only the random draws stay
+per sample, in the order of the per-sample definition; the sinusoids,
+labels, channel filters and noise of a whole block are computed together
+with the same arithmetic, value for value, so every array is bit-identical
+to generating one curve at a time (the slow per-sample version is kept in
+the tests as the oracle).
+
 Datasets are stored as line-oriented text: a small header (size, label
 flag and both grids) followed by one ``input=``/``target=`` (and optional
 ``label=``) record per sample.  Floats are rendered with 17 significant
@@ -17,11 +24,13 @@ digits, so a write/read round-trip reproduces values bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+import numbers
 
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .funcspace import Curve, CurveVec, Grid
+from .funcspace import CurveVec, Grid, as_int
 
 __all__ = [
     "CurveDataset",
@@ -85,15 +94,18 @@ class SynthSpec:
     random_filters: bool = True
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
-        if self.grid_size < 2:
-            raise ValueError("grid size must be at least 2")
-        if not 0 <= self.latency < self.grid_size:
+        self.n_samples = as_int("n_samples", self.n_samples)
+        self.grid_size = as_int("grid_size", self.grid_size, minimum=2)
+        self.latency = as_int("latency", self.latency, minimum=0)
+        if self.latency >= self.grid_size:
             raise ValueError("latency must lie in [0, grid_size)")
-        if self.channel_count < 1:
-            raise ValueError("need at least one channel")
-        if self.noise_std < 0:
+        self.channel_count = as_int("channel_count", self.channel_count)
+        self.seed = as_int("seed", self.seed, minimum=0)
+        noise = self.noise_std
+        if (isinstance(noise, bool) or not isinstance(noise, numbers.Real)
+                or not math.isfinite(noise)):
+            raise ValueError(f"noise std must be a finite number, got {noise!r}")
+        if noise < 0:
             raise ValueError("noise std must be nonnegative")
 
 
@@ -110,6 +122,19 @@ def stacked_channel_grid(grid_size: int, channels: int) -> Grid:
     return Grid(points, weights)
 
 
+# Samples per block of numeric work: large enough to amortize numpy call
+# overhead, small enough that the (block, 7, m) sinusoid temporaries stay
+# a few MB on the desk task's 200-point grid.
+_BLOCK = 256
+
+# Each sample's 21 uniform draws, in the definition's order: 4 slow and 3
+# fast frequencies, 4 slow and 3 fast amplitudes, 7 phases.  Scaled as
+# ``lo + (hi - lo) * u``, which is how ``Generator.uniform`` maps its draws.
+_DRAW_LO = np.repeat([0.3, 4.0, 0.3, 0.2, 0.0], [4, 3, 4, 3, 7])
+_DRAW_SPAN = np.repeat([2.2, 10.0, 0.9, 0.5, 2.0 * np.pi], [4, 3, 4, 3, 7]) - _DRAW_LO
+_COMPONENTS = 7
+
+
 def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     """Deterministic synthetic dataset for the latency task.
 
@@ -123,48 +148,59 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     the fine structure of a curve is only partially recoverable from its
     channels.  With ``random_filters`` off the channels pass the delayed
     amplitude through unchanged.
+
+    The random stream is, in order: the channel gains and filter
+    half-widths, then per sample its 21 uniform draws followed by its
+    ``channel_count * grid_size`` noise draws (none when ``noise_std`` is
+    0).  Samples are computed in blocks; see the module docstring.
     """
     rng = np.random.default_rng(spec.seed)
-    m = spec.grid_size
+    n, m, channels = spec.n_samples, spec.grid_size, spec.channel_count
     out_grid = Grid.uniform(0.0, 1.0, m)
     t = out_grid.points
     step = 1.0 / (m - 1)
-    shift = spec.latency * step
+    shifted = t - spec.latency * step
 
-    gains = rng.uniform(2.5, 5.0, spec.channel_count)
-    halfwidths = rng.integers(10, 21, spec.channel_count)
+    gains = rng.uniform(2.5, 5.0, channels)
+    halfwidths = rng.integers(10, 21, channels)
     halfwidths = np.minimum(halfwidths, (m - 1) // 2)
 
-    targets = np.empty((spec.n_samples, m))
-    labels = np.empty((spec.n_samples, m))
-    inputs = np.empty((spec.n_samples, spec.channel_count * m))
-    for i in range(spec.n_samples):
-        freqs = np.concatenate([rng.uniform(0.3, 2.2, 4),
-                                rng.uniform(4.0, 10.0, 3)])
-        amps = np.concatenate([rng.uniform(0.3, 0.9, 4),
-                               rng.uniform(0.2, 0.5, 3)])
-        phases = rng.uniform(0.0, 2.0 * np.pi, 7)
+    targets = np.empty((n, m))
+    labels = np.empty((n, m))
+    inputs = np.empty((n, channels * m))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        if spec.noise_std > 0:
+            draws = np.empty((hi - lo, _DRAW_LO.size))
+            noise = np.empty((hi - lo, channels * m))
+            for i in range(hi - lo):
+                draws[i] = rng.random(_DRAW_LO.size)
+                noise[i] = rng.normal(0.0, spec.noise_std, channels * m)
+        else:
+            # no noise draws in between: the block's draws are consecutive
+            draws = rng.random((hi - lo, _DRAW_LO.size))
+            # the definition adds a zero here too, which turns -0.0 into 0.0
+            noise = np.zeros((hi - lo, channels * m))
+        params = _DRAW_LO + _DRAW_SPAN * draws
+        freqs = params[:, :_COMPONENTS, None]
+        amps = params[:, _COMPONENTS:2 * _COMPONENTS, None]
+        phases = params[:, 2 * _COMPONENTS:, None]
 
-        def amplitude(u):
-            waves = amps[:, None] * np.sin(
-                2.0 * np.pi * freqs[:, None] * u[None, :] + phases[:, None]
-            )
-            return np.maximum(waves.sum(axis=0), 0.0)
-
-        targets[i] = amplitude(t)
-        peak = targets[i].max()
-        labels[i] = (targets[i] > 0.1 * peak).astype(float) if peak > 0 else 0.0
-        delayed = amplitude(t - shift)
-        for c in range(spec.channel_count):
+        target = _amplitude(freqs, amps, phases, t)
+        targets[lo:hi] = target
+        # a zero peak needs no case of its own: its curve is all zeros
+        labels[lo:hi] = target > 0.1 * target.max(axis=1, keepdims=True)
+        delayed = _amplitude(freqs, amps, phases, shifted)
+        for c in range(channels):
             if spec.random_filters:
-                filtered = _boxcar(delayed, int(halfwidths[c]))
-                filtered = gains[c] * (filtered - filtered.mean())
+                filtered = _boxcar_rows(delayed, int(halfwidths[c]))
+                filtered = gains[c] * (filtered - filtered.mean(axis=1, keepdims=True))
             else:
                 filtered = delayed
-            noise = rng.normal(0.0, spec.noise_std, m) if spec.noise_std > 0 else 0.0
-            inputs[i, c * m:(c + 1) * m] = filtered + noise
+            cols = slice(c * m, (c + 1) * m)
+            inputs[lo:hi, cols] = filtered + noise[:, cols]
 
-    in_grid = stacked_channel_grid(m, spec.channel_count)
+    in_grid = stacked_channel_grid(m, channels)
     return CurveDataset(
         inputs=CurveVec(in_grid, inputs),
         targets=CurveVec(out_grid, targets),
@@ -172,20 +208,49 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     )
 
 
-def _boxcar(values: np.ndarray, halfwidth: int) -> np.ndarray:
+def _amplitude(freqs, amps, phases, u: np.ndarray) -> np.ndarray:
+    """Rectified sinusoid sums of a block, one row per sample.  The
+    components are added one after another, in draw order, as the
+    per-sample sum over a (7, m) array does."""
+    waves = amps * np.sin(2.0 * np.pi * freqs * u + phases)
+    total = waves[:, 0]
+    for k in range(1, _COMPONENTS):
+        total = total + waves[:, k]
+    return np.maximum(total, 0.0)
+
+
+def _boxcar_rows(rows: np.ndarray, halfwidth: int) -> np.ndarray:
+    """Edge-padded moving average of each row, length ``2*halfwidth + 1``.
+
+    The padded rows are laid end to end and convolved in one call; window
+    ``j`` of row ``i`` starts at ``i * (m + 2*halfwidth) + j`` of the result
+    and is the same length-``2*halfwidth + 1`` dot product as convolving
+    that row alone.  Windows straddling two rows are computed and ignored.
+    """
     if halfwidth <= 0:
-        return values.copy()
+        return rows
+    count, m = rows.shape
+    width = m + 2 * halfwidth
+    padded = np.empty((count, width))
+    padded[:, :halfwidth] = rows[:, :1]
+    padded[:, halfwidth:halfwidth + m] = rows
+    padded[:, halfwidth + m:] = rows[:, -1:]
     kernel = np.ones(2 * halfwidth + 1) / (2 * halfwidth + 1)
-    padded = np.pad(values, halfwidth, mode="edge")
-    return np.convolve(padded, kernel, mode="valid")
+    flat = np.convolve(padded.ravel(), kernel, mode="valid")
+    return np.lib.stride_tricks.as_strided(
+        flat, shape=(count, m), strides=(width * flat.itemsize, flat.itemsize),
+        writeable=False,
+    )
 
 
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
 
-def _fmt(values) -> str:
-    return ",".join(format(float(v), ".17g") for v in values)
+def _format_row(row: np.ndarray) -> str:
+    """Comma-separated values with 17 significant digits, formatted in one
+    call; byte-identical to ``format(v, ".17g")`` per value."""
+    return ",".join(["%.17g"] * len(row)) % tuple(row.tolist())
 
 
 def save_dataset(path, ds: CurveDataset) -> None:
@@ -194,18 +259,25 @@ def save_dataset(path, ds: CurveDataset) -> None:
         FORMAT_TAG,
         f"n={ds.n}",
         f"has_labels={int(ds.labels is not None)}",
-        "input_grid_points=" + _fmt(ds.input_grid.points),
-        "input_grid_weights=" + _fmt(ds.input_grid.weights),
-        "output_grid_points=" + _fmt(ds.output_grid.points),
-        "output_grid_weights=" + _fmt(ds.output_grid.weights),
+        "input_grid_points=" + _format_row(ds.input_grid.points),
+        "input_grid_weights=" + _format_row(ds.input_grid.weights),
+        "output_grid_points=" + _format_row(ds.output_grid.points),
+        "output_grid_weights=" + _format_row(ds.output_grid.weights),
     ]
     for i in range(ds.n):
-        lines.append("input=" + _fmt(ds.inputs.values[i]))
-        lines.append("target=" + _fmt(ds.targets.values[i]))
+        lines.append("input=" + _format_row(ds.inputs.values[i]))
+        lines.append("target=" + _format_row(ds.targets.values[i]))
         if ds.labels is not None:
-            lines.append("label=" + _fmt(ds.labels.values[i]))
+            lines.append("label=" + _format_row(ds.labels.values[i]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _parse_row(tokens: list[str]) -> np.ndarray:
+    """Parse number tokens in one call.  numpy converts each string with
+    Python's own ``float``, so the accepted syntax, the values and the
+    ``ValueError`` message are those of ``float(token)``."""
+    return np.array(tokens, dtype=np.float64)
 
 
 class _Reader:
@@ -230,7 +302,7 @@ class _Reader:
     def floats(self, key: str) -> np.ndarray:
         raw = self.next_field(key)
         try:
-            values = np.array([float(v) for v in raw.split(",")]) if raw else np.array([])
+            values = _parse_row(raw.split(",")) if raw else np.array([])
         except ValueError as exc:
             raise DataError(f"{self.path}:{self.pos}: bad number in '{key}': {exc}")
         if values.size and not np.all(np.isfinite(values)):
@@ -309,7 +381,7 @@ def load_feature_csv(path, channels: int, input_len: int, output_len: int,
             if not line or line.startswith("#"):
                 continue
             try:
-                row = np.array([float(v) for v in line.split(",")])
+                row = _parse_row(line.split(","))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad number: {exc}")
             if row.size != expected:

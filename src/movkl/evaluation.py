@@ -24,10 +24,10 @@ import math
 import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
-from .funcspace import CurveVec
+from .funcspace import CurveVec, as_int
 from .kernels import assemble_gram
 from .learn import FitConfig, movkl_fit, predict, weights_fixed
-from .linsolve import iteration_cap, product_basis
+from .linsolve import product_basis
 
 __all__ = ["CvSpec", "CvCandidate", "rsse", "lcr", "loo_cv"]
 
@@ -38,7 +38,7 @@ class CvSpec:
 
     ``rank_grid`` entries are integral-operator truncation ranks; ``None``
     keeps whatever rank the stack builder uses by default.  Ranks follow
-    the rule of :func:`movkl.linsolve.iteration_cap` (an integral float
+    the rule of :func:`movkl.funcspace.as_int` (an integral float
     such as 3.0 becomes 3).  Selection minimizes accumulated RSSE over
     folds.
     """
@@ -51,7 +51,7 @@ class CvSpec:
             raise ValueError("lambda grid must be non-empty")
         if not all(0 < lam < math.inf for lam in self.lambda_grid):
             raise ValueError("lambda candidates must be positive and finite")
-        self.rank_grid = [None if q is None else iteration_cap("rank candidate", q)
+        self.rank_grid = [None if q is None else as_int("rank candidate", q)
                           for q in self.rank_grid]
         if not self.rank_grid:
             raise ValueError("rank grid must be non-empty")

@@ -12,6 +12,8 @@ weights come from :meth:`Grid.uniform` or :meth:`Grid.from_points`.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionError
@@ -36,6 +38,22 @@ def _readonly(a) -> np.ndarray:
 
 
 _TOO_FEW_POINTS = "a grid needs at least 2 points"
+
+
+def as_int(name: str, value, minimum: int = 1) -> int:
+    """Validate an integer setting such as a count, rank, grid size or seed.
+
+    An integer, or an integral float (3.0 becomes 3), no smaller than
+    ``minimum``; booleans, strings and fractional or non-finite floats raise
+    ``ValueError``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return int(value)
 
 
 class Grid:

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError
-from .funcspace import Curve, CurveVec, Grid
+from .funcspace import Curve, CurveVec, Grid, as_int
 
 __all__ = [
     "ScalarKernel",
@@ -387,8 +387,8 @@ class IntegralOperator(OutputOperator):
         super().__init__(grid)
         m = grid.size
         if rank is not None:
-            rank = int(rank)
-            if not 1 <= rank <= m:
+            rank = as_int("rank", rank)
+            if rank > m:
                 raise ValueError(f"rank must be in [1, {m}]")
             if rank == m:
                 rank = None

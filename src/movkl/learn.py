@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateModelError, DimensionError, SolverError
-from .funcspace import Curve, CurveVec, Grid, vec_norm
+from .funcspace import Curve, CurveVec, Grid, as_int, vec_norm
 from .kernels import (
     BlockGram,
     CurveStats,
@@ -36,7 +36,6 @@ from .kernels import (
 from .linsolve import (
     SolveConfig,
     gauss_seidel_solve,
-    iteration_cap,
     kron_solve,
     solve_route,
     structured_solve,
@@ -77,7 +76,7 @@ class FitConfig:
             raise ValueError("norm exponent must be >= 1")
         if not self.mkl_tol > 0:
             raise ValueError("mkl_tol must be positive")
-        self.mkl_max_iter = iteration_cap("mkl_max_iter", self.mkl_max_iter)
+        self.mkl_max_iter = as_int("mkl_max_iter", self.mkl_max_iter)
 
 
 @dataclass

@@ -39,13 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import logging
-import numbers
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, DimensionError, SolverError
-from .funcspace import Curve, CurveVec
+from .funcspace import Curve, CurveVec, as_int
 from .kernels import (
     BlockGram,
     DiagonalShiftedInverse,
@@ -91,20 +90,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.outer_tol <= 0 or self.inner_tol <= 0:
             raise ValueError("tolerances must be positive")
-        self.outer_max_iter = iteration_cap("outer_max_iter", self.outer_max_iter)
-        self.inner_max_iter = iteration_cap("inner_max_iter", self.inner_max_iter)
-
-
-def iteration_cap(name: str, value) -> int:
-    """Validate a count such as an iteration cap or a truncation rank: an
-    integer (or integral float) >= 1; booleans and strings are refused."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return int(value)
+        self.outer_max_iter = as_int("outer_max_iter", self.outer_max_iter)
+        self.inner_max_iter = as_int("inner_max_iter", self.inner_max_iter)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from movkl import (
     krr_fit,
     load_dataset,
     load_model,
+    predict_many,
 )
 from movkl.cli import main
 
@@ -127,8 +128,41 @@ class TestConfigValidation:
         rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("rank", [2.5, True, "3"])
+    def test_non_integral_term_rank_rejected(self, tmp_path, rank):
+        cfg = base_config(tmp_path)
+        cfg["kernels"]["terms"][0]["operator"] = {"kind": "integral", "rank": rank}
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_non_integral_menu_rank_rejected(self, tmp_path):
+        cfg = base_config(tmp_path, kernels={"menu": {"integral_rank": 2.5}})
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+
 
 class TestGen:
+    @pytest.mark.parametrize("key,bad", [
+        ("n_samples", 2.5), ("grid_size", 12.5), ("latency", 2.5),
+        ("channel_count", True), ("noise_std", float("nan")),
+        ("noise_std", float("inf")), ("n_samples", "8"),
+    ])
+    def test_bad_synth_value_is_config_error(self, tmp_path, key, bad):
+        cfg = base_config(tmp_path)
+        cfg["dataset"]["synth"][key] = bad
+        rc = main(["gen", "--config", write_config(tmp_path / "c.json", cfg),
+                   "--out", str(tmp_path / "data.txt")])
+        assert rc == 2
+        assert not (tmp_path / "data.txt").exists()
+
+    @pytest.mark.parametrize("seed", [2.5, -1])
+    def test_bad_seed_is_config_error(self, tmp_path, seed):
+        cfg = base_config(tmp_path, seed=seed)
+        rc = main(["gen", "--config", write_config(tmp_path / "c.json", cfg),
+                   "--out", str(tmp_path / "data.txt")])
+        assert rc == 2
+
     def test_writes_dataset(self, tmp_path):
         cfg = base_config(tmp_path)
         out = tmp_path / "data.txt"
@@ -257,6 +291,21 @@ class TestPredictEval:
         lines = pred_path.read_text().splitlines()
         assert lines[0].startswith("# output_grid_points=")
         assert len(lines) == 1 + 8
+
+    def test_predict_csv_matches_per_value_writer(self, tmp_path):
+        cfg_path, data, out = self.setup_run(tmp_path)
+        pred_path = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(out / "model.json"),
+                     "--data", str(data), "--out", str(pred_path)]) == 0
+        model = load_model(out / "model.json")
+        preds = predict_many(model, load_dataset(data).inputs)
+
+        def fmt(values):
+            return ",".join(format(v, ".17g") for v in values)
+
+        expected = "# output_grid_points=" + fmt(model.output_grid.points) + "\n"
+        expected += "".join(fmt(row) + "\n" for row in preds.values)
+        assert pred_path.read_bytes() == expected.encode("utf-8")
 
     def test_eval_self_prediction_near_interpolation(self, tmp_path):
         cfg_path, data, out = self.setup_run(tmp_path, lam=1e-6)

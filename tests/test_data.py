@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from movkl import (
     CurveDataset,
@@ -12,7 +13,102 @@ from movkl import (
     save_dataset,
     stacked_channel_grid,
 )
+from movkl import data
 from movkl.data import load_feature_csv
+
+
+# ---------------------------------------------------------------------------
+# slow reference: the per-sample definition of the synthetic task and the
+# per-value text writer, kept as the oracle for the block-wise code
+# ---------------------------------------------------------------------------
+
+def reference_generate(spec: SynthSpec) -> CurveDataset:
+    rng = np.random.default_rng(spec.seed)
+    m = spec.grid_size
+    out_grid = Grid.uniform(0.0, 1.0, m)
+    t = out_grid.points
+    step = 1.0 / (m - 1)
+    shift = spec.latency * step
+
+    gains = rng.uniform(2.5, 5.0, spec.channel_count)
+    halfwidths = rng.integers(10, 21, spec.channel_count)
+    halfwidths = np.minimum(halfwidths, (m - 1) // 2)
+
+    targets = np.empty((spec.n_samples, m))
+    labels = np.empty((spec.n_samples, m))
+    inputs = np.empty((spec.n_samples, spec.channel_count * m))
+    for i in range(spec.n_samples):
+        freqs = np.concatenate([rng.uniform(0.3, 2.2, 4),
+                                rng.uniform(4.0, 10.0, 3)])
+        amps = np.concatenate([rng.uniform(0.3, 0.9, 4),
+                               rng.uniform(0.2, 0.5, 3)])
+        phases = rng.uniform(0.0, 2.0 * np.pi, 7)
+
+        def amplitude(u):
+            waves = amps[:, None] * np.sin(
+                2.0 * np.pi * freqs[:, None] * u[None, :] + phases[:, None]
+            )
+            return np.maximum(waves.sum(axis=0), 0.0)
+
+        targets[i] = amplitude(t)
+        peak = targets[i].max()
+        labels[i] = (targets[i] > 0.1 * peak).astype(float) if peak > 0 else 0.0
+        delayed = amplitude(t - shift)
+        for c in range(spec.channel_count):
+            if spec.random_filters:
+                filtered = reference_boxcar(delayed, int(halfwidths[c]))
+                filtered = gains[c] * (filtered - filtered.mean())
+            else:
+                filtered = delayed
+            noise = rng.normal(0.0, spec.noise_std, m) if spec.noise_std > 0 else 0.0
+            inputs[i, c * m:(c + 1) * m] = filtered + noise
+
+    in_grid = stacked_channel_grid(m, spec.channel_count)
+    return CurveDataset(
+        inputs=CurveVec(in_grid, inputs),
+        targets=CurveVec(out_grid, targets),
+        labels=CurveVec(out_grid, labels),
+    )
+
+
+def reference_boxcar(values: np.ndarray, halfwidth: int) -> np.ndarray:
+    if halfwidth <= 0:
+        return values.copy()
+    kernel = np.ones(2 * halfwidth + 1) / (2 * halfwidth + 1)
+    padded = np.pad(values, halfwidth, mode="edge")
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def reference_fmt(values) -> str:
+    return ",".join(format(float(v), ".17g") for v in values)
+
+
+def reference_save_dataset(path, ds: CurveDataset) -> None:
+    lines = [
+        data.FORMAT_TAG,
+        f"n={ds.n}",
+        f"has_labels={int(ds.labels is not None)}",
+        "input_grid_points=" + reference_fmt(ds.input_grid.points),
+        "input_grid_weights=" + reference_fmt(ds.input_grid.weights),
+        "output_grid_points=" + reference_fmt(ds.output_grid.points),
+        "output_grid_weights=" + reference_fmt(ds.output_grid.weights),
+    ]
+    for i in range(ds.n):
+        lines.append("input=" + reference_fmt(ds.inputs.values[i]))
+        lines.append("target=" + reference_fmt(ds.targets.values[i]))
+        if ds.labels is not None:
+            lines.append("label=" + reference_fmt(ds.labels.values[i]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def assert_same_bits(ds: CurveDataset, ref: CurveDataset):
+    for name in ("inputs", "targets", "labels"):
+        got, want = getattr(ds, name), getattr(ref, name)
+        assert got.grid == want.grid, name
+        assert got.values.dtype == want.values.dtype, name
+        assert got.values.shape == want.values.shape, name
+        assert got.values.tobytes() == want.values.tobytes(), name
 
 
 class TestSynthSpec:
@@ -25,6 +121,80 @@ class TestSynthSpec:
             SynthSpec(n_samples=2, grid_size=10, noise_std=-0.1)
         with pytest.raises(ValueError):
             SynthSpec(n_samples=2, grid_size=10, channel_count=0)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"),
+                                       -float("inf"), True, "0.1", None])
+    def test_non_finite_or_non_numeric_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            SynthSpec(n_samples=2, grid_size=10, noise_std=noise)
+
+    @pytest.mark.parametrize("field", ["n_samples", "grid_size", "latency",
+                                       "channel_count", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None, float("nan")])
+    def test_non_integral_counts_rejected(self, field, bad):
+        kwargs = {"n_samples": 4, "grid_size": 10, "latency": 1,
+                  "channel_count": 2, "seed": 1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(**kwargs)
+
+    def test_integral_floats_become_ints(self):
+        spec = SynthSpec(n_samples=4.0, grid_size=10.0, latency=3.0,
+                         channel_count=2.0, seed=7.0)
+        for field in ("n_samples", "grid_size", "latency", "channel_count", "seed"):
+            assert type(getattr(spec, field)) is int
+        assert (spec.n_samples, spec.grid_size, spec.latency,
+                spec.channel_count, spec.seed) == (4, 10, 3, 2, 7)
+        ref = SynthSpec(n_samples=4, grid_size=10, latency=3, channel_count=2,
+                        seed=7)
+        assert_same_bits(generate_synthetic(spec), generate_synthetic(ref))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SynthSpec(n_samples=2, grid_size=10, seed=-1)
+
+
+class TestGeneratorMatchesReference:
+    """The block-wise generator reproduces the per-sample definition bit
+    for bit: same draws in the same order, same arithmetic per value."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        grid_size=st.one_of(st.sampled_from([2, 3]), st.integers(4, 41),
+                            st.integers(42, 70)),
+        latency_frac=st.floats(0.0, 0.99),
+        channels=st.integers(1, 3),
+        n=st.one_of(st.just(1), st.integers(2, 40)),
+        noise_std=st.sampled_from([0.0, 0.05, 0.7]),
+        random_filters=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(grid_size=2, latency_frac=0.5, channels=3, n=1, noise_std=0.3,
+             random_filters=True, seed=0)
+    @example(grid_size=3, latency_frac=0.5, channels=2, n=5, noise_std=0.0,
+             random_filters=True, seed=1)
+    @example(grid_size=41, latency_frac=0.4, channels=3, n=7, noise_std=0.1,
+             random_filters=True, seed=20120706)
+    def test_bit_identical(self, grid_size, latency_frac, channels, n,
+                           noise_std, random_filters, seed):
+        spec = SynthSpec(n_samples=n, grid_size=grid_size,
+                         latency=int(latency_frac * grid_size),
+                         channel_count=channels, noise_std=noise_std,
+                         seed=seed, random_filters=random_filters)
+        assert_same_bits(generate_synthetic(spec), reference_generate(spec))
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    @pytest.mark.parametrize("random_filters", [True, False])
+    def test_more_samples_than_one_block(self, noise_std, random_filters):
+        spec = SynthSpec(n_samples=2 * data._BLOCK + 37, grid_size=45,
+                         latency=6, channel_count=2, noise_std=noise_std,
+                         seed=5, random_filters=random_filters)
+        assert_same_bits(generate_synthetic(spec), reference_generate(spec))
+
+    def test_desk_task_prefix(self):
+        # the criterion-5 task's first curves, on its 200-point grid
+        spec = SynthSpec(n_samples=40, grid_size=200, latency=15,
+                         channel_count=3, noise_std=0.1, seed=20120706)
+        assert_same_bits(generate_synthetic(spec), reference_generate(spec))
 
 
 class TestGenerator:
@@ -112,6 +282,74 @@ class TestGenerator:
 
 
 class TestFileFormat:
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_samples=9, grid_size=31, latency=4, channel_count=3,
+                  noise_std=0.2, seed=8),
+        SynthSpec(n_samples=3, grid_size=2, seed=1, random_filters=False),
+    ])
+    def test_save_matches_per_value_writer(self, tmp_path, spec):
+        ds = generate_synthetic(spec)
+        save_dataset(tmp_path / "new.txt", ds)
+        reference_save_dataset(tmp_path / "ref.txt", ds)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    def test_save_awkward_values_matches_per_value_writer(self, tmp_path):
+        # signed zeros, subnormals, extremes and values needing 17 digits
+        awkward = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                   -1.7976931348623157e308, 1 / 3, 0.1, 1e16, 1e17, 2.5e-5,
+                   123456789012345678.0, -1.0, 7.0, 1e-7, 9.999999999999999e22]
+        values = np.array(awkward)
+        gin = Grid.uniform(-3.0, 1e-3, values.size)
+        gout = Grid.from_points(np.array([0.0, 1 / 3, 0.7]))
+        ds = CurveDataset(
+            inputs=CurveVec(gin, np.stack([values, values[::-1]])),
+            targets=CurveVec(gout, [[1e-300, -0.0, 3.0], [0.5, -5e-324, 1e200]]),
+        )
+        save_dataset(tmp_path / "new.txt", ds)
+        reference_save_dataset(tmp_path / "ref.txt", ds)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        loaded = load_dataset(tmp_path / "new.txt")
+        assert loaded.inputs.values.tobytes() == ds.inputs.values.tobytes()
+        assert loaded.targets.values.tobytes() == ds.targets.values.tobytes()
+
+    @pytest.mark.parametrize("token,message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("0x1p3", "could not convert string to float: '0x1p3'"),
+        ("", "could not convert string to float: ''"),
+    ])
+    def test_bad_number_reports_line_and_token(self, tmp_path, token, message):
+        ds = generate_synthetic(SynthSpec(n_samples=2, grid_size=5, seed=0))
+        path = tmp_path / "bad.txt"
+        save_dataset(path, ds)
+        lines = path.read_text().splitlines()
+        idx = [i for i, line in enumerate(lines) if line.startswith("target=")][1]
+        parts = lines[idx].split(",")
+        parts[1] = token
+        lines[idx] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{path}:{idx + 1}: bad number in 'target': {message}")
+
+    def test_float_syntax_accepted_as_python_float(self, tmp_path):
+        # whitespace, underscores and any-case inf spellings parse exactly
+        # as float() parses them; only finiteness is checked afterwards
+        ds = generate_synthetic(SynthSpec(n_samples=1, grid_size=4, seed=0))
+        path = tmp_path / "odd.txt"
+        save_dataset(path, ds)
+        lines = path.read_text().splitlines()
+        idx = next(i for i, line in enumerate(lines) if line.startswith("input="))
+        lines[idx] = "input= 1_000 ,+2.5e0,-0,.5"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_dataset(path)
+        expected = np.array([1000.0, 2.5, -0.0, 0.5])
+        assert loaded.inputs.values[0].tobytes() == expected.tobytes()
+        lines[idx] = "input=1,2,3,-Infinity"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f":{idx + 1}: non-finite value in 'input'"):
+            load_dataset(path)
+
     def test_minimal_round_trip(self, tmp_path):
         gin = Grid.uniform(0, 1, 4)
         gout = Grid.uniform(0, 2, 3)
@@ -219,6 +457,31 @@ class TestFeatureCsv:
         assert ds.input_grid.size == 8
         assert ds.output_grid.size == 5
         assert ds.labels is not None
+
+    def test_values_match_python_float(self, tmp_path):
+        rows = [[0.1, -0.0, 1 / 3, 5e-324, 1e308, 1.0, 0.0],
+                [1e-7, 3.0, -2.5, 123456789.123456789, -0.0, 0.0, 1.0]]
+        text = "\n".join(",".join(format(v, ".17g") for v in row) for row in rows)
+        path = tmp_path / "features.csv"
+        path.write_text(text + "\n\n  # trailing comment\n")
+        ds = load_feature_csv(path, channels=1, input_len=3, output_len=2,
+                              has_labels=True)
+        table = np.array(rows)
+        assert ds.inputs.values.tobytes() == table[:, :3].tobytes()
+        assert ds.targets.values.tobytes() == table[:, 3:5].tobytes()
+        assert ds.labels.values.tobytes() == table[:, 5:].tobytes()
+
+    @pytest.mark.parametrize("line,message", [
+        ("1,2,x,4", "bad number: could not convert string to float: 'x'"),
+        ("1,2,,4", "bad number: could not convert string to float: ''"),
+        ("1,2,nan,4", "non-finite value"),
+    ])
+    def test_bad_value_reports_line(self, tmp_path, line, message):
+        path = tmp_path / "features.csv"
+        path.write_text("# header\n1,2,3,4\n" + line + "\n")
+        with pytest.raises(DataError) as err:
+            load_feature_csv(path, channels=1, input_len=2, output_len=2)
+        assert str(err.value) == f"{path}:3: {message}"
 
     def test_wrong_width(self, tmp_path):
         path = tmp_path / "features.csv"

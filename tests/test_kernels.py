@@ -220,6 +220,16 @@ class TestOperators:
         gap = np.linalg.norm(sym_diff, 2)
         assert gap == pytest.approx(oracle_vals[q], rel=1e-8)
 
+    @pytest.mark.parametrize("rank", [2.5, True, "3", 0, 10, -1])
+    def test_integral_rank_must_be_integral_and_in_range(self, grid, rank):
+        with pytest.raises(ValueError, match="rank"):
+            IntegralOperator(grid, rank=rank)
+
+    def test_integral_rank_integral_float_is_an_integer(self, grid):
+        op = IntegralOperator(grid, rank=3.0)
+        assert type(op.rank) is int and op.rank == 3
+        assert IntegralOperator(grid, rank=9.0).rank is None
+
     def test_shifted_solve_identity(self, rng, grid):
         b = random_curve(rng, grid)
         out = IdentityOperator(grid).shifted_solve(1.0, 1.0, b)
