@@ -170,17 +170,13 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     inputs = np.empty((n, channels * m))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        if spec.noise_std > 0:
-            draws = np.empty((hi - lo, _DRAW_LO.size))
-            noise = np.empty((hi - lo, channels * m))
-            for i in range(hi - lo):
-                draws[i] = rng.random(_DRAW_LO.size)
+        draws = np.empty((hi - lo, _DRAW_LO.size))
+        # the definition adds a zero noise too, which turns -0.0 into 0.0
+        noise = np.zeros((hi - lo, channels * m))
+        for i in range(hi - lo):
+            draws[i] = rng.random(_DRAW_LO.size)
+            if spec.noise_std > 0:
                 noise[i] = rng.normal(0.0, spec.noise_std, channels * m)
-        else:
-            # no noise draws in between: the block's draws are consecutive
-            draws = rng.random((hi - lo, _DRAW_LO.size))
-            # the definition adds a zero here too, which turns -0.0 into 0.0
-            noise = np.zeros((hi - lo, channels * m))
         params = _DRAW_LO + _DRAW_SPAN * draws
         freqs = params[:, :_COMPONENTS, None]
         amps = params[:, _COMPONENTS:2 * _COMPONENTS, None]
@@ -273,13 +269,6 @@ def save_dataset(path, ds: CurveDataset) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_row(tokens: list[str]) -> np.ndarray:
-    """Parse number tokens in one call.  numpy converts each string with
-    Python's own ``float``, so the accepted syntax, the values and the
-    ``ValueError`` message are those of ``float(token)``."""
-    return np.array(tokens, dtype=np.float64)
-
-
 class _Reader:
     def __init__(self, path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -302,7 +291,9 @@ class _Reader:
     def floats(self, key: str) -> np.ndarray:
         raw = self.next_field(key)
         try:
-            values = _parse_row(raw.split(",")) if raw else np.array([])
+            # numpy converts each token with Python's float(), so the syntax,
+            # values and ValueError message are those of float(token)
+            values = np.array(raw.split(",") if raw else [], dtype=np.float64)
         except ValueError as exc:
             raise DataError(f"{self.path}:{self.pos}: bad number in '{key}': {exc}")
         if values.size and not np.all(np.isfinite(values)):
@@ -381,7 +372,8 @@ def load_feature_csv(path, channels: int, input_len: int, output_len: int,
             if not line or line.startswith("#"):
                 continue
             try:
-                row = _parse_row(line.split(","))
+                # one call; numpy converts each token with float()
+                row = np.array(line.split(","), dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad number: {exc}")
             if row.size != expected:
