@@ -253,9 +253,9 @@ def _out_dir(config: dict, args) -> Path:
 
 
 def _write_json(path: Path, doc) -> None:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

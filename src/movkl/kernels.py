@@ -55,22 +55,35 @@ __all__ = [
 # kernel statistics and scalar kernels on curves
 # ---------------------------------------------------------------------------
 
+def _weighted_sq_norms(values: np.ndarray, weights: np.ndarray):
+    """Values times the quadrature weights, and the squared norm of each row
+    (a scalar for one curve's values)."""
+    weighted = values * weights
+    return weighted, np.einsum("...j,...j->...", weighted, values)
+
+
 class CurveStats:
     """Weighted values X * w and squared quadrature norms of a curve set."""
 
     def __init__(self, xs: CurveVec):
         self.curves = xs
-        self.weighted = xs.values * xs.grid.weights
-        self.sq_norms = np.einsum("ij,ij->i", self.weighted, xs.values)
+        self.weighted, self.sq_norms = _weighted_sq_norms(xs.values, xs.grid.weights)
 
     def pairs(self, zs: CurveVec | None = None):
         """Inner products and squared distances of every pair (x_i, z_j), the
         arguments of :meth:`ScalarKernel.evaluate`; zs defaults to xs."""
-        if zs is not None and zs.grid != self.curves.grid:
+        zs = self.curves if zs is None else zs
+        return self.cross(zs.grid, zs.values)
+
+    def cross(self, grid: Grid, z: np.ndarray):
+        """:meth:`pairs` for raw values on ``grid``: the rows of a (p, m)
+        array give (n, p) arrays, one curve's (m,) values give (n,) arrays.
+        Lets a single validated curve skip the CurveVec wrapper."""
+        if grid != self.curves.grid:
             raise DimensionError("kernel arguments live on different grids")
-        other = self if zs is None else CurveStats(zs)
-        ip = self.weighted @ other.curves.values.T
-        sq_dist = self.sq_norms[:, None] + other.sq_norms[None, :] - 2.0 * ip
+        _, z_sq_norms = _weighted_sq_norms(z, grid.weights)
+        ip = self.weighted @ z.T
+        sq_dist = np.add.outer(self.sq_norms, z_sq_norms) - 2.0 * ip
         return ip, np.maximum(sq_dist, 0.0)
 
 

@@ -164,8 +164,10 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     _check_solve_args(gram, ridge, y)
     groups = gram.merged_groups
     if len(groups) > 1:
+        route = solve_route(gram)
         raise SolverError(
-            "kernel stack mixes output operators; use gauss_seidel_solve"
+            f"kernel stack mixes output operators; use {route}_solve "
+            f"(solve_route gives {route!r})"
         )
     w = gram.grid.weights
     Y = y.values

@@ -230,6 +230,17 @@ class TestTrain:
                           (out_dir / "fit_report.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
+    def test_json_outputs_match_json_dump_writer(self, tmp_path):
+        cfg = base_config(tmp_path)
+        assert main(["train", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        ref = tmp_path / "reference.json"
+        for name in ("fit_report.json", "model.json"):
+            got = (tmp_path / "out" / name).read_bytes()
+            with open(ref, "w", encoding="utf-8") as fh:
+                json.dump(json.loads(got), fh, sort_keys=True, separators=(",", ":"))
+                fh.write("\n")
+            assert got == ref.read_bytes(), name
+
     def test_normalize_inputs_gives_unit_norm_curves(self, tmp_path):
         cfg = base_config(tmp_path, normalize_inputs=True)
         assert main(["train", "--config", write_config(tmp_path / "c.json", cfg)]) == 0

@@ -621,6 +621,133 @@ class TestSharedPredictionPath:
                               (X.values + 1.0) * X.grid.weights)
 
 
+def plan_model(rng, weights=(0.3, 0.5, 0.2)):
+    """A model over three terms on two base kernels, built directly."""
+    X, Y = small_problem(rng, n=5)
+    g = Y.grid
+    stack = KernelStack([
+        OvKernelTerm(GaussianKernel(0.8), IdentityOperator(g), weights[0]),
+        OvKernelTerm(ScaledKernel(GaussianKernel(0.8), 2.0),
+                     IntegralOperator(g, rank=2), weights[1]),
+        OvKernelTerm(PolynomialKernel(2), MultiplicationOperator(g), weights[2]),
+    ])
+    return MovklModel(alpha=Y, weights=np.array(weights, dtype=float),
+                      stack=stack, train_inputs=X, lam=0.1, objective_trace=[])
+
+
+def rebuilt_copy(model):
+    """A fresh model with the same fields, so no cached plan."""
+    return MovklModel(alpha=model.alpha, weights=model.weights.copy(),
+                      stack=model.stack, train_inputs=model.train_inputs,
+                      lam=model.lam, objective_trace=[])
+
+
+def replace_alpha(model):
+    model.alpha = model.alpha * 2.0
+
+
+def replace_stack(model):
+    model.stack = KernelStack(
+        [OvKernelTerm(t.scalar, IdentityOperator(t.operator.grid), t.weight)
+         for t in model.stack.terms])
+
+
+def replace_train_inputs(model):
+    model.train_inputs = model.train_inputs * 0.5
+
+
+def change_weights_in_place(model):
+    model.weights[1] = 0.0
+
+
+class TestPredictionPlan:
+    def test_second_predict_reuses_plan(self, rng):
+        model = plan_model(rng)
+        assert model._plan is None
+        q = random_curve(rng, model.input_grid)
+        first = predict(model, q)
+        plan = model._plan
+        assert plan is not None
+        assert np.array_equal(predict(model, q).values, first.values)
+        predict_many(model, random_curve_vec(rng, model.input_grid, 3))
+        assert model._plan is plan
+        assert model.prediction_plan() is plan
+        # two base kernels: the Gaussian under two operators folds into one
+        assert [type(base) for base, _ in plan.terms] == [GaussianKernel,
+                                                         PolynomialKernel]
+
+    @pytest.mark.parametrize("change", [replace_alpha, replace_stack,
+                                        replace_train_inputs,
+                                        change_weights_in_place])
+    def test_plan_rebuilt_after_change(self, rng, change):
+        model = plan_model(rng)
+        Z = random_curve_vec(rng, model.input_grid, 4)
+        before = predict_many(model, Z).values
+        plan = model._plan
+        change(model)
+        after = predict_many(model, Z).values
+        assert model._plan is not plan
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, predict_many(rebuilt_copy(model), Z).values)
+        assert np.array_equal(predict(model, Z[1]).values,
+                              predict(rebuilt_copy(model), Z[1]).values)
+
+    def test_loaded_model_has_no_plan(self, rng, tmp_path):
+        model = plan_model(rng)
+        q = random_curve(rng, model.input_grid)
+        want = predict(model, q).values
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        assert set(json.loads(path.read_text())) == ARCHIVE_KEYS
+        loaded = load_model(path)
+        assert loaded._plan is None and loaded._train_stats is None
+        assert np.array_equal(predict(loaded, q).values, want)
+
+    def test_all_zero_weights_predict_exact_zero(self, rng):
+        model = plan_model(rng, weights=(0.0, 0.0, 0.0))
+        Z = random_curve_vec(rng, model.input_grid, 3)
+        assert model.prediction_plan().terms == []
+        assert np.all(predict(model, Z[0]).values == 0.0)
+        assert np.all(predict_many(model, Z).values == 0.0)
+
+    @pytest.mark.parametrize("block", [2, movkl.learn.QUERY_BLOCK])
+    def test_folding_matches_per_term_oracle(self, monkeypatch, block):
+        # one base kernel under every operator kind, bare and scaled, with
+        # two terms sharing an operator; blocks of 2 split the 5 queries
+        monkeypatch.setattr(movkl.learn, "QUERY_BLOCK", block)
+        rng = np.random.default_rng(7)
+        gin = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, 6)))
+        gout = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, 7)))
+        X = CurveVec(gin, rng.normal(size=(4, 6)))
+        Z = CurveVec(gin, rng.normal(size=(5, 6)))
+        A = rng.normal(size=(4, 7))
+        terms = [([], "identity", 0.3), ([2.5], "multiplication", 0.2),
+                 ([0.4, 3.0], "integral rank 2", 0.25), ([1.7], "integral", 0.15),
+                 ([0.6], "identity", 0.1)]
+        spec = BASE_POOL[0]
+        parts = [build_term_parts(spec, f, kind, gout) for f, kind, _ in terms]
+        d = np.array([t[2] for t in terms])
+        model = MovklModel(
+            alpha=CurveVec(gout, A), weights=d,
+            stack=KernelStack([OvKernelTerm(k, op, dk)
+                               for (k, op), dk in zip(parts, d)]),
+            train_inputs=X, lam=0.1, objective_trace=[])
+
+        want = np.zeros((5, 7))
+        bound = np.zeros((5, 7))
+        for (f, _, _), (_, op), dk in zip(terms, parts, d):
+            G = oracle_gram(spec, f, X.values, Z.values, gin.weights)
+            M = op.matrix()
+            want += dk * (G.T @ A) @ M.T
+            bound += dk * (np.abs(G.T) @ np.abs(A)) @ np.abs(M.T)
+        tol = 1e-12 * bound.max()
+        got = predict_many(model, Z).values
+        assert len(model.prediction_plan().terms) == 1
+        assert np.abs(got - want).max() <= tol
+        for j in range(Z.n):
+            assert np.abs(predict(model, Z[j]).values - want[j]).max() <= tol
+
+
 class TestModelArchive:
     def test_round_trip_bit_exact(self, rng, tmp_path):
         X, Y = small_problem(rng)
@@ -650,6 +777,17 @@ class TestModelArchive:
         path2 = tmp_path / "model2.json"
         save_model(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_saved_bytes_match_json_dump_writer(self, rng, tmp_path):
+        model = plan_model(rng)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(movkl.learn.model_to_doc(model), fh, sort_keys=True,
+                      separators=(",", ":"))
+            fh.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_versioned_header(self, rng, tmp_path):
         X, Y = small_problem(rng)

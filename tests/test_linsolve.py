@@ -150,6 +150,18 @@ class TestKronSolve:
         with pytest.raises(SolverError, match="gauss_seidel"):
             kron_solve(gram, 0.1, y)
 
+    @pytest.mark.parametrize("second, route", [
+        (lambda grid: IntegralOperator(grid, rank=2), "structured"),
+        (IntegralOperator, "gauss_seidel"),
+    ])
+    def test_mixed_operators_error_names_route(self, rng, second, route):
+        gout = Grid.uniform(0, 1, 5)
+        gram = BlockGram([np.eye(3), np.eye(3)],
+                         [IdentityOperator(gout), second(gout)], [0.5, 0.5], gout)
+        assert solve_route(gram) == route
+        with pytest.raises(SolverError, match=f"use {route}_solve "):
+            kron_solve(gram, 0.1, random_curve_vec(rng, gout, 3))
+
     def test_all_zero_weights(self, rng):
         gout = Grid.uniform(0, 1, 4)
         gram = BlockGram([np.eye(2), np.eye(2)],
