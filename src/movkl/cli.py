@@ -295,6 +295,7 @@ def cmd_train(args) -> int:
         "outer_iterations": model.outer_iterations,
         "solver_iterations": model.solver_iterations,
         "solver_routes": model.solver_routes,
+        "solver_residuals": model.solver_residuals,
         "model_file": model_path.name,
     }
     _write_json(out_dir / "fit_report.json", report)

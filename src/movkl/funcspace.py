@@ -31,8 +31,9 @@ __all__ = [
 ]
 
 
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _readonly(a, copy: bool = True) -> np.ndarray:
+    # copy=False takes a float64 array as it is, or raises ValueError
+    out = np.array(a, dtype=float, copy=copy)
     out.setflags(write=False)
     return out
 
@@ -143,12 +144,15 @@ class Curve:
 
     Values are stored read-only; operations that derive new curves return
     new instances, so curves can be shared freely across solver iterations.
+    With ``copy=False`` a fresh float64 array is taken over instead of
+    copied: it is made read-only in place and validated as usual, and its
+    creator must not write to it again.
     """
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values):
-        values = _readonly(values)
+    def __init__(self, grid: Grid, values, *, copy: bool = True):
+        values = _readonly(values, copy)
         if values.ndim != 1:
             raise DimensionError("curve values must be 1-d")
         if values.size != grid.size:
@@ -182,12 +186,15 @@ class Curve:
 
 
 class CurveVec:
-    """A stack of n curves sharing one grid, stored as an (n, m) array."""
+    """A stack of n curves sharing one grid, stored as an (n, m) array.
+
+    ``copy=False`` takes over a fresh float64 array as :class:`Curve` does.
+    """
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values):
-        values = _readonly(np.atleast_2d(values))
+    def __init__(self, grid: Grid, values, *, copy: bool = True):
+        values = _readonly(np.atleast_2d(values), copy)
         if values.ndim != 2:
             raise DimensionError("curve-vector values must be 2-d")
         if values.shape[1] != grid.size:
@@ -222,7 +229,16 @@ class CurveVec:
         return self.values.shape[0]
 
     def __getitem__(self, i: int) -> Curve:
-        return Curve(self.grid, self.values[i])
+        """Curve i over a view of row i, which is already validated and
+        read-only, so it is neither copied nor checked again.  A slice or a
+        2-d index raises ``DimensionError``."""
+        row = self.values[i]
+        if row.ndim != 1:
+            raise DimensionError("curve values must be 1-d")
+        curve = object.__new__(Curve)
+        curve.grid = self.grid
+        curve.values = row
+        return curve
 
     def curves(self):
         return [self[i] for i in range(self.n)]

@@ -55,11 +55,10 @@ __all__ = [
 # kernel statistics and scalar kernels on curves
 # ---------------------------------------------------------------------------
 
-def _weighted_sq_norms(values: np.ndarray, weights: np.ndarray):
-    """Values times the quadrature weights, and the squared norm of each row
-    (a scalar for one curve's values)."""
-    weighted = values * weights
-    return weighted, np.einsum("...j,...j->...", weighted, values)
+def _sq_norms(values: np.ndarray, weights: np.ndarray):
+    """Squared quadrature norm of each row, one product (a scalar for one
+    curve's values)."""
+    return (values * values) @ weights
 
 
 class CurveStats:
@@ -67,7 +66,8 @@ class CurveStats:
 
     def __init__(self, xs: CurveVec):
         self.curves = xs
-        self.weighted, self.sq_norms = _weighted_sq_norms(xs.values, xs.grid.weights)
+        self.weighted = xs.values * xs.grid.weights
+        self.sq_norms = _sq_norms(xs.values, xs.grid.weights)
 
     def pairs(self, zs: CurveVec | None = None):
         """Inner products and squared distances of every pair (x_i, z_j), the
@@ -81,10 +81,10 @@ class CurveStats:
         Lets a single validated curve skip the CurveVec wrapper."""
         if grid != self.curves.grid:
             raise DimensionError("kernel arguments live on different grids")
-        _, z_sq_norms = _weighted_sq_norms(z, grid.weights)
         ip = self.weighted @ z.T
-        sq_dist = np.add.outer(self.sq_norms, z_sq_norms) - 2.0 * ip
-        return ip, np.maximum(sq_dist, 0.0)
+        sq_dist = np.add.outer(self.sq_norms, _sq_norms(z, grid.weights))
+        sq_dist -= 2.0 * ip
+        return ip, np.maximum(sq_dist, 0.0, out=sq_dist)
 
 
 class ScalarKernel:
@@ -276,6 +276,12 @@ class OutputOperator:
         """Apply the operator to each row of an (k, m) array."""
         raise NotImplementedError
 
+    def factored_rows(self, A: np.ndarray):
+        """:meth:`apply_rows` as factors (L, R) with L @ R the result, for an
+        operator of rank q < m: L is (k, q) and R is (q, m).  Operators kept
+        at full rank return (apply_rows(A), None)."""
+        return self.apply_rows(A), None
+
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (descending) and eigenvectors, orthonormal under the
         quadrature inner product.  Truncated operators return their retained
@@ -431,12 +437,18 @@ class IntegralOperator(OutputOperator):
         return self.grid.size if self.rank is None else self.rank
 
     def apply_rows(self, A: np.ndarray) -> np.ndarray:
+        left, right = self.factored_rows(A)
+        return left if right is None else left @ right
+
+    def factored_rows(self, A: np.ndarray):
+        # truncated: T a = V_q Lambda_q V_q^T W a, so the rows of A map to
+        # (A W V_q Lambda_q) V_q^T
         if self.rank is None:
-            return A @ self._tmat.T
+            return A @ self._tmat.T, None
         vals, vecs = self._decompose()
         q = self.rank
         coeffs = A @ (self.grid.weights[:, None] * vecs[:, :q])
-        return (coeffs * vals[:q]) @ vecs[:, :q].T
+        return coeffs * vals[:q], vecs[:, :q].T
 
     def spectrum(self):
         vals, vecs = self._decompose()

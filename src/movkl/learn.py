@@ -29,7 +29,6 @@ from .kernels import (
     KernelStack,
     OvKernelTerm,
     assemble_gram,
-    group_by_operator,
     operator_from_config,
     scalar_kernel_from_config,
 )
@@ -59,9 +58,10 @@ MODEL_FORMAT = "movkl-model"
 MODEL_VERSION = 1
 
 # query curves per block in predict_many: a block's kernel values and output
-# rows stay in cache while every base kernel adds its product (desk-task
-# 24-term model, 10,000 queries, one core and one BLAS thread: 0.10 s in
-# blocks of 256, 0.17 s in one pass)
+# rows stay in cache while every operator adds its product (desk-task
+# 24-term model, 10,000 queries, one core and one BLAS thread: about 0.07 s
+# in blocks of 256, 0.13-0.15 s in one pass; blocks of 128 to 1,024 are
+# within the noise of 256)
 QUERY_BLOCK = 256
 
 
@@ -90,53 +90,89 @@ class FitConfig:
 class PredictionPlan:
     """The model's side of the representer sum, computed once per model.
 
-    T_k acts on the output side only, so for each distinct base kernel b
-    (``ScaledKernel`` wrappers removed) the terms on b fold into one matrix
+    A prediction at z is sum_k d_k sum_i G_k(x_i, z) T_k alpha_i.  T_k acts
+    on the output side only, so the terms fold by distinct output operator
+    o: with c_o[b] = sum over the terms k on o and base kernel b of
+    d_k * c_k (c_k the term's ``ScaledKernel`` factors, b the kernel under
+    them), the prediction is
 
-        A_b = sum over the terms k on b of d_k * c_k * T_k alpha,
+        sum_o H_o^T (T_o alpha),    H_o = sum_b c_o[b] * G_b(X, z).
 
-    with c_k the term's total scale factor; terms on b that share an
-    operator apply it once.  A prediction at z is then
-    sum_b G_b(X, z)^T A_b, with G_b evaluated from ``stats``, the training
-    statistics.  ``alpha``, ``stack`` and ``weight_bytes`` record what the
-    plan was built from, so the model can tell when it is stale.
+    ``bases`` holds each distinct base kernel once, and ``coeffs`` the rows
+    c_o as an (operators, bases) array.  ``factors`` holds T_o alpha per
+    operator as a pair (L_o, R_o) from :meth:`OutputOperator.factored_rows`:
+    for a truncated integral operator L_o = alpha W V_q Lambda_q (n x q) and
+    R_o = V_q^T (q x m), evaluated as (H_o^T L_o) R_o; any other operator
+    keeps T_o alpha whole (R_o is None).  With a single base kernel, c_o is
+    folded into L_o and H_o is G_b itself.  ``alpha``, ``stack`` and
+    ``weight_bytes`` record what the plan was built from, so the model can
+    tell when it is stale.
     """
 
     alpha: CurveVec
     stack: KernelStack
     weight_bytes: bytes
     stats: CurveStats
-    terms: list
+    bases: list
+    coeffs: np.ndarray
+    factors: list
 
     def evaluate(self, ip: np.ndarray, sq_dist: np.ndarray) -> np.ndarray:
-        """Predicted values from the training-by-query pair statistics of
-        :meth:`CurveStats.pairs` or :meth:`CurveStats.cross`: (m,) for one
-        query curve, (p, m) for p."""
-        out = np.zeros(ip.shape[1:] + (self.stack.output_grid.size,))
-        for base, A in self.terms:
-            out += base.evaluate(ip, sq_dist).T @ A
+        """Predicted values, a fresh array, from the training-by-query pair
+        statistics of :meth:`CurveStats.pairs` or :meth:`CurveStats.cross`:
+        (m,) for one query curve, (p, m) for p."""
+        if not self.bases:
+            return np.zeros(ip.shape[1:] + (self.stack.output_grid.size,))
+        if len(self.bases) == 1:
+            H = [self.bases[0].evaluate(ip, sq_dist)] * len(self.factors)
+        else:
+            G = np.stack([base.evaluate(ip, sq_dist) for base in self.bases])
+            H = np.tensordot(self.coeffs, G, axes=1)
+        out = None
+        for H_o, (left, right) in zip(H, self.factors):
+            part = H_o.T @ left
+            if right is not None:
+                part = part @ right
+            if out is None:
+                out = part
+            else:
+                out += part
         return out
 
 
+def _position(distinct: list, key) -> int:
+    """Index of ``key`` in ``distinct`` by equality, appended if new; kernels
+    and operators need not be hashable, as in ``group_by_operator``."""
+    if key not in distinct:
+        distinct.append(key)
+    return distinct.index(key)
+
+
 def _build_plan(model: "MovklModel", weight_bytes: bytes) -> PredictionPlan:
-    bases = group_by_operator(
-        (base, [(term.operator, d_k * factor)])
-        for term, d_k in zip(model.stack.terms, model.weights) if d_k != 0.0
-        for base, factor in [term.scalar.unscaled()]
-    )
-    alpha = model.alpha.values
-    terms = [
-        (base, sum(coeff * op.apply_rows(alpha)
-                   for op, coeff in group_by_operator(uses)))
-        for base, uses in bases
-    ]
+    ops, bases, uses = [], [], []
+    for term, d_k in zip(model.stack.terms, model.weights):
+        if d_k != 0.0:
+            base, factor = term.scalar.unscaled()
+            uses.append((_position(ops, term.operator), _position(bases, base),
+                         d_k * factor))
+    coeffs = np.zeros((len(ops), len(bases)))
+    for o, b, coeff in uses:
+        coeffs[o, b] += coeff
+    factors = [op.factored_rows(model.alpha.values) for op in ops]
+    if len(bases) == 1:
+        factors = [(c * left, right) for c, (left, right) in zip(coeffs[:, 0], factors)]
     return PredictionPlan(model.alpha, model.stack, weight_bytes,
-                          model.train_stats(), terms)
+                          model.train_stats(), bases, coeffs, factors)
 
 
 @dataclass
 class MovklModel:
-    """Fitted state: dual curves, kernel weights and training inputs."""
+    """Fitted state: dual curves, kernel weights and training inputs.
+
+    Each solve of the fit leaves its iteration count, route and final
+    relative residual ||(K + lambda*I) alpha - y|| / ||y|| in
+    ``solver_iterations``, ``solver_routes`` and ``solver_residuals``.
+    """
 
     alpha: CurveVec
     weights: np.ndarray
@@ -147,6 +183,7 @@ class MovklModel:
     outer_iterations: int = 0
     solver_iterations: list[int] = field(default_factory=list)
     solver_routes: list[str] = field(default_factory=list)
+    solver_residuals: list[float] = field(default_factory=list)
     _train_stats: CurveStats | None = field(default=None, init=False, repr=False)
     _plan: PredictionPlan | None = field(default=None, init=False, repr=False)
 
@@ -291,6 +328,7 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     trace: list[float] = []
     solver_iters: list[int] = []
     routes: list[str] = []
+    residuals: list[float] = []
     outer = 0
     for outer in range(1, cfg.mkl_max_iter + 1):
         gram = base.with_weights(d)
@@ -305,6 +343,7 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
             raise err
         solver_iters.append(report.iterations)
         routes.append(route)
+        residuals.append(float(report.final_residual))
         obj, quads = _objective(gram, alpha_new.values, targets.values, cfg.lam)
         trace.append(obj)
         change = vec_norm(alpha_new - alpha)
@@ -323,6 +362,7 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
         outer_iterations=outer,
         solver_iterations=solver_iters,
         solver_routes=routes,
+        solver_residuals=residuals,
     )
 
 
@@ -345,27 +385,35 @@ def _ridge_solve(gram: BlockGram, targets: CurveVec, warm: CurveVec,
 def predict(model: MovklModel, x_new: Curve) -> Curve:
     """Representer prediction sum_k d_k sum_i G_k(x_i, x) T_k alpha_i.
 
-    Evaluated as sum_b G_b(X, x)^T A_b from the model's cached
-    :meth:`MovklModel.prediction_plan`, one kernel evaluation per distinct
-    base kernel.  The plan is built on the first call and rebuilt after
-    ``alpha``, ``stack`` or ``train_inputs`` is replaced or ``weights``
-    changes.  A query on another input grid raises ``DimensionError``.
+    Evaluated through the model's cached :meth:`MovklModel.prediction_plan`
+    as sum_o H_o(x)^T (T_o alpha): each distinct base kernel is evaluated
+    once against the training curves, its values are combined per distinct
+    output operator o, and each operator adds one product, a thin pair of
+    products for a truncated integral operator.  A model with one base
+    kernel combines nothing.  The plan is built on the
+    first call and rebuilt after ``alpha``, ``stack`` or ``train_inputs`` is
+    replaced or ``weights`` changes.  The fresh output is wrapped without a
+    copy.  A query on another input grid raises ``DimensionError``, and a
+    non-finite prediction (a polynomial kernel that overflows, say) raises
+    ``ValueError``.
     """
     plan = model.prediction_plan()
     stats = plan.stats.cross(x_new.grid, x_new.values)
-    return Curve(model.output_grid, plan.evaluate(*stats))
+    return Curve(model.output_grid, plan.evaluate(*stats), copy=False)
 
 
 def predict_many(model: MovklModel, xs: CurveVec) -> CurveVec:
-    """:func:`predict` for every curve of ``xs``, through the same plan:
-    one kernel evaluation and one matrix product per distinct base kernel,
-    taken over blocks of ``QUERY_BLOCK`` curves."""
+    """:func:`predict` for every curve of ``xs``, through the same plan,
+    over blocks of ``QUERY_BLOCK`` curves: per block, one kernel evaluation
+    per distinct base kernel and one product (or thin pair) per distinct
+    output operator.  The filled output array is wrapped without a copy and
+    checked for non-finite values like :func:`predict`'s."""
     plan = model.prediction_plan()
     out = np.empty((xs.n, model.output_grid.size))
     for lo in range(0, xs.n, QUERY_BLOCK):
         rows = slice(lo, lo + QUERY_BLOCK)
         out[rows] = plan.evaluate(*plan.stats.cross(xs.grid, xs.values[rows]))
-    return CurveVec(model.output_grid, out)
+    return CurveVec(model.output_grid, out, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +451,7 @@ def model_to_doc(model: MovklModel) -> dict:
         "outer_iterations": model.outer_iterations,
         "solver_iterations": [int(v) for v in model.solver_iterations],
         "solver_routes": list(model.solver_routes),
+        "solver_residuals": [float(v) for v in model.solver_residuals],
     }
 
 
@@ -435,6 +484,7 @@ def model_from_doc(doc: dict) -> MovklModel:
         outer_iterations=int(doc.get("outer_iterations", 0)),
         solver_iterations=[int(v) for v in doc.get("solver_iterations", [])],
         solver_routes=[str(v) for v in doc.get("solver_routes", [])],
+        solver_residuals=[float(v) for v in doc.get("solver_residuals", [])],
     )
 
 

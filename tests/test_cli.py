@@ -205,6 +205,8 @@ class TestTrain:
         assert report["n_terms"] == 1
         assert report["solver_routes"] == ["kron"]
         assert model.solver_routes == ["kron"]
+        assert report["solver_residuals"] == model.solver_residuals
+        assert len(model.solver_residuals) == 1
 
         ds = load_dataset(data)
         ref = krr_fit(

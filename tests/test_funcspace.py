@@ -172,3 +172,70 @@ class TestVecInner:
         g = Grid.uniform(0, 1, 4)
         a = random_curve_vec(rng, g, 3)
         assert vec_norm_sq(a) > 0.0
+
+
+class TestCurveVecIndexing:
+    def test_item_shares_the_read_only_row(self, rng):
+        g = Grid.uniform(0, 1, 5)
+        cv = random_curve_vec(rng, g, 3)
+        for i in (0, 2, -1):
+            c = cv[i]
+            assert isinstance(c, Curve) and c.grid is g
+            assert np.shares_memory(c.values, cv.values)
+            assert np.array_equal(c.values, cv.values[i])
+            assert not c.values.flags.writeable
+            with pytest.raises(ValueError):
+                c.values[0] = 1.0
+
+    @pytest.mark.parametrize("index", [slice(0, 2), slice(None), (0, 1),
+                                       [0, 1], Ellipsis, None])
+    def test_slice_or_2d_index_raises(self, rng, index):
+        cv = random_curve_vec(rng, Grid.uniform(0, 1, 4), 3)
+        with pytest.raises(DimensionError):
+            cv[index]
+
+    def test_out_of_range_raises_index_error(self, rng):
+        cv = random_curve_vec(rng, Grid.uniform(0, 1, 4), 3)
+        with pytest.raises(IndexError):
+            cv[3]
+
+    def test_curves_share_rows(self, rng):
+        cv = random_curve_vec(rng, Grid.uniform(0, 1, 4), 3)
+        assert all(np.shares_memory(c.values, cv.values) for c in cv.curves())
+
+
+class TestTakeOverWithoutCopy:
+    def test_curve_takes_over_fresh_array(self):
+        g = Grid.uniform(0, 1, 4)
+        values = np.arange(4.0)
+        c = Curve(g, values, copy=False)
+        assert c.values is values and not values.flags.writeable
+        fresh = np.arange(4.0)
+        assert not np.shares_memory(Curve(g, fresh).values, fresh)
+
+    def test_curve_vec_takes_over_fresh_array(self):
+        g = Grid.uniform(0, 1, 4)
+        values = np.ones((2, 4))
+        cv = CurveVec(g, values, copy=False)
+        assert cv.values is values and not values.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_still_rejected(self, bad):
+        g = Grid.uniform(0, 1, 4)
+        values = np.ones((2, 4))
+        values[1, 2] = bad
+        with pytest.raises(ValueError):
+            CurveVec(g, values, copy=False)
+        with pytest.raises(ValueError):
+            Curve(g, values[1].copy(), copy=False)
+
+    def test_wrong_shape_still_rejected(self):
+        g = Grid.uniform(0, 1, 4)
+        with pytest.raises(DimensionError):
+            Curve(g, np.ones(5), copy=False)
+        with pytest.raises(DimensionError):
+            CurveVec(g, np.ones((2, 3)), copy=False)
+
+    def test_array_needing_conversion_is_refused(self):
+        with pytest.raises(ValueError):
+            Curve(Grid.uniform(0, 1, 3), np.arange(3), copy=False)

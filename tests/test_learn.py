@@ -111,6 +111,25 @@ class TestWeightUpdate:
             assert np.sum(d ** r) == pytest.approx(1.0, abs=1e-9)
             assert np.all(d >= 0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                      min_size=1, max_size=8).filter(lambda s: any(s)),
+           r=st.floats(1.0, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(s=[3.0, 0.0, 1e-6], r=1.0, seed=0)
+    def test_optimality_properties(self, s, r, seed):
+        s = np.array(s)
+        d = weight_update(s, r)
+        assert abs(np.sum(d ** r) - 1.0) <= 1e-12
+        assert np.all(d >= 0)
+        assert np.array_equal(d == 0.0, s == 0.0)
+        best = mixing_objective(s, d)
+        rng = np.random.default_rng(seed)
+        # random feasible weights: on the boundary and strictly inside it
+        points = boundary_grid(rng, s.size, r, 50)
+        points[25:] *= rng.uniform(0.0, 1.0, (25, 1))
+        for point in points:
+            assert best <= mixing_objective(s, point) * (1.0 + 1e-12)
+
     def test_all_zero_norms_degenerate(self):
         with pytest.raises(DegenerateModelError):
             weight_update([0.0, 0.0], 2.0)
@@ -427,6 +446,28 @@ class TestSolveRouting:
         gram = assemble_gram(model.stack, X)
         resid = Y - gram.apply(model.alpha) - cfg.lam * model.alpha
         assert vec_norm(resid) <= cfg.solve.outer_tol * vec_norm(Y)
+        # the recorded residual is Gauss-Seidel's, not the refused 1e-3
+        assert len(model.solver_residuals) == model.outer_iterations
+        assert all(0.0 <= v <= cfg.solve.outer_tol for v in model.solver_residuals)
+
+    def test_residuals_are_the_solve_reports(self, rng, monkeypatch):
+        X, Y = small_problem(rng, n=6)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
+             (GaussianKernel(0.5), IntegralOperator(Y.grid, rank=3))])
+        exact = movkl.learn.structured_solve
+        reported = []
+
+        def recording(gram, ridge, y):
+            alpha, report = exact(gram, ridge, y)
+            reported.append(report.final_residual)
+            return alpha, report
+
+        monkeypatch.setattr(movkl.learn, "structured_solve", recording)
+        model = movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
+        assert model.outer_iterations > 1
+        assert model.solver_residuals == reported
+        assert all(v > 0.0 for v in reported)
 
     def test_unconverged_gauss_seidel_after_structured_raises(self, rng,
                                                               monkeypatch):
@@ -468,6 +509,29 @@ class TestPredict:
         model = movkl_fit(stack, X, CurveVec.zero(Y.grid, 4), tight_cfg(1.0))
         q = random_curve(rng, X.grid)
         assert np.all(predict(model, q).values == 0.0)
+
+    @pytest.mark.parametrize("with_gaussian", [False, True])
+    def test_non_finite_prediction_raises(self, rng, with_gaussian):
+        # a cubic kernel on huge query curves overflows to inf
+        X, Y = small_problem(rng)
+        pairs = [(PolynomialKernel(3), IdentityOperator(Y.grid))]
+        if with_gaussian:
+            pairs.append((GaussianKernel(1.0), IntegralOperator(Y.grid, rank=2)))
+        model = MovklModel(alpha=Y, weights=np.full(len(pairs), 0.5),
+                           stack=KernelStack.uniform(pairs), train_inputs=X,
+                           lam=0.1, objective_trace=[])
+        Z = random_curve_vec(rng, X.grid, 3) * 1e120
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                predict(model, Z[1])
+            with pytest.raises(ValueError, match="finite"):
+                predict_many(model, Z)
+
+    def test_outputs_are_read_only(self, rng):
+        model = plan_model(rng)
+        Z = random_curve_vec(rng, model.input_grid, 3)
+        assert not predict(model, Z[0]).values.flags.writeable
+        assert not predict_many(model, Z).values.flags.writeable
 
     def test_training_point_identity(self, rng):
         # n = 1, identity operator, G(x1, x1) = 1, d = 1: prediction at the
@@ -543,7 +607,7 @@ TERM = st.tuples(
 ARCHIVE_KEYS = {
     "format", "version", "lambda", "norm_exponent", "input_grid", "output_grid",
     "terms", "alpha", "train_inputs", "objective_trace", "outer_iterations",
-    "solver_iterations", "solver_routes",
+    "solver_iterations", "solver_routes", "solver_residuals",
 }
 
 
@@ -672,9 +736,15 @@ class TestPredictionPlan:
         predict_many(model, random_curve_vec(rng, model.input_grid, 3))
         assert model._plan is plan
         assert model.prediction_plan() is plan
-        # two base kernels: the Gaussian under two operators folds into one
-        assert [type(base) for base, _ in plan.terms] == [GaussianKernel,
-                                                         PolynomialKernel]
+        # two base kernels, each evaluated once; three operators, each with
+        # its coefficient row (the Gaussian's 2.0 scale folded in) and the
+        # rank-2 integral operator kept as thin factors
+        assert [type(base) for base in plan.bases] == [GaussianKernel,
+                                                       PolynomialKernel]
+        assert np.array_equal(plan.coeffs, [[0.3, 0.0], [1.0, 0.0], [0.0, 0.2]])
+        assert [right is None for _, right in plan.factors] == [True, False, True]
+        left, right = plan.factors[1]
+        assert left.shape == (5, 2) and right.shape == (2, model.output_grid.size)
 
     @pytest.mark.parametrize("change", [replace_alpha, replace_stack,
                                         replace_train_inputs,
@@ -703,10 +773,40 @@ class TestPredictionPlan:
         assert loaded._plan is None and loaded._train_stats is None
         assert np.array_equal(predict(loaded, q).values, want)
 
+    def test_unhashable_kernels_and_operators_fold(self, rng):
+        # a subclass that defines __eq__ alone is unhashable; equal
+        # instances must still fold into one base and one operator
+        class EqGaussian(GaussianKernel):
+            def __eq__(self, other):
+                return GaussianKernel.__eq__(self, other)
+
+        class EqIdentity(IdentityOperator):
+            def __eq__(self, other):
+                return IdentityOperator.__eq__(self, other)
+
+        X, Y = small_problem(rng, n=5)
+        model = MovklModel(
+            alpha=Y, weights=np.array([0.3, 0.4]),
+            stack=KernelStack([
+                OvKernelTerm(EqGaussian(0.8), EqIdentity(Y.grid), 0.3),
+                OvKernelTerm(EqGaussian(0.8), EqIdentity(Y.grid), 0.4)]),
+            train_inputs=X, lam=0.1, objective_trace=[])
+        plain = MovklModel(
+            alpha=Y, weights=np.array([0.7]),
+            stack=KernelStack([OvKernelTerm(GaussianKernel(0.8),
+                                            IdentityOperator(Y.grid), 0.7)]),
+            train_inputs=X, lam=0.1, objective_trace=[])
+        Z = random_curve_vec(rng, X.grid, 3)
+        got = predict_many(model, Z).values
+        plan = model.prediction_plan()
+        assert len(plan.bases) == 1 and len(plan.factors) == 1
+        assert np.allclose(got, predict_many(plain, Z).values, rtol=1e-14, atol=0)
+
     def test_all_zero_weights_predict_exact_zero(self, rng):
         model = plan_model(rng, weights=(0.0, 0.0, 0.0))
         Z = random_curve_vec(rng, model.input_grid, 3)
-        assert model.prediction_plan().terms == []
+        plan = model.prediction_plan()
+        assert plan.bases == [] and plan.factors == []
         assert np.all(predict(model, Z[0]).values == 0.0)
         assert np.all(predict_many(model, Z).values == 0.0)
 
@@ -742,10 +842,80 @@ class TestPredictionPlan:
             bound += dk * (np.abs(G.T) @ np.abs(A)) @ np.abs(M.T)
         tol = 1e-12 * bound.max()
         got = predict_many(model, Z).values
-        assert len(model.prediction_plan().terms) == 1
+        plan = model.prediction_plan()
+        # one base kernel; four distinct operators, the identity shared
+        assert len(plan.bases) == 1 and len(plan.factors) == 4
         assert np.abs(got - want).max() <= tol
         for j in range(Z.n):
             assert np.abs(predict(model, Z[j]).values - want[j]).max() <= tol
+
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+           p=st.integers(1, 7), m_out=st.integers(3, 8),
+           pool=st.lists(st.integers(0, len(BASE_POOL) - 1), min_size=1,
+                         max_size=4, unique=True),
+           terms=st.lists(st.tuples(
+               st.integers(0, 3), st.lists(st.floats(0.2, 5.0), max_size=2),
+               st.sampled_from(["identity", "multiplication", "integral",
+                                "truncated"]),
+               st.integers(1, 8),
+               st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
+               min_size=1, max_size=6),
+           block=st.sampled_from([1, 2, movkl.learn.QUERY_BLOCK]))
+    # a zero-weight term holds the only truncated operator
+    @example(seed=4, n=3, p=5, m_out=6, pool=[0, 3], terms=[
+        (0, [], "identity", 1, 0.5), (1, [2.0], "truncated", 2, 0.0),
+        (1, [0.5, 3.0], "identity", 1, 0.3)], block=2)
+    def test_operator_fold_matches_per_term_oracle(self, seed, n, p, m_out,
+                                                   pool, terms, block):
+        rng = np.random.default_rng(seed)
+        gin = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, 5)))
+        gout = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, m_out)))
+        X = CurveVec(gin, rng.normal(size=(n, 5)))
+        Z = CurveVec(gin, rng.normal(size=(p, 5)))
+        A = rng.normal(size=(n, m_out))
+        specs, ops, kernels = [], [], []
+        for slot, factors, kind, rank, _ in terms:
+            spec = BASE_POOL[pool[slot % len(pool)]]
+            kernel, _ = build_term_parts(spec, factors, "identity", gout)
+            # a rank of m_out or more is the full-rank operator
+            ops.append(IntegralOperator(gout, rank=min(rank, m_out))
+                       if kind == "truncated" else OPERATORS[kind](gout))
+            specs.append((spec, factors))
+            kernels.append(kernel)
+        d = np.array([t[4] for t in terms])
+        d /= max(1.0, float(np.linalg.norm(d)))
+        model = MovklModel(
+            alpha=CurveVec(gout, A), weights=d,
+            stack=KernelStack([OvKernelTerm(k, op, dk)
+                               for k, op, dk in zip(kernels, ops, d)]),
+            train_inputs=X, lam=0.1, objective_trace=[])
+
+        want = np.zeros((p, m_out))
+        bound = np.zeros((p, m_out))
+        for (spec, factors), op, dk in zip(specs, ops, d):
+            G, M = oracle_gram(spec, factors, X.values, Z.values, gin.weights), op.matrix()
+            want += dk * (G.T @ A) @ M.T
+            bound += dk * (np.abs(G.T) @ np.abs(A)) @ np.abs(M.T)
+        tol = 1e-12 * max(bound.max(), 1e-300)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(movkl.learn, "QUERY_BLOCK", block)
+            got = predict_many(model, Z).values
+        assert np.abs(got - want).max() <= tol
+        for j in range(p):
+            assert np.abs(predict(model, Z[j]).values - got[j]).max() <= tol
+
+        # each base kernel and operator of a weighted term appears once
+        plan = model.prediction_plan()
+        used = [(spec, op) for (spec, _), op, dk in zip(specs, ops, d) if dk > 0]
+        assert len(plan.bases) == len({spec for spec, _ in used})
+        assert len(plan.factors) == len({op for _, op in used})
+        assert plan.coeffs.shape == (len(plan.factors), len(plan.bases))
+        for (left, right), op in zip(plan.factors, dict.fromkeys(op for _, op in used)):
+            thin = isinstance(op, IntegralOperator) and op.rank is not None
+            assert (right is not None) == thin
+            assert left.shape == (n, op.rank if thin else m_out)
 
 
 class TestModelArchive:
@@ -768,6 +938,9 @@ class TestModelArchive:
         assert loaded.objective_trace == model.objective_trace
         assert model.solver_routes == ["structured"] * model.outer_iterations
         assert loaded.solver_routes == model.solver_routes
+        assert len(model.solver_residuals) == model.outer_iterations
+        assert all(0.0 <= v <= TIGHT.outer_tol for v in model.solver_residuals)
+        assert loaded.solver_residuals == model.solver_residuals
 
         q = random_curve(rng, X.grid)
         assert np.array_equal(predict(loaded, q).values,
@@ -803,6 +976,78 @@ class TestModelArchive:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           scale=st.integers(-8, 8),
+           extremes=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             max_size=4),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           residuals=st.lists(st.floats(0.0, 1.0), max_size=3))
+    @example(seed=0, n=2, scale=0, extremes=[5e-324, -0.0, 1.7976931348623157e308],
+             weights=[0.0, 2.2250738585072014e-308, 0.5], residuals=[1e-13])
+    def test_round_trip_property(self, seed, n, scale, extremes, weights,
+                                 residuals):
+        # alpha, weights and training inputs come back bit for bit, and the
+        # reloaded model predicts the same values (or fails the same way)
+        rng = np.random.default_rng(seed)
+        gin = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, 5)))
+        gout = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, 4)))
+        alpha = rng.normal(size=(n, 4)) * 10.0 ** scale
+        inputs = rng.normal(size=(n, 5))
+        for k, v in enumerate(extremes):
+            (alpha if k % 2 else inputs).flat[k] = v
+        d = np.array(weights)
+        d /= max(1.0, float(np.linalg.norm(d)))
+        stack = KernelStack([
+            OvKernelTerm(GaussianKernel(0.9), IdentityOperator(gout), d[0]),
+            OvKernelTerm(ScaledKernel(PolynomialKernel(2), 0.3),
+                         IntegralOperator(gout, rank=2), d[1]),
+            OvKernelTerm(GaussianKernel(0.4), MultiplicationOperator(gout), d[2]),
+        ])
+        model = MovklModel(
+            alpha=CurveVec(gout, alpha), weights=d, stack=stack,
+            train_inputs=CurveVec(gin, inputs), lam=0.1,
+            objective_trace=[1.0], outer_iterations=len(residuals),
+            solver_iterations=[1] * len(residuals),
+            solver_routes=["structured"] * len(residuals),
+            solver_residuals=residuals)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(path, model)
+            loaded = load_model(path)
+        assert loaded.alpha.values.tobytes() == model.alpha.values.tobytes()
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert (loaded.train_inputs.values.tobytes()
+                == model.train_inputs.values.tobytes())
+        assert loaded.solver_residuals == residuals
+
+        def outcome(m):
+            Z = CurveVec(gin, np.random.default_rng(seed).normal(size=(3, 5)))
+            with np.errstate(all="ignore"):
+                try:
+                    return predict_many(m, Z).values
+                except ValueError:
+                    return None
+
+        want, got = outcome(model), outcome(loaded)
+        assert (want is None and got is None) or np.array_equal(got, want)
+
+    def test_archive_without_residuals_loads(self, rng, tmp_path):
+        # archives written before residuals were recorded still load
+        X, Y = small_problem(rng)
+        stack = KernelStack.uniform([(GaussianKernel(1.0),
+                                      IntegralOperator(Y.grid, rank=3))])
+        model = movkl_fit(stack, X, Y, tight_cfg(0.5))
+        assert len(model.solver_residuals) == 1
+        assert 0.0 <= model.solver_residuals[0] <= 1e-10
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        doc = json.loads(path.read_text())
+        assert doc["solver_residuals"] == model.solver_residuals
+        del doc["solver_residuals"]
+        path.write_text(json.dumps(doc))
+        assert load_model(path).solver_residuals == []
 
     def test_archive_without_routes_loads(self, rng, tmp_path):
         # archives written before routes were recorded still load
