@@ -29,7 +29,7 @@ orth = vecs.T @ (gout.weights[:, None] * vecs)
 print("eigenbasis orthonormal under quadrature:",
       np.allclose(orth, np.eye(10), atol=1e-10))
 
-# shifted solves are analytic / spectral: (scale*T + c*I) u = b
+# shifted solves go through the spectrum: (scale*T + c*I) u = b
 b = mk.Curve(gout, rng.normal(size=gout.size))
 u = trunc.shifted_solve(0.1, 1.0, b)
 resid = 1.0 * trunc.apply(u).values + 0.1 * u.values - b.values

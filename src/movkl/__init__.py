@@ -44,11 +44,11 @@ from .kernels import (
 from .linsolve import (
     SolveConfig,
     SolveReport,
+    block_solve,
     dense_solve,
     gauss_seidel_solve,
     kron_solve,
     solve_route,
-    split_block_solve,
     structured_solve,
 )
 from .learn import (
@@ -87,7 +87,7 @@ __all__ = [
     "assemble_gram", "median_pairwise_distance",
     "SolveConfig", "SolveReport",
     "dense_solve", "kron_solve", "structured_solve", "solve_route",
-    "gauss_seidel_solve", "split_block_solve",
+    "gauss_seidel_solve", "block_solve",
     "FitConfig", "MovklModel",
     "krr_fit", "movkl_fit", "weight_update", "fk_norm_sq",
     "predict", "predict_many", "save_model", "load_model",

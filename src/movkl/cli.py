@@ -75,7 +75,7 @@ _SCHEMA = {
                      "polynomial_offset", "operators", "integral_rank",
                      "normalize"},
     "fit": {"lambda", "r", "mkl_tol", "mkl_max_iter", "solver"},
-    "fit.solver": {"outer_tol", "outer_max_iter", "inner_tol", "inner_max_iter"},
+    "fit.solver": {"outer_tol", "outer_max_iter"},
     "cv": {"lambda_grid", "rank_grid"},
     "eval": {"lcr_threshold"},
     "bench": {"instances"},

@@ -18,6 +18,10 @@ positive semidefinite with respect to the quadrature inner product.  Three
 kinds are provided: the identity, pointwise multiplication by exp(-t^2),
 and the integral operator with kernel exp(-|t - s|) (optionally truncated
 to its leading eigenfunctions, which is the rank tuned by cross-validation).
+The first two are diagonal on the grid; a truncated integral operator is
+low-rank, and the full one has a kernel matrix whose inverse is tridiagonal
+(:meth:`IntegralOperator.precision`).  Every operator solves its shifted
+system (scale * T + c * I) u = b from its spectrum.
 """
 
 from __future__ import annotations
@@ -294,25 +298,24 @@ class OutputOperator:
         raise NotImplementedError
 
     def shifted_solve(self, c: float, scale: float, b: Curve) -> Curve:
-        """Solve (scale * T + c * I) u = b analytically or spectrally."""
+        """Solve (scale * T + c * I) u = b through the spectrum.
+
+        Directions outside the retained eigenvectors see the shift alone,
+        so truncated operators invert exactly.
+        """
         if c <= 0:
             raise ValueError("shift c must be positive")
         if scale < 0:
             raise ValueError("scale must be nonnegative")
         if b.grid != self.grid:
             raise DimensionError("curve does not live on the operator grid")
-        return Curve(self.grid, self.shifted_inverse(scale, c).solve(b.values))
-
-    def shifted_inverse(self, scale: float, shift: float):
-        """(scale * T + shift * I) with its factors computed once.
-
-        The result's ``solve(b)`` inverts the shifted operator and its
-        ``apply(v)`` gives scale * T v, both on 1-d value arrays.
-        """
-        raise NotImplementedError
+        vals, vecs = self.spectrum()
+        coeffs = (b.values * self.grid.weights) @ vecs
+        corr = 1.0 / (scale * vals + c) - 1.0 / c
+        return Curve(self.grid, vecs @ (coeffs * corr) + b.values / c)
 
     def matrix(self) -> np.ndarray:
-        """Dense coordinate-space matrix of the operator (testing/fallback)."""
+        """Dense coordinate-space matrix (the dense oracle and tests)."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -333,9 +336,6 @@ class IdentityOperator(OutputOperator):
 
     def full_basis(self):
         return self.spectrum()
-
-    def shifted_inverse(self, scale, shift):
-        return DiagonalShiftedInverse(np.ones(self.grid.size), scale, shift)
 
     def matrix(self):
         return np.eye(self.grid.size)
@@ -374,9 +374,6 @@ class MultiplicationOperator(OutputOperator):
     def full_basis(self):
         return self.spectrum()
 
-    def shifted_inverse(self, scale, shift):
-        return DiagonalShiftedInverse(self.diag, scale, shift)
-
     def matrix(self):
         return np.diag(self.diag)
 
@@ -398,8 +395,8 @@ class IntegralOperator(OutputOperator):
 
     With ``rank=None`` the quadrature discretization of the full operator is
     used.  With ``rank=q < m`` the operator *is* the best rank-q
-    approximation: application, spectrum and inverses all refer to the
-    truncated map, so shifted solves stay exact.
+    approximation: application, spectrum and shifted solves all refer to
+    the truncated map.
     """
 
     def __init__(self, grid: Grid, rank: int | None = None):
@@ -462,9 +459,26 @@ class IntegralOperator(OutputOperator):
             vals[self.rank:] = 0.0
         return vals, vecs.copy()
 
-    def shifted_inverse(self, scale, shift):
-        vals, vecs = self.spectrum()
-        return SpectralShiftedInverse(vals, vecs, self.grid.weights, scale, shift)
+    def precision(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal (m,) and off-diagonal (m - 1,) of Q = K^-1 for the kernel
+        matrix K_jl = exp(-|t_j - t_l|) on the grid points, before weights
+        and truncation.
+
+        K is the covariance of an Ornstein-Uhlenbeck process, which is
+        Markov, so Q is tridiagonal in closed form: with e_j the kernel
+        between neighbours t_j and t_j+1, Q_j,j+1 = -e_j / (1 - e_j^2) and
+        Q_jj = 1 + e_j-1^2 / (1 - e_j-1^2) + e_j^2 / (1 - e_j^2), leaving out
+        the terms past either end of the grid (Rybicki & Press, Phys. Rev.
+        Lett. 74, 1995).
+        """
+        gaps = np.diff(self.grid.points)
+        e = np.exp(-gaps)
+        denom = -np.expm1(-2.0 * gaps)  # 1 - e^2 without cancellation
+        ratio = e * e / denom
+        diag = np.ones(self.grid.size)
+        diag[:-1] += ratio
+        diag[1:] += ratio
+        return diag, -e / denom
 
     def matrix(self):
         if self.rank is None:
@@ -487,46 +501,6 @@ class IntegralOperator(OutputOperator):
 
     def to_config(self):
         return {"kind": "integral", "rank": self.rank}
-
-
-class DiagonalShiftedInverse:
-    """scale * diag(t) + shift * I for an operator diagonal on the grid."""
-
-    __slots__ = ("gain", "inv")
-
-    def __init__(self, diag, scale, shift):
-        self.gain = scale * diag
-        self.inv = 1.0 / (self.gain + shift)
-
-    def apply(self, v):
-        return self.gain * v
-
-    def solve(self, b):
-        return self.inv * b
-
-
-class SpectralShiftedInverse:
-    """scale * T + shift * I for T = V diag(vals) V^T W (W the quadrature
-    weights, V orthonormal under them).
-
-    Directions outside the retained eigenvectors see the shift alone, so
-    truncated operators invert exactly.
-    """
-
-    __slots__ = ("vecs", "wvecs", "gain", "corr", "inv_shift")
-
-    def __init__(self, vals, vecs, weights, scale, shift):
-        self.vecs = vecs
-        self.wvecs = weights[:, None] * vecs
-        self.gain = scale * vals
-        self.corr = 1.0 / (self.gain + shift) - 1.0 / shift
-        self.inv_shift = 1.0 / shift
-
-    def apply(self, v):
-        return self.vecs @ ((self.wvecs.T @ v) * self.gain)
-
-    def solve(self, b):
-        return self.vecs @ ((self.wvecs.T @ b) * self.corr) + self.inv_shift * b
 
 
 def operator_from_config(cfg: dict, grid: Grid) -> OutputOperator:

@@ -81,8 +81,8 @@ class FitConfig:
             raise ValueError("lambda must be positive and finite")
         if not self.r >= 1:
             raise ValueError("norm exponent must be >= 1")
-        if not self.mkl_tol > 0:
-            raise ValueError("mkl_tol must be positive")
+        if not 0 < self.mkl_tol < math.inf:
+            raise ValueError("mkl_tol must be positive and finite")
         self.mkl_max_iter = as_int("mkl_max_iter", self.mkl_max_iter)
 
 

@@ -171,8 +171,7 @@ def random_fit_problem(rng, duplicated=False):
         ])
     cfg = FitConfig(lam=float(10 ** rng.uniform(-1.5, -0.5)), r=2.0,
                     mkl_tol=1e-7, mkl_max_iter=100,
-                    solve=SolveConfig(outer_tol=1e-11, outer_max_iter=3000,
-                                      inner_tol=1e-12, inner_max_iter=300))
+                    solve=SolveConfig(outer_tol=1e-11, outer_max_iter=3000))
     return stack, X, Y, cfg
 
 

@@ -71,7 +71,7 @@ class TestConfigValidation:
         assert main(["train", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("section,key", [
-        ("fit", "mkl_tol"), ("solver", "outer_tol"), ("solver", "inner_tol"),
+        ("fit", "mkl_tol"), ("solver", "outer_tol"),
     ])
     def test_non_numeric_fit_value_rejected(self, tmp_path, section, key):
         cfg = base_config(tmp_path)
@@ -83,7 +83,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,bad", [
         ("lambda", float("nan")), ("lambda", float("inf")),
         ("lambda", -float("inf")), ("mkl_tol", float("nan")),
-        ("r", float("nan")),
+        ("mkl_tol", float("inf")), ("r", float("nan")),
     ])
     def test_non_finite_fit_value_rejected(self, tmp_path, key, bad):
         cfg = base_config(tmp_path)
@@ -91,9 +91,15 @@ class TestConfigValidation:
         rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_solver_tol_rejected(self, tmp_path, bad):
+        cfg = base_config(tmp_path)
+        cfg["fit"]["solver"] = {"outer_tol": bad}
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+
     @pytest.mark.parametrize("section,key", [
         ("fit", "mkl_max_iter"), ("solver", "outer_max_iter"),
-        ("solver", "inner_max_iter"),
     ])
     def test_float_iteration_cap_rejected(self, tmp_path, section, key):
         cfg = base_config(tmp_path)
@@ -277,8 +283,7 @@ class TestTrain:
         cfg["kernels"] = {"menu": {"gaussian_bandwidth_factors": [0.5, 1.0],
                                    "polynomial_degrees": [1],
                                    "operators": ["identity", "integral"]}}
-        cfg["fit"]["solver"] = {"outer_tol": 1e-14, "outer_max_iter": 1,
-                                "inner_max_iter": 1}
+        cfg["fit"]["solver"] = {"outer_tol": 1e-14, "outer_max_iter": 1}
         cfg["fit"]["lambda"] = 1e-6
         cfg_path = write_config(tmp_path / "c.json", cfg)
         assert main(["train", "--config", cfg_path]) == 4

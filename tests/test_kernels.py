@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from movkl import (
     BlockGram,
@@ -229,6 +230,25 @@ class TestOperators:
         op = IntegralOperator(grid, rank=3.0)
         assert type(op.rank) is int and op.rank == 3
         assert IntegralOperator(grid, rank=9.0).rank is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 200), uneven=st.booleans(), seed=st.integers(0, 2 ** 16))
+    # gaps near both ends of the uneven range
+    @example(m=200, uneven=True, seed=7)
+    @example(m=2, uneven=False, seed=0)
+    def test_precision_inverts_kernel(self, m, uneven, seed):
+        if uneven:
+            gaps = np.random.default_rng(seed).uniform(0.01, 0.5, m - 1)
+            points = np.concatenate([[0.0], np.cumsum(gaps)])
+            grid = Grid.from_points(points)
+        else:
+            grid = Grid.uniform(0.0, 1.0, m)
+        diag, off = IntegralOperator(grid).precision()
+        Q = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        t = grid.points
+        K = np.exp(-np.abs(t[:, None] - t[None, :]))
+        assert np.max(np.abs(Q @ K - np.eye(m))) <= 1e-10
+        assert np.max(np.abs(Q - np.linalg.inv(K))) <= 1e-10 * np.max(np.abs(Q))
 
     def test_shifted_solve_identity(self, rng, grid):
         b = random_curve(rng, grid)

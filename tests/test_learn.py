@@ -44,8 +44,7 @@ from movkl import (
 )
 from conftest import random_curve, random_curve_vec
 
-TIGHT = SolveConfig(outer_tol=1e-11, outer_max_iter=2000,
-                    inner_tol=1e-12, inner_max_iter=400)
+TIGHT = SolveConfig(outer_tol=1e-11, outer_max_iter=2000)
 
 
 def tight_cfg(lam, r=2.0, mkl_tol=1e-8, mkl_max_iter=300):
@@ -381,7 +380,7 @@ class TestMovklFit:
 
     @pytest.mark.parametrize("field,bad", [
         ("lam", math.nan), ("lam", math.inf), ("lam", -math.inf),
-        ("mkl_tol", math.nan), ("r", math.nan),
+        ("mkl_tol", math.nan), ("mkl_tol", math.inf), ("r", math.nan),
     ])
     def test_non_finite_values_rejected(self, field, bad):
         with pytest.raises(ValueError):

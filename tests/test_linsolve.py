@@ -18,11 +18,12 @@ from movkl import (
     SolveConfig,
     SolverError,
     assemble_gram,
+    block_solve,
     dense_solve,
     gauss_seidel_solve,
     kron_solve,
+    median_pairwise_distance,
     solve_route,
-    split_block_solve,
     structured_solve,
     vec_norm,
 )
@@ -255,6 +256,22 @@ class TestGaussSeidel:
         a12, _ = gauss_seidel_solve(gram, 0.3, y1 + y2, cfg)
         assert vec_norm(a12 - (a1 + a2)) <= 1e-8 * max(vec_norm(a12), 1.0)
 
+    def test_small_multiplication_full_integral_matches_dense(self, rng, caplog):
+        # blocks of a small multiplication scale and a large full-rank integral
+        # operator, a mix on which the paper's variable splitting stalls
+        gin = Grid.uniform(0, 1, 30)
+        gout = Grid.uniform(0, 1, 200)
+        X = random_curve_vec(rng, gin, 20)
+        G = GaussianKernel(0.5 * median_pairwise_distance(X)).gram(X)
+        gram = BlockGram([G, G], [MultiplicationOperator(gout), IntegralOperator(gout)],
+                         [0.05, 2.0], gout)
+        y = random_curve_vec(rng, gout, 20)
+        ag, report = gauss_seidel_solve(gram, 1e-3, y, SolveConfig(outer_tol=1e-10))
+        ad, _ = dense_solve(gram, 1e-3, y)
+        assert report.converged
+        assert vec_norm(ag - ad) <= 1e-8 * vec_norm(ad)
+        assert caplog.records == []
+
     def test_cap_without_convergence_reports_false(self, rng):
         gram, y = random_system(rng, 5, 6, 3)
         cfg = SolveConfig(outer_tol=1e-14, outer_max_iter=1)
@@ -268,14 +285,14 @@ class TestSplitBlockSolve:
     def test_single_identity_term(self, rng):
         gout = Grid.uniform(0, 1, 5)
         s = random_curve(rng, gout)
-        u = split_block_solve([(1.0, IdentityOperator(gout))], 1.0, s)
+        u = block_solve([(1.0, IdentityOperator(gout))], 1.0, s)
         assert np.allclose(u.values, s.values / 2.0)
 
     def test_all_zero_scalars(self, rng):
         gout = Grid.uniform(0, 1, 5)
         s = random_curve(rng, gout)
-        u = split_block_solve([(0.0, IntegralOperator(gout)),
-                               (0.0, MultiplicationOperator(gout))], 0.4, s)
+        u = block_solve([(0.0, IntegralOperator(gout)),
+                                 (0.0, MultiplicationOperator(gout))], 0.4, s)
         assert np.allclose(u.values, s.values / 0.4)
 
     def test_two_operators_match_dense(self, rng):
@@ -284,7 +301,7 @@ class TestSplitBlockSolve:
         integ = IntegralOperator(gout)
         terms = [(0.8, mult), (0.5, integ)]
         s = random_curve(rng, gout)
-        u = split_block_solve(terms, 0.05, s)
+        u = block_solve(terms, 0.05, s)
         A = 0.8 * mult.matrix() + 0.5 * integ.matrix() + 0.05 * np.eye(31)
         expected = np.linalg.solve(A, s.values)
         assert np.linalg.norm(u.values - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -295,7 +312,7 @@ class TestSplitBlockSolve:
                (0.7, MultiplicationOperator(gout)),
                (0.3, IntegralOperator(gout, rank=9))]
         s = random_curve(rng, gout)
-        u = split_block_solve(ops, 0.02, s)
+        u = block_solve(ops, 0.02, s)
         A = sum(c * op.matrix() for c, op in ops) + 0.02 * np.eye(17)
         expected = np.linalg.solve(A, s.values)
         assert np.linalg.norm(u.values - expected) <= 1e-7 * np.linalg.norm(expected)
@@ -303,8 +320,8 @@ class TestSplitBlockSolve:
     def test_negative_scalar_rejected(self, rng):
         gout = Grid.uniform(0, 1, 5)
         with pytest.raises(ValueError):
-            split_block_solve([(-0.1, IdentityOperator(gout))], 1.0,
-                              random_curve(rng, gout))
+            block_solve([(-0.1, IdentityOperator(gout))], 1.0,
+                        random_curve(rng, gout))
 
 
 BLOCK_KINDS = ["identity", "multiplication", "integral", "integral_r3", "integral_r5"]
@@ -320,42 +337,50 @@ def block_operator(kind, grid):
 class TestSplitBlockSolveProperty:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        m=st.one_of(st.integers(6, 16), st.integers(65, 72)),
+        m=st.one_of(st.integers(2, 16), st.integers(65, 72), st.integers(150, 200)),
+        uneven=st.booleans(),
         terms=st.lists(
             st.tuples(st.sampled_from(BLOCK_KINDS),
                       st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
-            min_size=1, max_size=4),
+            min_size=1, max_size=5),
         ridge=st.floats(0.01, 1.0),
-        inner_max_iter=st.sampled_from([1, 200]),
         seed=st.integers(0, 2 ** 16),
     )
     # equal but distinct instances, merged into one group
-    @example(m=9, terms=[("multiplication", 0.3), ("multiplication", 0.4),
-                         ("integral_r3", 0.5)], ridge=0.1, inner_max_iter=200, seed=1)
+    @example(m=9, uneven=False, terms=[("multiplication", 0.3), ("multiplication", 0.4),
+                                       ("integral_r3", 0.5)], ridge=0.1, seed=1)
     # zero scales drop out
-    @example(m=8, terms=[("integral", 0.0), ("multiplication", 0.0),
-                         ("integral_r3", 0.6)], ridge=0.2, inner_max_iter=200, seed=2)
+    @example(m=8, uneven=False, terms=[("integral", 0.0), ("multiplication", 0.0),
+                                       ("integral_r3", 0.6)], ridge=0.2, seed=2)
     # identity only: a pure shift
-    @example(m=7, terms=[("identity", 0.7), ("identity", 0.2)], ridge=0.3,
-             inner_max_iter=200, seed=3)
-    # two integral ranks: no closed form, so the splitting iteration runs
-    @example(m=12, terms=[("integral_r3", 0.8), ("integral_r5", 0.6)],
-             ridge=0.05, inner_max_iter=200, seed=4)
-    # full-rank integral with m > 64: the closed form is skipped
-    @example(m=70, terms=[("multiplication", 0.9), ("integral", 0.4)],
-             ridge=0.05, inner_max_iter=200, seed=5)
-    # three operators and one splitting iteration: the dense fallback answers
-    @example(m=10, terms=[("multiplication", 0.9), ("integral_r3", 0.7),
-                          ("integral", 0.5)], ridge=0.02, inner_max_iter=1, seed=6)
-    def test_matches_dense_block(self, m, terms, ridge, inner_max_iter, seed):
-        grid = Grid.uniform(0.0, 1.0, m)
+    @example(m=7, uneven=False, terms=[("identity", 0.7), ("identity", 0.2)],
+             ridge=0.3, seed=3)
+    # two integral ranks share one capacitance system
+    @example(m=12, uneven=True, terms=[("integral_r3", 0.8), ("integral_r5", 0.6)],
+             ridge=0.05, seed=4)
+    # full-rank integral beside multiplication: one tridiagonal solve
+    @example(m=70, uneven=False, terms=[("multiplication", 0.9), ("integral", 0.4)],
+             ridge=0.05, seed=5)
+    # every kind at once on an uneven grid
+    @example(m=200, uneven=True,
+             terms=[("identity", 0.3), ("multiplication", 0.9), ("integral", 0.5),
+                    ("integral_r3", 0.7), ("integral_r5", 0.2)], ridge=0.02, seed=6)
+    # two points: the smallest tridiagonal system
+    @example(m=2, uneven=True, terms=[("multiplication", 0.4), ("integral", 0.6)],
+             ridge=0.05, seed=8)
+    # small multiplication scale, large full-rank integral and a tiny ridge
+    @example(m=200, uneven=False,
+             terms=[("multiplication", 0.05), ("integral", 1.0), ("integral_r5", 0.3)],
+             ridge=1e-3, seed=7)
+    def test_matches_dense_block(self, m, uneven, terms, ridge, seed):
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, m) if uneven else Grid.uniform(0.0, 1.0, m)
         pairs = [(scale, block_operator(kind, grid)) for kind, scale in terms]
-        s = random_curve(np.random.default_rng(seed), grid)
-        cfg = SolveConfig(inner_max_iter=inner_max_iter)
-        u = split_block_solve(pairs, ridge, s, cfg)
+        s = random_curve(rng, grid)
+        u = block_solve(pairs, ridge, s)
         A = sum(c * op.matrix() for c, op in pairs) + ridge * np.eye(m)
         expected = np.linalg.solve(A, s.values)
-        assert np.linalg.norm(u.values - expected) <= 1e-7 * np.linalg.norm(expected)
+        assert np.linalg.norm(u.values - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 STRUCTURED_KINDS = ["identity", "multiplication", "integral_r3", "integral_r5"]
@@ -445,14 +470,17 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             SolveConfig(outer_max_iter=0)
         with pytest.raises(ValueError):
-            SolveConfig(inner_tol=-1.0)
+            SolveConfig(outer_tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            SolveConfig(outer_tol=tol)
 
     @pytest.mark.parametrize("cap", [2.5, "3", float("inf"), True])
     def test_non_integral_caps_rejected(self, cap):
         with pytest.raises(ValueError, match="integer"):
             SolveConfig(outer_max_iter=cap)
-        with pytest.raises(ValueError, match="integer"):
-            SolveConfig(inner_max_iter=cap)
 
     def test_integral_float_cap_becomes_int(self):
         cfg = SolveConfig(outer_max_iter=3.0)
