@@ -30,11 +30,9 @@ operators = [mk.IdentityOperator(grid), mk.MultiplicationOperator(grid),
 pairs = [(mk.block_trace_normalized(s, op, Xtr), op)
          for op in operators for s in scalars]
 
-# coupled mixed-operator systems at small ridges need a generous sweep
-# budget; the defaults are sized for better-conditioned problems
-solve_cfg = mk.SolveConfig(outer_tol=1e-7, outer_max_iter=20000)
-cfg = mk.FitConfig(lam=0.01, r=2.0, mkl_tol=1e-4, mkl_max_iter=30,
-                   solve=solve_cfg)
+# the mixed-operator solves run preconditioned conjugate gradients at the
+# default SolveConfig: relative residual 1e-8, at most 500 steps
+cfg = mk.FitConfig(lam=0.01, r=2.0, mkl_tol=1e-4, mkl_max_iter=30)
 model = mk.movkl_fit(mk.KernelStack.uniform(pairs), Xtr, Ytr, cfg)
 
 print("outer iterations:", model.outer_iterations)

@@ -49,8 +49,7 @@ config = {
                          "polynomial_degrees": [1],
                          "operators": ["identity", "integral"],
                          "integral_rank": 10}},
-    "fit": {"lambda": 0.01, "r": 2,
-             "solver": {"outer_tol": 1e-7, "outer_max_iter": 20000}},
+    "fit": {"lambda": 0.01, "r": 2},
 }
 cfg_path = workdir / "run.json"
 cfg_path.write_text(json.dumps(config, indent=2))

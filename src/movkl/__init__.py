@@ -44,12 +44,10 @@ from .kernels import (
 from .linsolve import (
     SolveConfig,
     SolveReport,
-    block_solve,
     dense_solve,
-    gauss_seidel_solve,
     kron_solve,
+    pcg_solve,
     solve_route,
-    structured_solve,
 )
 from .learn import (
     FitConfig,
@@ -86,8 +84,7 @@ __all__ = [
     "OvKernelTerm", "KernelStack", "BlockGram",
     "assemble_gram", "median_pairwise_distance",
     "SolveConfig", "SolveReport",
-    "dense_solve", "kron_solve", "structured_solve", "solve_route",
-    "gauss_seidel_solve", "block_solve",
+    "dense_solve", "kron_solve", "pcg_solve", "solve_route",
     "FitConfig", "MovklModel",
     "krr_fit", "movkl_fit", "weight_update", "fk_norm_sq",
     "predict", "predict_many", "save_model", "load_model",

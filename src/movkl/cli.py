@@ -49,13 +49,7 @@ from .kernels import (
     scalar_kernel_from_config,
 )
 from .learn import FitConfig, load_model, movkl_fit, predict_many, save_model
-from .linsolve import (
-    SolveConfig,
-    dense_solve,
-    gauss_seidel_solve,
-    kron_solve,
-    structured_solve,
-)
+from .linsolve import SolveConfig, dense_solve, kron_solve, pcg_solve
 
 CONFIG_VERSION = 1
 
@@ -234,13 +228,17 @@ def _fit_config(config: dict, lam=None) -> FitConfig:
             raise ConfigError("config needs fit.lambda")
     # only the keys the config sets; the dataclasses hold the defaults
     stopping = {k: section[k] for k in ("mkl_tol", "mkl_max_iter") if k in section}
+    solve = _solve_config(config)
     try:
-        return FitConfig(
-            lam=float(lam),
-            r=_fit_r(config),
-            solve=SolveConfig(**section.get("solver", {})),
-            **stopping,
-        )
+        return FitConfig(lam=float(lam), r=_fit_r(config), solve=solve, **stopping)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad fit config: {exc}")
+
+
+def _solve_config(config: dict) -> SolveConfig:
+    """The stopping rule of conjugate-gradient solves, from fit.solver."""
+    try:
+        return SolveConfig(**config.get("fit", {}).get("solver", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config: {exc}")
 
@@ -418,6 +416,7 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     instances = config.get("bench", {}).get("instances", 10)
+    solve_cfg = _solve_config(config)
     rng = np.random.default_rng(config.get("seed", 0))
     rows = []
     for idx in range(instances):
@@ -431,9 +430,8 @@ def cmd_bench(args) -> int:
                      ref_report.final_residual, int(ref_report.converged),
                      0.0, t_dense])
         solvers = [
-            ("gauss_seidel", lambda: gauss_seidel_solve(gram, ridge, Y)),
             ("kron", lambda: kron_solve(gram, ridge, Y)),
-            ("structured", lambda: structured_solve(gram, ridge, Y)),
+            ("pcg", lambda: pcg_solve(gram, ridge, Y, solve_cfg)),
         ]
         for name, run in solvers:
             t0 = time.perf_counter()

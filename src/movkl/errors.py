@@ -10,7 +10,7 @@ class DimensionError(MovklError, ValueError):
 
 
 class CapacityError(MovklError, ValueError):
-    """A dense or capacitance solve would exceed its size guard."""
+    """A dense solve would exceed its size guard."""
 
 
 class ConfigError(MovklError, ValueError):

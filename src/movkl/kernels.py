@@ -18,10 +18,12 @@ positive semidefinite with respect to the quadrature inner product.  Three
 kinds are provided: the identity, pointwise multiplication by exp(-t^2),
 and the integral operator with kernel exp(-|t - s|) (optionally truncated
 to its leading eigenfunctions, which is the rank tuned by cross-validation).
-The first two are diagonal on the grid; a truncated integral operator is
-low-rank, and the full one has a kernel matrix whose inverse is tridiagonal
-(:meth:`IntegralOperator.precision`).  Every operator solves its shifted
-system (scale * T + c * I) u = b from its spectrum.
+The first two are diagonal on the grid and a truncated integral operator is
+low-rank.  Every operator gives its quadrature-orthonormal eigenbasis
+(:meth:`OutputOperator.full_basis`), from which it solves its shifted system
+(scale * T + c * I) u = b, and its mean eigenvalue, which sets the scale of
+trace normalization and of the operators folded into the solver's
+preconditioner of :func:`movkl.linsolve.pcg_solve`.
 """
 
 from __future__ import annotations
@@ -233,9 +235,7 @@ def block_trace_normalized(kernel: ScalarKernel, operator, xs: CurveVec) -> Scal
     """
     sq = CurveStats(xs).sq_norms  # the pairs (x_i, x_i), in O(n m)
     gram_scale = float(kernel.evaluate(sq, np.zeros_like(sq)).mean())
-    vals, _ = operator.full_basis()
-    op_scale = float(vals.sum()) / vals.size
-    scale = gram_scale * op_scale
+    scale = gram_scale * operator.mean_eigenvalue()
     if scale <= 0:
         return kernel
     return ScaledKernel(kernel, 1.0 / scale)
@@ -296,6 +296,12 @@ class OutputOperator:
         """All m eigenpairs of the operator's action (zeros filled in for
         directions a truncated operator annihilates)."""
         raise NotImplementedError
+
+    def mean_eigenvalue(self) -> float:
+        """Mean of the m eigenvalues of :meth:`full_basis`: 1 for the
+        identity, the mean of the diagonal for multiplication."""
+        vals, _ = self.full_basis()
+        return float(vals.sum()) / vals.size
 
     def shifted_solve(self, c: float, scale: float, b: Curve) -> Curve:
         """Solve (scale * T + c * I) u = b through the spectrum.
@@ -458,27 +464,6 @@ class IntegralOperator(OutputOperator):
         if self.rank is not None:
             vals[self.rank:] = 0.0
         return vals, vecs.copy()
-
-    def precision(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal (m,) and off-diagonal (m - 1,) of Q = K^-1 for the kernel
-        matrix K_jl = exp(-|t_j - t_l|) on the grid points, before weights
-        and truncation.
-
-        K is the covariance of an Ornstein-Uhlenbeck process, which is
-        Markov, so Q is tridiagonal in closed form: with e_j the kernel
-        between neighbours t_j and t_j+1, Q_j,j+1 = -e_j / (1 - e_j^2) and
-        Q_jj = 1 + e_j-1^2 / (1 - e_j-1^2) + e_j^2 / (1 - e_j^2), leaving out
-        the terms past either end of the grid (Rybicki & Press, Phys. Rev.
-        Lett. 74, 1995).
-        """
-        gaps = np.diff(self.grid.points)
-        e = np.exp(-gaps)
-        denom = -np.expm1(-2.0 * gaps)  # 1 - e^2 without cancellation
-        ratio = e * e / denom
-        diag = np.ones(self.grid.size)
-        diag[:-1] += ratio
-        diag[1:] += ratio
-        return diag, -e / denom
 
     def matrix(self):
         if self.rank is None:
@@ -671,10 +656,6 @@ class BlockGram:
             raise IndexError(f"term index {k} out of range")
         B = self.operators[k].apply_rows(self.scalar_grams[k] @ A)
         return float(np.sum((B * A) @ self.grid.weights))
-
-    def diag_scalar_groups(self, i: int):
-        """Merged (operator, sum_k d_k G_k[i, i]) pairs for diagonal block i."""
-        return [(op, float(gmat[i, i])) for op, gmat in self._groups]
 
     def densify(self) -> np.ndarray:
         """Explicit (n*m) x (n*m) matrix; testing escape hatch."""

@@ -8,7 +8,10 @@ objective
 
     sum_k ||f_k||^2 / (2 d_k) + ||y - f(x)||^2 / (2 lambda)
 
-whose value is non-increasing across iterations.  At the solution the
+whose value is non-increasing across iterations.  A stack whose terms
+share one output operator is solved by eigendecomposition; any other by
+preconditioned conjugate gradients, warm-started from the previous round's
+dual curves (:mod:`movkl.linsolve`).  At the solution the
 stationarity identity lambda * alpha_i = y_i - f(x_i) holds, which the
 tests use as an end-to-end consistency check.
 """
@@ -32,13 +35,7 @@ from .kernels import (
     operator_from_config,
     scalar_kernel_from_config,
 )
-from .linsolve import (
-    SolveConfig,
-    gauss_seidel_solve,
-    kron_solve,
-    solve_route,
-    structured_solve,
-)
+from .linsolve import SolveConfig, kron_solve, pcg_solve, solve_route
 
 __all__ = [
     "FitConfig",
@@ -295,12 +292,10 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     Weights start uniform at 1/M.  Each round rebuilds the weighted block
     Gram, solves (K + lambda*I) alpha = y by the route
     :func:`movkl.linsolve.solve_route` picks (eigendecomposition when every
-    term shares one operator; the exact structured solve for identity,
-    multiplication and truncated integral operators, accepted when its
-    residual meets ``outer_tol`` and otherwise the warm start of
-    Gauss-Seidel; Gauss-Seidel warm-started from the previous alpha for any
-    other mix), and stops once the dual curves move less than ``mkl_tol``
-    in the quadrature norm.  With a finite norm exponent
+    term shares one operator; otherwise preconditioned conjugate gradients,
+    warm-started from the previous alpha, which raise ``SolverError`` when
+    they miss ``outer_tol`` within ``outer_max_iter`` steps), and stops
+    once the dual curves move less than ``mkl_tol`` in the quadrature norm.  With a finite norm exponent
     and several terms the weights are then refreshed from the component
     norms; otherwise they cannot change and the first solve is final.  The
     weights are never refreshed after the last allowed round, so the
@@ -332,17 +327,17 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     outer = 0
     for outer in range(1, cfg.mkl_max_iter + 1):
         gram = base.with_weights(d)
-        alpha_new, report, route = _ridge_solve(gram, targets, alpha, cfg)
-        if report.solver_kind == "gauss_seidel" and not report.converged:
+        alpha_new, report = _ridge_solve(gram, targets, alpha, cfg)
+        if report.solver_kind == "pcg" and not report.converged:
             err = SolverError(
-                "Gauss-Seidel solve did not converge "
+                "conjugate-gradient solve did not converge "
                 f"(residual {report.final_residual:.3e} after "
-                f"{report.iterations} sweeps)"
+                f"{report.iterations} iterations)"
             )
             err.trace = trace
             raise err
         solver_iters.append(report.iterations)
-        routes.append(route)
+        routes.append(report.solver_kind)
         residuals.append(float(report.final_residual))
         obj, quads = _objective(gram, alpha_new.values, targets.values, cfg.lam)
         trace.append(obj)
@@ -368,18 +363,11 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
 
 def _ridge_solve(gram: BlockGram, targets: CurveVec, warm: CurveVec,
                  cfg: FitConfig):
-    """Solve (K + lambda*I) alpha = y; returns alpha, report and route."""
-    route = solve_route(gram)
-    if route == "kron":
-        alpha, report = kron_solve(gram, cfg.lam, targets)
-        return alpha, report, route
-    if route == "structured":
-        alpha, report = structured_solve(gram, cfg.lam, targets)
-        if report.final_residual <= cfg.solve.outer_tol:
-            return alpha, report, route
-        warm, route = alpha, "structured+gauss_seidel"
-    alpha, report = gauss_seidel_solve(gram, cfg.lam, targets, cfg.solve, warm=warm)
-    return alpha, report, route
+    """Solve (K + lambda*I) alpha = y by the route of ``solve_route``; the
+    report's ``solver_kind`` names the route."""
+    if solve_route(gram) == "kron":
+        return kron_solve(gram, cfg.lam, targets)
+    return pcg_solve(gram, cfg.lam, targets, cfg.solve, warm=warm)
 
 
 def predict(model: MovklModel, x_new: Curve) -> Curve:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from movkl import (
     BlockGram,
@@ -231,24 +230,14 @@ class TestOperators:
         assert type(op.rank) is int and op.rank == 3
         assert IntegralOperator(grid, rank=9.0).rank is None
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(m=st.integers(2, 200), uneven=st.booleans(), seed=st.integers(0, 2 ** 16))
-    # gaps near both ends of the uneven range
-    @example(m=200, uneven=True, seed=7)
-    @example(m=2, uneven=False, seed=0)
-    def test_precision_inverts_kernel(self, m, uneven, seed):
-        if uneven:
-            gaps = np.random.default_rng(seed).uniform(0.01, 0.5, m - 1)
-            points = np.concatenate([[0.0], np.cumsum(gaps)])
-            grid = Grid.from_points(points)
-        else:
-            grid = Grid.uniform(0.0, 1.0, m)
-        diag, off = IntegralOperator(grid).precision()
-        Q = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        t = grid.points
-        K = np.exp(-np.abs(t[:, None] - t[None, :]))
-        assert np.max(np.abs(Q @ K - np.eye(m))) <= 1e-10
-        assert np.max(np.abs(Q - np.linalg.inv(K))) <= 1e-10 * np.max(np.abs(Q))
+    @pytest.mark.parametrize("rank", [None, 3])
+    def test_mean_eigenvalue(self, grid, rank):
+        assert IdentityOperator(grid).mean_eigenvalue() == pytest.approx(1.0)
+        mult = MultiplicationOperator(grid)
+        assert mult.mean_eigenvalue() == pytest.approx(mult.diag.mean())
+        integ = IntegralOperator(grid, rank=rank)
+        expected = np.trace(integ.matrix()) / grid.size
+        assert integ.mean_eigenvalue() == pytest.approx(expected, rel=1e-10)
 
     def test_shifted_solve_identity(self, rng, grid):
         b = random_curve(rng, grid)

@@ -396,90 +396,92 @@ class TestMovklFit:
             movkl_fit(stack, X, bad_Y, tight_cfg(0.1))
 
 
-def failing_structured_solve(*args):
-    raise AssertionError("structured_solve must not be reached")
-
-
 class TestSolveRouting:
-    def test_full_rank_integral_goes_to_gauss_seidel(self, rng, monkeypatch):
+    def test_full_rank_integral_goes_to_pcg(self, rng):
         X, Y = small_problem(rng, n=5)
         stack = KernelStack.uniform(
             [(GaussianKernel(1.0), MultiplicationOperator(Y.grid)),
              (PolynomialKernel(1), IntegralOperator(Y.grid))])
-        monkeypatch.setattr(movkl.learn, "structured_solve",
-                            failing_structured_solve)
         model = movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
-        assert model.solver_routes == ["gauss_seidel"] * model.outer_iterations
+        assert model.solver_routes == ["pcg"] * model.outer_iterations
+        assert all(0.0 <= v <= TIGHT.outer_tol for v in model.solver_residuals)
 
-    def test_over_guard_capacitance_goes_to_gauss_seidel(self, rng, monkeypatch):
-        # n*Q = 85 * 59 exceeds the 5,000 guard of the capacitance system
+    def test_old_capacitance_guard_case_goes_to_pcg(self, rng):
+        # n*Q = 85 * 59 exceeded the 5,000 guard of the deleted capacitance
+        # solve; CG has no guard
         X, Y = small_problem(rng, n=85, m_in=8, m_out=60)
         stack = KernelStack.uniform(
             [(GaussianKernel(0.05), IdentityOperator(Y.grid)),
              (GaussianKernel(0.05), IntegralOperator(Y.grid, rank=59))],
             norm_exponent=math.inf)
-        monkeypatch.setattr(movkl.learn, "structured_solve",
-                            failing_structured_solve)
         model = movkl_fit(stack, X, Y, tight_cfg(1.0, r=math.inf))
-        assert model.solver_routes == ["gauss_seidel"]
+        assert model.solver_routes == ["pcg"]
+        assert model.solver_residuals[0] <= TIGHT.outer_tol
 
-    def test_loose_structured_answer_warm_starts_gauss_seidel(self, rng,
-                                                              monkeypatch):
+    def test_pcg_warm_starts_from_previous_alpha(self, rng, monkeypatch):
         X, Y = small_problem(rng, n=6)
         stack = KernelStack.uniform(
             [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
              (PolynomialKernel(2), MultiplicationOperator(Y.grid)),
              (GaussianKernel(0.5), IntegralOperator(Y.grid, rank=3))])
-        exact = movkl.learn.structured_solve
+        exact = movkl.learn.pcg_solve
+        calls = []
 
-        def loose(gram, ridge, y):
-            alpha, report = exact(gram, ridge, y)
-            alpha = CurveVec(alpha.grid, alpha.values * (1.0 + 1e-3))
-            report.final_residual = 1e-3
+        def recording(gram, ridge, y, cfg, warm):
+            alpha, report = exact(gram, ridge, y, cfg, warm=warm)
+            calls.append((warm, alpha))
             return alpha, report
 
-        monkeypatch.setattr(movkl.learn, "structured_solve", loose)
-        cfg = tight_cfg(0.1, mkl_tol=1e-6)
-        model = movkl_fit(stack, X, Y, cfg)
-        assert set(model.solver_routes) == {"structured+gauss_seidel"}
-        gram = assemble_gram(model.stack, X)
-        resid = Y - gram.apply(model.alpha) - cfg.lam * model.alpha
-        assert vec_norm(resid) <= cfg.solve.outer_tol * vec_norm(Y)
-        # the recorded residual is Gauss-Seidel's, not the refused 1e-3
-        assert len(model.solver_residuals) == model.outer_iterations
-        assert all(0.0 <= v <= cfg.solve.outer_tol for v in model.solver_residuals)
+        monkeypatch.setattr(movkl.learn, "pcg_solve", recording)
+        model = movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
+        assert model.outer_iterations == len(calls) > 2
+        assert np.all(calls[0][0].values == 0.0)
+        for (_, previous), (warm, _) in zip(calls, calls[1:]):
+            assert warm is previous
+        assert calls[-1][1] is model.alpha
 
     def test_residuals_are_the_solve_reports(self, rng, monkeypatch):
         X, Y = small_problem(rng, n=6)
         stack = KernelStack.uniform(
             [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
              (GaussianKernel(0.5), IntegralOperator(Y.grid, rank=3))])
-        exact = movkl.learn.structured_solve
+        exact = movkl.learn.pcg_solve
         reported = []
 
-        def recording(gram, ridge, y):
-            alpha, report = exact(gram, ridge, y)
+        def recording(*args, **kwargs):
+            alpha, report = exact(*args, **kwargs)
             reported.append(report.final_residual)
             return alpha, report
 
-        monkeypatch.setattr(movkl.learn, "structured_solve", recording)
+        monkeypatch.setattr(movkl.learn, "pcg_solve", recording)
         model = movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
         assert model.outer_iterations > 1
         assert model.solver_residuals == reported
         assert all(v > 0.0 for v in reported)
 
-    def test_unconverged_gauss_seidel_after_structured_raises(self, rng,
-                                                              monkeypatch):
+    def test_unconverged_pcg_raises_with_trace(self, rng, monkeypatch):
         X, Y = small_problem(rng, n=6)
         stack = KernelStack.uniform(
             [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
+             (PolynomialKernel(2), MultiplicationOperator(Y.grid)),
              (GaussianKernel(0.5), IntegralOperator(Y.grid, rank=3))])
-        # a residual floor no solver reaches: the structured answer is
-        # refused and Gauss-Seidel stops at its sweep cap
-        cfg = FitConfig(lam=0.1, solve=SolveConfig(outer_tol=1e-300,
-                                                   outer_max_iter=3))
-        with pytest.raises(SolverError, match="did not converge"):
-            movkl_fit(stack, X, Y, cfg)
+        exact = movkl.learn.pcg_solve
+        calls = []
+
+        def third_capped(gram, ridge, y, cfg, warm):
+            # the third solve may take one step toward an unreachable floor
+            calls.append(None)
+            if len(calls) == 3:
+                cfg = SolveConfig(outer_tol=1e-300, outer_max_iter=1)
+            return exact(gram, ridge, y, cfg, warm=warm)
+
+        monkeypatch.setattr(movkl.learn, "pcg_solve", third_capped)
+        with pytest.raises(SolverError, match="did not converge") as err:
+            movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
+        assert "after 1 iterations" in str(err.value)
+        # the objectives of the two finished rounds, non-increasing
+        trace = err.value.trace
+        assert len(trace) == 2 and trace[1] <= trace[0]
 
 
 def readme_quick_start() -> str:
@@ -495,7 +497,7 @@ class TestReadmeQuickStart:
         scope = {}
         exec(compile(code, "README.md", "exec"), scope)
         model = scope["model"]
-        assert model.solver_routes == ["structured"] * model.outer_iterations
+        assert model.solver_routes == ["pcg"] * model.outer_iterations
         assert np.sum(model.weights ** 2) == pytest.approx(1.0)
         assert scope["pred"].values.shape == (80,)
 
@@ -935,7 +937,7 @@ class TestModelArchive:
         assert np.array_equal(loaded.input_grid.points, model.input_grid.points)
         assert loaded.lam == model.lam
         assert loaded.objective_trace == model.objective_trace
-        assert model.solver_routes == ["structured"] * model.outer_iterations
+        assert model.solver_routes == ["pcg"] * model.outer_iterations
         assert loaded.solver_routes == model.solver_routes
         assert len(model.solver_residuals) == model.outer_iterations
         assert all(0.0 <= v <= TIGHT.outer_tol for v in model.solver_residuals)
@@ -1009,7 +1011,7 @@ class TestModelArchive:
             train_inputs=CurveVec(gin, inputs), lam=0.1,
             objective_trace=[1.0], outer_iterations=len(residuals),
             solver_iterations=[1] * len(residuals),
-            solver_routes=["structured"] * len(residuals),
+            solver_routes=["pcg"] * len(residuals),
             solver_residuals=residuals)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
