@@ -129,7 +129,8 @@ def _normalize_inputs(ds: CurveDataset) -> CurveDataset:
     norms = np.sqrt(CurveStats(ds.inputs).sq_norms)
     norms = np.where(norms > 0, norms, 1.0)
     return CurveDataset(
-        inputs=CurveVec(ds.input_grid, ds.inputs.values / norms[:, None]),
+        # the quotient is a new array that nothing else holds
+        inputs=CurveVec(ds.input_grid, ds.inputs.values / norms[:, None], copy=False),
         targets=ds.targets,
         labels=ds.labels,
     )

@@ -19,6 +19,13 @@ Datasets are stored as line-oriented text: a small header (size, label
 flag and both grids) followed by one ``input=``/``target=`` (and optional
 ``label=``) record per sample.  Floats are rendered with 17 significant
 digits, so a write/read round-trip reproduces values bit-exactly.
+
+Each dataset array is built once.  The generator and the reader fill
+their ``(n, m)`` arrays in place and hand them to :class:`CurveVec`
+without a copy, the label check runs over blocks of rows, and files are
+written and read one line at a time.  Generating, saving or loading a
+dataset therefore peaks at about the size of its arrays, plus one block
+or one line of work.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ __all__ = [
 FORMAT_TAG = "movkl-dataset v1"
 CHANNEL_GAP = 0.25
 
+# Rows per block of numeric work: large enough to amortize numpy call
+# overhead, small enough that a block's temporaries stay well under a MB
+# each on the desk task's 200-point grid.
+_BLOCK = 256
+
 
 @dataclass
 class CurveDataset:
@@ -65,8 +77,10 @@ class CurveDataset:
             if self.labels.grid != self.targets.grid:
                 raise DimensionError("labels must live on the output grid")
             vals = self.labels.values
-            if np.any(np.minimum(np.abs(vals), np.abs(vals - 1.0)) > 1e-9):
-                raise DataError("label curves must be {0, 1}-valued")
+            for lo in range(0, vals.shape[0], _BLOCK):
+                block = vals[lo:lo + _BLOCK]
+                if np.any(np.minimum(np.abs(block), np.abs(block - 1.0)) > 1e-9):
+                    raise DataError("label curves must be {0, 1}-valued")
 
     @property
     def n(self) -> int:
@@ -122,11 +136,6 @@ def stacked_channel_grid(grid_size: int, channels: int) -> Grid:
     return Grid(points, weights)
 
 
-# Samples per block of numeric work: large enough to amortize numpy call
-# overhead, small enough that the (block, 7, m) sinusoid temporaries stay
-# a few MB on the desk task's 200-point grid.
-_BLOCK = 256
-
 # Each sample's 21 uniform draws, in the definition's order: 4 slow and 3
 # fast frequencies, 4 slow and 3 fast amplitudes, 7 phases.  Scaled as
 # ``lo + (hi - lo) * u``, which is how ``Generator.uniform`` maps its draws.
@@ -171,12 +180,15 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         draws = np.empty((hi - lo, _DRAW_LO.size))
-        # the definition adds a zero noise too, which turns -0.0 into 0.0
-        noise = np.zeros((hi - lo, channels * m))
+        # each input row starts as its noise and the filtered channels are
+        # added to it; the definition adds a zero noise too, which turns
+        # -0.0 into 0.0
+        block = inputs[lo:hi]
+        block.fill(0.0)
         for i in range(hi - lo):
             draws[i] = rng.random(_DRAW_LO.size)
             if spec.noise_std > 0:
-                noise[i] = rng.normal(0.0, spec.noise_std, channels * m)
+                block[i] = rng.normal(0.0, spec.noise_std, channels * m)
         params = _DRAW_LO + _DRAW_SPAN * draws
         freqs = params[:, :_COMPONENTS, None]
         amps = params[:, _COMPONENTS:2 * _COMPONENTS, None]
@@ -193,25 +205,25 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
                 filtered = gains[c] * (filtered - filtered.mean(axis=1, keepdims=True))
             else:
                 filtered = delayed
-            cols = slice(c * m, (c + 1) * m)
-            inputs[lo:hi, cols] = filtered + noise[:, cols]
+            block[:, c * m:(c + 1) * m] += filtered
 
     in_grid = stacked_channel_grid(m, channels)
     return CurveDataset(
-        inputs=CurveVec(in_grid, inputs),
-        targets=CurveVec(out_grid, targets),
-        labels=CurveVec(out_grid, labels),
+        inputs=CurveVec(in_grid, inputs, copy=False),
+        targets=CurveVec(out_grid, targets, copy=False),
+        labels=CurveVec(out_grid, labels, copy=False),
     )
 
 
 def _amplitude(freqs, amps, phases, u: np.ndarray) -> np.ndarray:
     """Rectified sinusoid sums of a block, one row per sample.  The
-    components are added one after another, in draw order, as the
-    per-sample sum over a (7, m) array does."""
-    waves = amps * np.sin(2.0 * np.pi * freqs * u + phases)
-    total = waves[:, 0]
-    for k in range(1, _COMPONENTS):
-        total = total + waves[:, k]
+    components are computed and added one after another, in draw order, as
+    the per-sample sum over a (7, m) array adds them; only (block, m)
+    temporaries are live at a time."""
+    total = None
+    for k in range(_COMPONENTS):
+        wave = amps[:, k] * np.sin(2.0 * np.pi * freqs[:, k] * u + phases[:, k])
+        total = wave if total is None else total + wave
     return np.maximum(total, 0.0)
 
 
@@ -250,8 +262,9 @@ def _format_row(row: np.ndarray) -> str:
 
 
 def save_dataset(path, ds: CurveDataset) -> None:
-    """Write the line-oriented text format (17 significant digits)."""
-    lines = [
+    """Write the line-oriented text format (17 significant digits), one
+    line at a time."""
+    header = [
         FORMAT_TAG,
         f"n={ds.n}",
         f"has_labels={int(ds.labels is not None)}",
@@ -260,27 +273,62 @@ def save_dataset(path, ds: CurveDataset) -> None:
         "output_grid_points=" + _format_row(ds.output_grid.points),
         "output_grid_weights=" + _format_row(ds.output_grid.weights),
     ]
-    for i in range(ds.n):
-        lines.append("input=" + _format_row(ds.inputs.values[i]))
-        lines.append("target=" + _format_row(ds.targets.values[i]))
-        if ds.labels is not None:
-            lines.append("label=" + _format_row(ds.labels.values[i]))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for i in range(ds.n):
+            fh.write("input=" + _format_row(ds.inputs.values[i]) + "\n")
+            fh.write("target=" + _format_row(ds.targets.values[i]) + "\n")
+            if ds.labels is not None:
+                fh.write("label=" + _format_row(ds.labels.values[i]) + "\n")
+
+
+def _unreadable(where: str, exc: OSError | UnicodeDecodeError) -> DataError:
+    """The error for a file that cannot be opened, read or decoded."""
+    if isinstance(exc, UnicodeDecodeError):
+        bad = exc.object[exc.start]
+        return DataError(f"{where}: not UTF-8 text: byte 0x{bad:02x}: {exc.reason}")
+    return DataError(f"{where}: cannot read: {exc.strerror or exc}")
+
+
+def _open(path, mode: str, encoding: str | None = None):
+    try:
+        return open(path, mode, encoding=encoding)
+    except OSError as exc:
+        raise _unreadable(str(path), exc) from None
 
 
 class _Reader:
-    def __init__(self, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
+    """The lines of an open binary dataset file, read one at a time.
+
+    ``pos`` counts the lines read so far, so it is the 1-based number of
+    the last line read.  A binary line ends at b"\\n", which no multi-byte
+    UTF-8 character contains, so splitting each decoded line again yields
+    exactly the lines of ``str.splitlines()`` on the whole text, including
+    its other separators (\\r, \\x0b, \\x85, \\u2028, ...).
+    """
+
+    def __init__(self, path, fh):
         self.path = path
+        self.pos = 0
+        self._lines = (part for raw in fh for part in self._decode(raw).splitlines())
+
+    def _decode(self, raw: bytes) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _unreadable(f"{self.path}:{self.pos + 1}", exc) from None
+
+    def next_line(self) -> str | None:
+        """The next line, or None at the end of the file."""
+        line = next(self._lines, None)
+        if line is not None:
+            self.pos += 1
+        return line
 
     def next_field(self, key: str) -> str:
-        if self.pos >= len(self.lines):
+        line = self.next_line()
+        if line is None:
             raise DataError(f"{self.path}: unexpected end of file, wanted '{key}='")
-        line = self.lines[self.pos]
-        self.pos += 1
         prefix = key + "="
         if not line.startswith(prefix):
             raise DataError(
@@ -304,11 +352,22 @@ class _Reader:
 
 
 def load_dataset(path) -> CurveDataset:
-    """Read and fully validate the text format written by save_dataset."""
-    r = _Reader(path)
-    if r.pos >= len(r.lines) or r.lines[0] != FORMAT_TAG:
+    """Read and fully validate the text format written by save_dataset.
+
+    The file is streamed; an unreadable or non-UTF-8 file raises
+    ``DataError`` like any other malformed one.
+    """
+    with _open(path, "rb") as fh:
+        try:
+            return _read_dataset(_Reader(path, fh))
+        except OSError as exc:
+            raise _unreadable(str(path), exc) from None
+
+
+def _read_dataset(r: _Reader) -> CurveDataset:
+    path = r.path
+    if r.next_line() != FORMAT_TAG:
         raise DataError(f"{path}: not a '{FORMAT_TAG}' file")
-    r.pos = 1
     try:
         n = int(r.next_field("n"))
         has_labels = int(r.next_field("has_labels"))
@@ -332,12 +391,12 @@ def load_dataset(path) -> CurveDataset:
         targets[i] = _record(r, "target", out_grid.size, i)
         if has_labels:
             labels[i] = _record(r, "label", out_grid.size, i)
-    if r.pos != len(r.lines):
-        raise DataError(f"{path}:{r.pos + 1}: trailing content after {n} records")
+    if r.next_line() is not None:
+        raise DataError(f"{path}:{r.pos}: trailing content after {n} records")
     return CurveDataset(
-        inputs=CurveVec(in_grid, inputs),
-        targets=CurveVec(out_grid, targets),
-        labels=None if labels is None else CurveVec(out_grid, labels),
+        inputs=CurveVec(in_grid, inputs, copy=False),
+        targets=CurveVec(out_grid, targets, copy=False),
+        labels=None if labels is None else CurveVec(out_grid, labels, copy=False),
     )
 
 
@@ -366,26 +425,33 @@ def load_feature_csv(path, channels: int, input_len: int, output_len: int,
     """
     expected = channels * input_len + output_len * (2 if has_labels else 1)
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                # one call; numpy converts each token with float()
-                row = np.array(line.split(","), dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad number: {exc}")
-            if row.size != expected:
-                raise DataError(
-                    f"{path}:{lineno}: row has {row.size} values, expected {expected}"
-                )
-            if not np.all(np.isfinite(row)):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            rows.append(row)
+    with _open(path, "r", "utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    # one call; numpy converts each token with float()
+                    row = np.array(line.split(","), dtype=np.float64)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad number: {exc}")
+                if row.size != expected:
+                    raise DataError(
+                        f"{path}:{lineno}: row has {row.size} values, expected {expected}"
+                    )
+                if not np.all(np.isfinite(row)):
+                    raise DataError(f"{path}:{lineno}: non-finite value")
+                rows.append(row)
+        except (OSError, UnicodeDecodeError) as exc:
+            # text is decoded a chunk ahead of the lines, so no line number
+            raise _unreadable(str(path), exc) from None
     if not rows:
         raise DataError(f"{path}: no data rows")
+    # np.stack builds a new array that nothing else holds; once frozen, its
+    # column blocks are shared by the curve vectors below, not copied
     table = np.stack(rows)
+    table.setflags(write=False)
     in_len = channels * input_len
     in_grid = stacked_channel_grid(input_len, channels)
     out_grid = Grid.uniform(0.0, 1.0, output_len)

@@ -32,10 +32,29 @@ __all__ = [
 
 
 def _readonly(a, copy: bool = True) -> np.ndarray:
-    # copy=False takes a float64 array as it is, or raises ValueError
+    # copy=False takes a float64 array as it is, or raises ValueError;
+    # a frozen float64 array is shared either way (Curve's sharing rule)
+    if copy and _frozen(a):
+        return a
     out = np.array(a, dtype=float, copy=copy)
     out.setflags(write=False)
     return out
+
+
+def _frozen(a) -> bool:
+    """True for a float64 ndarray that nothing can write through: it and
+    every ndarray in its ``.base`` chain are read-only, and the chain ends
+    in an array that owns its memory rather than in a foreign buffer such
+    as bytes or an mmap."""
+    if type(a) is not np.ndarray or a.dtype != np.float64:
+        return False
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return False
 
 
 _TOO_FEW_POINTS = "a grid needs at least 2 points"
@@ -144,6 +163,14 @@ class Curve:
 
     Values are stored read-only; operations that derive new curves return
     new instances, so curves can be shared freely across solver iterations.
+
+    Sharing rule: a float64 array that nothing can write through is shared,
+    not copied.  That is an array which, like every ndarray in its ``.base``
+    chain, is read-only, for example a slice of another curve's or curve
+    vector's values.  Every other input is copied: a writeable array, a
+    read-only view of a writeable array, or an array over a buffer that is
+    not an ndarray (bytes, mmap).  Shared values are validated as usual.
+
     With ``copy=False`` a fresh float64 array is taken over instead of
     copied: it is made read-only in place and validated as usual, and its
     creator must not write to it again.
@@ -188,7 +215,10 @@ class Curve:
 class CurveVec:
     """A stack of n curves sharing one grid, stored as an (n, m) array.
 
-    ``copy=False`` takes over a fresh float64 array as :class:`Curve` does.
+    Values follow :class:`Curve`'s sharing rule, so the train/test idiom
+    ``CurveVec(grid, ds.inputs.values[a:b])`` is zero-copy: the slice is a
+    read-only view of read-only values.  ``copy=False`` takes over a fresh
+    float64 array as :class:`Curve` does.
     """
 
     __slots__ = ("grid", "values")
@@ -215,7 +245,8 @@ class CurveVec:
         for c in curves[1:]:
             if c.grid != grid:
                 raise DimensionError("all curves in a vector must share one grid")
-        return cls(grid, np.stack([c.values for c in curves]))
+        # np.stack builds a new array that nothing else holds
+        return cls(grid, np.stack([c.values for c in curves]), copy=False)
 
     @classmethod
     def zero(cls, grid: Grid, n: int) -> "CurveVec":

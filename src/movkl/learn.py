@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateModelError, DimensionError, SolverError
+from .errors import DataError, DegenerateModelError, DimensionError, SolverError
 from .funcspace import Curve, CurveVec, Grid, as_int, vec_norm
 from .kernels import (
     BlockGram,
@@ -444,10 +444,10 @@ def model_to_doc(model: MovklModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> MovklModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError("not a model archive")
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        raise DataError("not a model archive")
     if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model archive version {doc.get('version')!r}")
+        raise DataError(f"unsupported model archive version {doc.get('version')!r}")
     in_grid = _grid_from_doc(doc["input_grid"])
     out_grid = _grid_from_doc(doc["output_grid"])
     r = doc["norm_exponent"]
@@ -463,10 +463,12 @@ def model_from_doc(doc: dict) -> MovklModel:
         )
     stack = KernelStack(terms, norm_exponent=r)
     return MovklModel(
-        alpha=CurveVec(out_grid, np.array(doc["alpha"])),
+        # np.array of a JSON list is a new array that nothing else holds
+        alpha=CurveVec(out_grid, np.array(doc["alpha"], dtype=float), copy=False),
         weights=np.array([t.weight for t in terms]),
         stack=stack,
-        train_inputs=CurveVec(in_grid, np.array(doc["train_inputs"])),
+        train_inputs=CurveVec(in_grid, np.array(doc["train_inputs"], dtype=float),
+                              copy=False),
         lam=float(doc["lambda"]),
         objective_trace=[float(v) for v in doc["objective_trace"]],
         outer_iterations=int(doc.get("outer_iterations", 0)),
@@ -484,5 +486,19 @@ def save_model(path, model: MovklModel) -> None:
 
 
 def load_model(path) -> MovklModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_doc(json.load(fh))
+    """Read a model archive.  A file that cannot be read, is not JSON, or
+    is not a well-formed model archive of this version raises
+    ``DataError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        # json.JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON model archive: {exc}") from None
+    try:
+        return model_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise DataError(f"{path}: {why}") from None

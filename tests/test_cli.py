@@ -307,15 +307,21 @@ class TestTrain:
         assert "after 1 iterations" in capsys.readouterr().err
 
 
+def trained_run(tmp_path, lam=0.1):
+    """Generate a dataset and train on it; the config path, the dataset
+    path and the output directory holding model.json."""
+    cfg = base_config(tmp_path)
+    cfg["fit"]["lambda"] = lam
+    cfg_path = write_config(tmp_path / "c.json", cfg)
+    data = tmp_path / "data.txt"
+    assert main(["gen", "--config", cfg_path, "--out", str(data)]) == 0
+    assert main(["train", "--config", cfg_path, "--data", str(data)]) == 0
+    return cfg_path, data, tmp_path / "out"
+
+
 class TestPredictEval:
     def setup_run(self, tmp_path, lam=0.1):
-        cfg = base_config(tmp_path)
-        cfg["fit"]["lambda"] = lam
-        cfg_path = write_config(tmp_path / "c.json", cfg)
-        data = tmp_path / "data.txt"
-        assert main(["gen", "--config", cfg_path, "--out", str(data)]) == 0
-        assert main(["train", "--config", cfg_path, "--data", str(data)]) == 0
-        return cfg_path, data, tmp_path / "out"
+        return trained_run(tmp_path, lam)
 
     def test_predict_writes_rows(self, tmp_path):
         cfg_path, data, out = self.setup_run(tmp_path)
@@ -369,6 +375,75 @@ class TestPredictEval:
         rc = main(["eval", "--model", str(out / "model.json"),
                    "--data", str(bad)])
         assert rc == 3
+
+
+class TestUnreadableInputs:
+    """A file that cannot be read as a dataset or a model archive exits 3
+    with one line on stderr, never a traceback."""
+
+    def assert_data_error(self, capsys, argv, *fragments):
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        return trained_run(tmp_path)
+
+    def command(self, name, cfg_path, out, model, data):
+        argv = [name, "--data", str(data), "--output-dir", str(out)]
+        if name == "train":
+            return argv + ["--config", cfg_path]
+        return argv + ["--model", str(model)]
+
+    @pytest.mark.parametrize("name", ["train", "predict", "eval"])
+    def test_missing_data_file(self, tmp_path, capsys, run, name):
+        cfg_path, data, out = run
+        absent = tmp_path / "absent.txt"
+        self.assert_data_error(
+            capsys, self.command(name, cfg_path, out, out / "model.json", absent),
+            f"{absent}: cannot read: No such file or directory")
+
+    @pytest.mark.parametrize("name", ["train", "predict", "eval"])
+    def test_non_utf8_data_file(self, tmp_path, capsys, run, name):
+        cfg_path, data, out = run
+        latin = tmp_path / "latin.txt"
+        raw = data.read_bytes().split(b"\n")
+        raw[3] = raw[3].replace(b",", b",\xe9", 1)
+        latin.write_bytes(b"\n".join(raw))
+        self.assert_data_error(
+            capsys, self.command(name, cfg_path, out, out / "model.json", latin),
+            f"{latin}:4: not UTF-8 text: byte 0xe9")
+
+    @pytest.mark.parametrize("name", ["predict", "eval"])
+    def test_missing_model_file(self, tmp_path, capsys, run, name):
+        cfg_path, data, out = run
+        absent = tmp_path / "absent.json"
+        self.assert_data_error(
+            capsys, self.command(name, cfg_path, out, absent, data),
+            f"{absent}: cannot read: No such file or directory")
+
+    @pytest.mark.parametrize("name", ["predict", "eval"])
+    @pytest.mark.parametrize("text,message", [
+        ('{"version": 1}', "not a model archive"),
+        ("[1, 2]", "not a model archive"),
+        ('{"format": "movkl-model", "version": 99}',
+         "unsupported model archive version 99"),
+        ('{"format": "movkl-model", "version": 1}', "missing key 'input_grid'"),
+        ("{not json", "not a JSON model archive"),
+        ("", "not a JSON model archive"),
+    ])
+    def test_json_that_is_not_a_model(self, tmp_path, capsys, run, name, text,
+                                      message):
+        cfg_path, data, out = run
+        model = tmp_path / "not-a-model.json"
+        model.write_text(text)
+        self.assert_data_error(capsys, self.command(name, cfg_path, out, model, data),
+                               f"{model}: {message}")
 
 
 class TestCv:

@@ -1,3 +1,6 @@
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,11 +18,13 @@ from movkl import (
 )
 from movkl import data
 from movkl.data import load_feature_csv
+from conftest import writeable_through
 
 
 # ---------------------------------------------------------------------------
-# slow reference: the per-sample definition of the synthetic task and the
-# per-value text writer, kept as the oracle for the block-wise code
+# slow reference: the per-sample definition of the synthetic task, the
+# per-value text writer and the whole-text reader, kept as the oracles for
+# the block-wise generator and the streaming writer and reader
 # ---------------------------------------------------------------------------
 
 def reference_generate(spec: SynthSpec) -> CurveDataset:
@@ -100,6 +105,87 @@ def reference_save_dataset(path, ds: CurveDataset) -> None:
             lines.append("label=" + reference_fmt(ds.labels.values[i]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+class ReferenceReader:
+    """The whole-text reader: every line in memory at once."""
+
+    def __init__(self, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            self.lines = fh.read().splitlines()
+        self.pos = 0
+        self.path = path
+
+    def next_field(self, key: str) -> str:
+        if self.pos >= len(self.lines):
+            raise DataError(f"{self.path}: unexpected end of file, wanted '{key}='")
+        line = self.lines[self.pos]
+        self.pos += 1
+        prefix = key + "="
+        if not line.startswith(prefix):
+            raise DataError(
+                f"{self.path}:{self.pos}: expected '{key}=...', got {line[:40]!r}"
+            )
+        return line[len(prefix):]
+
+    def floats(self, key: str) -> np.ndarray:
+        raw = self.next_field(key)
+        try:
+            values = np.array(raw.split(",") if raw else [], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{self.path}:{self.pos}: bad number in '{key}': {exc}")
+        if values.size and not np.all(np.isfinite(values)):
+            raise DataError(
+                f"{self.path}:{self.pos}: non-finite value in '{key}'"
+            )
+        return values
+
+
+def reference_load_dataset(path) -> CurveDataset:
+    r = ReferenceReader(path)
+    if r.pos >= len(r.lines) or r.lines[0] != data.FORMAT_TAG:
+        raise DataError(f"{path}: not a '{data.FORMAT_TAG}' file")
+    r.pos = 1
+    try:
+        n = int(r.next_field("n"))
+        has_labels = int(r.next_field("has_labels"))
+    except ValueError as exc:
+        raise DataError(f"{path}: bad header: {exc}")
+    if n < 1:
+        raise DataError(f"{path}: dataset is empty")
+    if has_labels not in (0, 1):
+        raise DataError(f"{path}: has_labels must be 0 or 1")
+    try:
+        in_grid = Grid(r.floats("input_grid_points"), r.floats("input_grid_weights"))
+        out_grid = Grid(r.floats("output_grid_points"), r.floats("output_grid_weights"))
+    except ValueError as exc:
+        raise DataError(f"{path}: bad grid: {exc}")
+
+    inputs = np.empty((n, in_grid.size))
+    targets = np.empty((n, out_grid.size))
+    labels = np.empty((n, out_grid.size)) if has_labels else None
+    for i in range(n):
+        inputs[i] = reference_record(r, "input", in_grid.size, i)
+        targets[i] = reference_record(r, "target", out_grid.size, i)
+        if has_labels:
+            labels[i] = reference_record(r, "label", out_grid.size, i)
+    if r.pos != len(r.lines):
+        raise DataError(f"{path}:{r.pos + 1}: trailing content after {n} records")
+    return CurveDataset(
+        inputs=CurveVec(in_grid, inputs),
+        targets=CurveVec(out_grid, targets),
+        labels=None if labels is None else CurveVec(out_grid, labels),
+    )
+
+
+def reference_record(r: ReferenceReader, key: str, size: int, index: int) -> np.ndarray:
+    values = r.floats(key)
+    if values.size != size:
+        raise DataError(
+            f"{r.path}:{r.pos}: record {index}: '{key}' has {values.size} "
+            f"values, expected {size}"
+        )
+    return values
 
 
 def assert_same_bits(ds: CurveDataset, ref: CurveDataset):
@@ -494,3 +580,244 @@ class TestFeatureCsv:
         path.write_text("# only comments\n")
         with pytest.raises(DataError, match="no data rows"):
             load_feature_csv(path, channels=1, input_len=2, output_len=2)
+
+
+# ---------------------------------------------------------------------------
+# the streaming reader against the whole-text reader
+# ---------------------------------------------------------------------------
+
+# every line boundary of str.splitlines() besides "\n"
+SEPARATORS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+BAD_TOKENS = ["abc", "", "nan", "-inf", "1e400", "0x1p3", " 2.5 ", "1_0", "+",
+              "0.7", "3", "-0", "1,2"]
+TRAILERS = ["", " ", "extra", "input=1,2", "label=0", "movkl-dataset v1"]
+
+
+def dataset_text(ds: CurveDataset) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/ds.txt"
+        save_dataset(path, ds)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+BASE_TEXTS = [
+    dataset_text(generate_synthetic(SynthSpec(n_samples=3, grid_size=4,
+                                              channel_count=2, noise_std=0.3,
+                                              seed=2))),
+    dataset_text(CurveDataset(
+        inputs=CurveVec(Grid.uniform(0, 1, 3), [[0.5, -0.0, 1e-300], [1, 2, 3]]),
+        targets=CurveVec(Grid.from_points([0.0, 0.2, 1.0]), [[1, 0, 1], [7, 8, 9]]),
+    )),
+]
+
+
+def load_outcome(load, path):
+    """The dataset a loader returns, or the type and text of its error."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_dataset(got: CurveDataset, want: CurveDataset):
+    for name in ("input_grid", "output_grid"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.points.tobytes() == w.points.tobytes(), name
+        assert g.weights.tobytes() == w.weights.tobytes(), name
+    for name in ("inputs", "targets", "labels"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert g.values.shape == w.values.shape, name
+            assert g.values.tobytes() == w.values.tobytes(), name
+
+
+def assert_loads_like_reference(path):
+    got = load_outcome(load_dataset, path)
+    want = load_outcome(reference_load_dataset, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_same_dataset(got, want)
+    return got
+
+
+@st.composite
+def mutated_texts(draw):
+    lines = draw(st.sampled_from(BASE_TEXTS)).splitlines()
+    for op in draw(st.lists(st.sampled_from(["drop", "dup", "bad", "trail"]),
+                            max_size=3)):
+        if op == "trail":
+            lines.append(draw(st.sampled_from(TRAILERS)))
+            continue
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            key, eq, rest = lines[i].rpartition("=")
+            parts = rest.split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            lines[i] = key + eq + ",".join(parts)
+    style = draw(st.sampled_from(["lf", "crlf", "mixed"]))
+    if style == "mixed":
+        seps = draw(st.lists(st.sampled_from(["\n"] * 3 + SEPARATORS),
+                             min_size=len(lines), max_size=len(lines)))
+    else:
+        seps = ["\n" if style == "lf" else "\r\n"] * len(lines)
+    text = "".join(line + sep for line, sep in zip(lines, seps))
+    if lines and draw(st.booleans()):
+        text = text[:-len(seps[-1])]  # no final line break
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestStreamingReaderMatchesReference:
+    """The streaming reader gives the whole-text reader's arrays bit for
+    bit, or its error with the same type and text."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=mutated_texts())
+    def test_mutated_files(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/mutated.txt"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_every_line_break(self, tmp_path, sep):
+        ds = generate_synthetic(SynthSpec(n_samples=2, grid_size=5, seed=3))
+        for final in (sep, ""):
+            path = tmp_path / "sep.txt"
+            text = sep.join(dataset_text(ds).splitlines()) + final
+            path.write_bytes(text.encode("utf-8"))
+            assert_same_bits(assert_loads_like_reference(path), ds)
+
+    @pytest.mark.parametrize("text", ["", "\n", "movkl-dataset v1",
+                                      "movkl-dataset v1\r\nn=1"])
+    def test_short_files(self, tmp_path, text):
+        path = tmp_path / "short.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert isinstance(assert_loads_like_reference(path), tuple)
+
+    def test_trailing_content_names_its_line(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n_samples=2, grid_size=5, seed=0))
+        path = tmp_path / "trail.txt"
+        text = dataset_text(ds)
+        count = len(text.splitlines())
+        path.write_text(text + "\nextra\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}:{count + 1}: trailing content after 2 records"
+
+
+class TestUnreadableFiles:
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: cannot read: No such file or directory"
+        with pytest.raises(DataError, match="cannot read"):
+            load_feature_csv(path, channels=1, input_len=2, output_len=2)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_dataset(tmp_path)
+
+    def test_non_utf8_byte_reports_its_line(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n_samples=2, grid_size=5, seed=0))
+        lines = dataset_text(ds).encode("utf-8").split(b"\n")
+        lines[8] = lines[8][:10] + b"\xff" + lines[8][10:]
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{path}:9: not UTF-8 text: byte 0xff: invalid start byte")
+
+    def test_non_utf8_feature_csv(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"1,2,3,4\n1,2,\xe93,4\n")
+        with pytest.raises(DataError) as err:
+            load_feature_csv(path, channels=1, input_len=2, output_len=2)
+        assert str(err.value).startswith(f"{path}: not UTF-8 text: byte 0xe9")
+
+
+class TestArraysBuiltOnce:
+    def test_dataset_arrays_are_taken_over_and_frozen(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n_samples=5, grid_size=12, seed=4))
+        path = tmp_path / "ds.txt"
+        save_dataset(path, ds)
+        csv = tmp_path / "features.csv"
+        csv.write_text("1,2,3,4,1,0\n5,6,7,8,0,1\n")
+        table = load_feature_csv(csv, channels=1, input_len=2, output_len=2,
+                                 has_labels=True)
+        for loaded in (ds, load_dataset(path), table):
+            for cv in (loaded.inputs, loaded.targets, loaded.labels):
+                assert not writeable_through(cv.values)
+        for cv in (table.targets, table.labels):
+            assert np.shares_memory(cv.values, table.inputs.values.base)
+
+    def test_train_test_slices_are_zero_copy(self):
+        ds = generate_synthetic(SynthSpec(n_samples=6, grid_size=10, seed=1))
+        train = CurveVec(ds.input_grid, ds.inputs.values[:4])
+        test = CurveVec(ds.output_grid, ds.labels.values[4:])
+        assert train.values.base is ds.inputs.values
+        assert test.values.base is ds.labels.values
+        assert not writeable_through(train.values)
+
+    @pytest.mark.parametrize("row", [0, data._BLOCK - 1, data._BLOCK,
+                                     2 * data._BLOCK + 2])
+    def test_label_check_covers_every_row(self, row):
+        n = 2 * data._BLOCK + 3
+        g = Grid.uniform(0, 1, 3)
+        zeros = CurveVec(g, np.zeros((n, 3)))
+        labels = np.zeros((n, 3))
+        labels[:, 0] = 1.0 + 9e-10
+        CurveDataset(inputs=zeros, targets=zeros, labels=CurveVec(g, labels))
+        labels[row, 2] = 1.0 + 2e-9
+        with pytest.raises(DataError, match="must be {0, 1}-valued"):
+            CurveDataset(inputs=zeros, targets=zeros, labels=CurveVec(g, labels))
+
+    @staticmethod
+    def traced_peak(call, *args):
+        """Bytes allocated by call(*args) at its peak, above what was
+        allocated before it."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_generate_and_load_peak_at_about_one_dataset(self, tmp_path):
+        # 2,000 curves of the desk task, 15.3 MiB of arrays: generating or
+        # reading them holds one block or one line of work on top
+        spec = SynthSpec(n_samples=2000, grid_size=200, latency=15,
+                         channel_count=3, noise_std=0.1, seed=20120706)
+        generate_synthetic(SynthSpec(n_samples=2, grid_size=10))
+        ds, generate_peak = self.traced_peak(generate_synthetic, spec)
+        nbytes = sum(cv.values.nbytes for cv in (ds.inputs, ds.targets, ds.labels))
+        assert nbytes == 2000 * (600 + 200 + 200) * 8
+        path = tmp_path / "desk.txt"
+        save_dataset(path, ds)
+        del ds
+        _, load_peak = self.traced_peak(load_dataset, path)
+        assert generate_peak <= 1.3 * nbytes
+        assert load_peak <= 1.3 * nbytes
+
+    def test_save_peak_is_one_line(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n_samples=300, grid_size=200, latency=15,
+                                          channel_count=3, noise_std=0.1, seed=1))
+        nbytes = sum(cv.values.nbytes for cv in (ds.inputs, ds.targets, ds.labels))
+        _, save_peak = self.traced_peak(save_dataset, tmp_path / "desk.txt", ds)
+        assert save_peak <= 0.3 * nbytes

@@ -11,7 +11,7 @@ from movkl import (
     vec_inner,
     vec_norm_sq,
 )
-from conftest import random_curve, random_curve_vec
+from conftest import random_curve, random_curve_vec, writeable_through
 
 
 class TestGrid:
@@ -239,3 +239,106 @@ class TestTakeOverWithoutCopy:
     def test_array_needing_conversion_is_refused(self):
         with pytest.raises(ValueError):
             Curve(Grid.uniform(0, 1, 3), np.arange(3), copy=False)
+
+
+class TestSharingRule:
+    """A float64 array that nothing can write through is shared; any other
+    input is copied, and shared values are still validated."""
+
+    def test_slice_of_curve_vec_values_is_shared(self, rng):
+        g = Grid.uniform(0, 1, 5)
+        cv = random_curve_vec(rng, g, 6)
+        for part in (cv.values[1:4], cv.values[::2], cv.values[-1:]):
+            sub = CurveVec(g, part)
+            assert sub.values is part
+            assert not writeable_through(sub.values)
+        row = Curve(g, cv.values[2])
+        assert row.values.base is cv.values
+
+    def test_writeable_array_is_copied(self):
+        g = Grid.uniform(0, 1, 4)
+        values = np.ones((2, 4))
+        cv = CurveVec(g, values)
+        assert not np.shares_memory(cv.values, values)
+        values[0, 0] = 7.0
+        assert cv.values[0, 0] == 1.0
+
+    def test_read_only_view_of_writeable_array_is_copied(self):
+        g = Grid.uniform(0, 1, 4)
+        base = np.ones((3, 4))
+        view = base[1:]
+        view.setflags(write=False)
+        cv = CurveVec(g, view)
+        c = Curve(g, view[0])
+        assert not np.shares_memory(cv.values, base)
+        assert not np.shares_memory(c.values, base)
+        base[1, 0] = 7.0
+        assert cv.values[0, 0] == 1.0 and c.values[0] == 1.0
+        assert not writeable_through(cv.values)
+
+    def test_array_over_bytes_is_copied(self):
+        g = Grid.uniform(0, 1, 4)
+        raw = np.arange(8.0).tobytes()
+        flat = np.frombuffer(raw, dtype=np.float64)
+        assert not flat.flags.writeable
+        cv = CurveVec(g, flat.reshape(2, 4))
+        assert not np.shares_memory(cv.values, flat)
+        assert cv.values.base is None
+        assert np.array_equal(cv.values, np.arange(8.0).reshape(2, 4))
+
+    def test_read_only_memmap_is_copied(self, tmp_path):
+        path = tmp_path / "values.bin"
+        np.arange(8.0).tofile(path)
+        mapped = np.memmap(path, dtype=np.float64, mode="r", shape=(2, 4))
+        g = Grid.uniform(0, 1, 4)
+        for values in (mapped, np.asarray(mapped), mapped[1]):
+            taken = CurveVec(g, values).values
+            assert type(taken) is np.ndarray
+            assert not np.shares_memory(taken, mapped)
+
+    def test_read_only_non_float64_is_converted(self):
+        g = Grid.uniform(0, 1, 3)
+        for values in (np.arange(3), np.arange(3.0, dtype=np.float32),
+                       np.arange(3.0).astype(">f8")):
+            values.setflags(write=False)
+            c = Curve(g, values)
+            assert c.values.dtype == np.dtype(np.float64)
+            assert not np.shares_memory(c.values, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shared_values_are_still_validated(self, bad):
+        g = Grid.uniform(0, 1, 4)
+        values = np.ones((3, 4))
+        values[2, 1] = bad
+        values.setflags(write=False)
+        with pytest.raises(ValueError, match="finite"):
+            CurveVec(g, values)
+        with pytest.raises(ValueError, match="finite"):
+            CurveVec(g, values[1:])
+        with pytest.raises(ValueError, match="finite"):
+            Curve(g, values[2])
+        with pytest.raises(DimensionError):
+            CurveVec(Grid.uniform(0, 1, 3), values[:2])
+
+    def test_copy_false_keeps_its_meaning(self):
+        # a read-only view of a writeable array is taken as it is when the
+        # caller vouches for it, and copied otherwise
+        g = Grid.uniform(0, 1, 4)
+        base = np.ones((3, 4))
+        view = base[1:]
+        view.setflags(write=False)
+        assert CurveVec(g, view, copy=False).values is view
+        assert CurveVec(g, view).values is not view
+
+    def test_grid_shares_frozen_points(self):
+        g = Grid.uniform(0, 1, 5)
+        assert Grid(g.points, g.weights).points is g.points
+        points = np.linspace(0, 1, 5)
+        assert Grid(points, g.weights).points is not points
+
+    def test_from_curves_takes_over_its_stack(self, rng):
+        g = Grid.uniform(0, 1, 4)
+        curves = [random_curve(rng, g) for _ in range(3)]
+        cv = CurveVec.from_curves(curves)
+        assert cv.values.base is None and not cv.values.flags.writeable
+        assert not any(np.shares_memory(cv.values, c.values) for c in curves)
