@@ -390,17 +390,21 @@ def _random_instance(rng):
     n = int(rng.integers(2, 7))
     m = int(rng.integers(4, 11))
     M = int(rng.integers(1, 4))
-    out_grid = Grid.uniform(0.0, 1.0, m)
+    if rng.random() < 0.5:
+        out_grid = Grid.uniform(0.0, 1.0, m)
+    else:
+        out_grid = Grid.from_points(np.sort(rng.uniform(0.0, 1.0, m)))
     in_grid = Grid.uniform(0.0, 1.0, m + 1)
     ops = [IdentityOperator(out_grid), MultiplicationOperator(out_grid),
-           IntegralOperator(out_grid)]
+           IntegralOperator(out_grid),
+           IntegralOperator(out_grid, rank=int(rng.integers(1, m)))]
     pairs = []
     for k in range(M):
         if rng.random() < 0.5:
             scalar = GaussianKernel(float(rng.uniform(0.5, 2.0)))
         else:
             scalar = PolynomialKernel(int(rng.integers(1, 4)), 1.0)
-        pairs.append((scalar, ops[int(rng.integers(0, 3))]))
+        pairs.append((scalar, ops[int(rng.integers(0, len(ops)))]))
     d = rng.uniform(0.2, 1.0, M)
     d = d / np.sum(d ** 2) ** 0.5
     stack = KernelStack(

@@ -424,7 +424,11 @@ def load_feature_csv(path, channels: int, input_len: int, output_len: int,
     reader only ingests already-extracted curves.
     """
     expected = channels * input_len + output_len * (2 if has_labels else 1)
-    rows = []
+    # one table, grown by a quarter and trimmed at the end by ndarray.resize,
+    # which reallocates it rather than copying it into a second array: at
+    # its peak it holds at most 1.25 times the rows read, or _BLOCK rows
+    table = np.empty((_BLOCK, expected))
+    n = 0
     with _open(path, "r", "utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -442,15 +446,18 @@ def load_feature_csv(path, channels: int, input_len: int, output_len: int,
                     )
                 if not np.all(np.isfinite(row)):
                     raise DataError(f"{path}:{lineno}: non-finite value")
-                rows.append(row)
+                if n == len(table):
+                    table.resize((n + n // 4, expected), refcheck=False)
+                table[n] = row
+                n += 1
         except (OSError, UnicodeDecodeError) as exc:
             # text is decoded a chunk ahead of the lines, so no line number
             raise _unreadable(str(path), exc) from None
-    if not rows:
+    if not n:
         raise DataError(f"{path}: no data rows")
-    # np.stack builds a new array that nothing else holds; once frozen, its
-    # column blocks are shared by the curve vectors below, not copied
-    table = np.stack(rows)
+    table.resize((n, expected), refcheck=False)
+    # nothing else holds the table; once frozen, its column blocks are
+    # shared by the curve vectors below, not copied
     table.setflags(write=False)
     in_len = channels * input_len
     in_grid = stacked_channel_grid(input_len, channels)

@@ -19,7 +19,11 @@ kinds are provided: the identity, pointwise multiplication by exp(-t^2),
 and the integral operator with kernel exp(-|t - s|) (optionally truncated
 to its leading eigenfunctions, which is the rank tuned by cross-validation).
 The first two are diagonal on the grid and a truncated integral operator is
-low-rank.  Every operator gives its quadrature-orthonormal eigenbasis
+low-rank.  The integral operator's spectrum costs O(m^2), not the O(m^3) of a
+dense eigensolver: on sorted points its kernel is an Ornstein-Uhlenbeck
+covariance, whose inverse is tridiagonal in closed form (:func:`_ou_precision`),
+so one tridiagonal eigensolve gives the eigenvectors, and one bidiagonal solve
+their eigenvalues.  Every operator gives its quadrature-orthonormal eigenbasis
 (:meth:`OutputOperator.full_basis`), from which it solves its shifted system
 (scale * T + c * I) u = b, and its mean eigenvalue, which sets the scale of
 trace normalization and of the operators folded into the solver's
@@ -32,6 +36,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import DimensionError
 from .funcspace import Curve, CurveVec, Grid, as_int
@@ -396,6 +402,41 @@ class MultiplicationOperator(OutputOperator):
         return {"kind": "multiplication"}
 
 
+def _ou_precision(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (m,) and off-diagonal (m - 1,) of Q = K^-1 for the kernel
+    matrix K_jl = exp(-|t_j - t_l|) on strictly increasing points.
+
+    K is the covariance of an Ornstein-Uhlenbeck process, which is Markov,
+    so Q is tridiagonal in closed form: with e_j = exp(-(t_j+1 - t_j)),
+    Q_j,j+1 = -e_j / (1 - e_j^2) and Q_jj = 1 + e_j-1^2 / (1 - e_j-1^2)
+    + e_j^2 / (1 - e_j^2), leaving out the terms past either end of the
+    grid (Rybicki & Press, Phys. Rev. Lett. 74, 1995).
+    """
+    gaps = np.diff(points)
+    e = np.exp(-gaps)
+    denom = -np.expm1(-2.0 * gaps)  # 1 - e^2 without cancellation
+    ratio = e * e / denom
+    diag = np.ones(points.size)
+    diag[:-1] += ratio
+    diag[1:] += ratio
+    return diag, -e / denom
+
+
+def _ou_quadratic_forms(points: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x^T K x for each column x of the (m, k) array X, with K as in
+    :func:`_ou_precision`, in O(m k).
+
+    K = L^-1 + L^-T - I, where L is unit lower bidiagonal with -e_j below
+    the diagonal: (L^-1)_jl = exp(-(t_j - t_l)) for j >= l.  So
+    x^T K x = 2 x^T L^-1 x - x^T x, from one bidiagonal solve.
+    """
+    bands = np.zeros((2, points.size))
+    bands[0] = 1.0
+    bands[1, :-1] = -np.exp(-np.diff(points))
+    y, _ = dtbtrs(bands, X, uplo="L", diag="U")  # a unit diagonal: no failure
+    return 2.0 * np.einsum("jk,jk->k", X, y) - np.einsum("jk,jk->k", X, X)
+
+
 class IntegralOperator(OutputOperator):
     """(T a)(t) = integral of exp(-|t - s|) a(s) ds over the grid domain.
 
@@ -403,6 +444,16 @@ class IntegralOperator(OutputOperator):
     used.  With ``rank=q < m`` the operator *is* the best rank-q
     approximation: application, spectrum and shifted solves all refer to
     the truncated map.
+
+    The spectrum of W^1/2 K W^1/2 (K the kernel matrix on the grid points,
+    W the quadrature weights) costs O(m^2).  Its eigenvectors are those of
+    the tridiagonal W^-1/2 Q W^-1/2, Q = K^-1 in closed form
+    (:func:`_ou_precision`), from one MRRR eigensolve.  Each eigenvalue is
+    then the Rayleigh quotient of K at its eigenvector
+    (:func:`_ou_quadratic_forms`): the reciprocal of Q's eigenvalue would
+    lose the leading eigenvalues' accuracy on grids with close points,
+    where Q's entries are large.  The dense m x m kernel matrix is built
+    only for :meth:`matrix` and the full-rank :meth:`apply_rows`.
     """
 
     def __init__(self, grid: Grid, rank: int | None = None):
@@ -415,24 +466,40 @@ class IntegralOperator(OutputOperator):
             if rank == m:
                 rank = None
         self.rank = rank
-        t = grid.points
-        kernel = np.exp(-np.abs(t[:, None] - t[None, :]))
-        # operator matrix in coordinates: (T a)_j = sum_l w_l kernel_jl a_l
-        self._tmat = kernel * grid.weights[None, :]
+        self._tmat: np.ndarray | None = None
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
+    def _kernel_matrix(self) -> np.ndarray:
+        """Operator matrix in coordinates, (T a)_j = sum_l w_l
+        exp(-|t_j - t_l|) a_l, the dense kernel formula; built on first
+        use and kept."""
+        if self._tmat is None:
+            t = self.grid.points
+            kernel = np.exp(-np.abs(t[:, None] - t[None, :]))
+            self._tmat = kernel * self.grid.weights[None, :]
+        return self._tmat
+
     def _decompose(self):
-        # symmetrize with sqrt-weights so a plain eigh gives the
-        # quadrature-orthonormal eigenbasis
         if self._eigvals is None:
-            sw = np.sqrt(self.grid.weights)
-            sym = sw[:, None] * self._tmat / sw[None, :]
-            sym = 0.5 * (sym + sym.T)
-            vals, vecs = np.linalg.eigh(sym)
+            t, w = self.grid.points, self.grid.weights
+            sw = np.sqrt(w)
+            diag, off = _ou_precision(t)
+            diag = diag / w
+            off = off / (sw[:-1] * sw[1:])
+            # scale by a power of two, which is exact: unscaled, MRRR failed
+            # to converge (LAPACK info 22) on grids with gaps near 1e-6,
+            # where the entries reach 1e12
+            _, exp2 = np.frexp(diag.max())
+            _, vecs = eigh_tridiagonal(np.ldexp(diag, -exp2), np.ldexp(off, -exp2),
+                                       lapack_driver="stemr")
+            vals = _ou_quadratic_forms(t, vecs * sw[:, None])
             order = np.argsort(-vals, kind="stable")
             self._eigvals = vals[order]
-            self._eigvecs = vecs[:, order] / sw[:, None]
+            # quadrature-orthonormal: v^T W v = 1; dividing in place is
+            # several times faster than a new array here
+            self._eigvecs = vecs[:, order]
+            self._eigvecs /= sw[:, None]
         return self._eigvals, self._eigvecs
 
     @property
@@ -447,7 +514,7 @@ class IntegralOperator(OutputOperator):
         # truncated: T a = V_q Lambda_q V_q^T W a, so the rows of A map to
         # (A W V_q Lambda_q) V_q^T
         if self.rank is None:
-            return A @ self._tmat.T, None
+            return A @ self._kernel_matrix().T, None
         vals, vecs = self._decompose()
         q = self.rank
         coeffs = A @ (self.grid.weights[:, None] * vecs[:, :q])
@@ -467,7 +534,7 @@ class IntegralOperator(OutputOperator):
 
     def matrix(self):
         if self.rank is None:
-            return self._tmat.copy()
+            return self._kernel_matrix().copy()
         vals, vecs = self.spectrum()
         return (vecs * vals[None, :]) @ (vecs.T * self.grid.weights[None, :])
 

@@ -815,6 +815,24 @@ class TestArraysBuiltOnce:
         assert generate_peak <= 1.3 * nbytes
         assert load_peak <= 1.3 * nbytes
 
+    @pytest.mark.parametrize("rows", [2000, 1100])
+    def test_feature_csv_peak_is_one_table(self, tmp_path, rows):
+        # 1,100 rows lie just past a doubling of 256 rows, the worst case of
+        # a table grown by doubling
+        rng = np.random.default_rng(3)
+        channels, input_len, output_len = 2, 150, 50
+        table = np.concatenate([
+            rng.normal(size=(rows, channels * input_len + output_len)).round(3),
+            rng.integers(0, 2, (rows, output_len)).astype(float),
+        ], axis=1)
+        path = tmp_path / "features.csv"
+        np.savetxt(path, table, fmt="%.3f", delimiter=",")
+        ds, peak = self.traced_peak(load_feature_csv, path, channels, input_len,
+                                    output_len, True)
+        assert np.array_equal(ds.targets.values,
+                              table[:, channels * input_len:-output_len])
+        assert peak <= 1.5 * table.nbytes
+
     def test_save_peak_is_one_line(self, tmp_path):
         ds = generate_synthetic(SynthSpec(n_samples=300, grid_size=200, latency=15,
                                           channel_count=3, noise_std=0.1, seed=1))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from movkl import (
     BlockGram,
@@ -19,6 +20,7 @@ from movkl import (
     median_pairwise_distance,
     vec_inner,
 )
+from movkl.kernels import _ou_precision
 from conftest import random_curve, random_curve_vec
 
 
@@ -271,6 +273,130 @@ class TestOperators:
     def test_shifted_solve_rejects_bad_shift(self, rng, grid):
         with pytest.raises(ValueError):
             IdentityOperator(grid).shifted_solve(0.0, 1.0, random_curve(rng, grid))
+
+
+def reference_decompose(op):
+    """The dense O(m^3) eigendecomposition that IntegralOperator used before
+    its tridiagonal path, kept as the oracle for its spectrum."""
+    # symmetrize with sqrt-weights so a plain eigh gives the
+    # quadrature-orthonormal eigenbasis
+    sw = np.sqrt(op.grid.weights)
+    sym = sw[:, None] * op._kernel_matrix() / sw[None, :]
+    sym = 0.5 * (sym + sym.T)
+    vals, vecs = np.linalg.eigh(sym)
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order] / sw[:, None]
+
+
+def spectrum_grid(kind: str, m: int, seed: int) -> Grid:
+    """Grids for the spectrum tests.
+
+    uniform: [0, 1]; random: from_points of sorted uniform draws;
+    clustered: every gap near 1e-6, where Q's entries reach 1e12; mixed:
+    half the gaps near 1e-6 and the rest ordinary, so clusters of close
+    points sit between ordinary gaps; wide: gaps of 40 or 60, where Q's
+    off-diagonal is about 0 and eigenvalues tie.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return Grid.uniform(0.0, 1.0, m)
+    if kind == "random":
+        return Grid.from_points(np.sort(rng.uniform(-3.0, 3.0, m)))
+    if kind == "wide":
+        gaps = rng.choice([40.0, 60.0], m - 1)
+    else:
+        gaps = rng.uniform(0.5e-6, 2e-6, m - 1)
+        if kind == "mixed":
+            ordinary = rng.uniform(0.01, 1.0, m - 1)
+            gaps = np.where(rng.random(m - 1) < 0.5, gaps, ordinary)
+    start = rng.uniform(-2.0, 2.0)
+    return Grid.from_points(np.concatenate([[start], gaps]).cumsum())
+
+
+class TestIntegralSpectrum:
+    """The tridiagonal spectrum against the dense oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 200), uneven=st.booleans(), seed=st.integers(0, 2 ** 16))
+    # gaps near both ends of the uneven range
+    @example(m=200, uneven=True, seed=7)
+    @example(m=2, uneven=False, seed=0)
+    def test_precision_inverts_kernel(self, m, uneven, seed):
+        if uneven:
+            gaps = np.random.default_rng(seed).uniform(0.01, 0.5, m - 1)
+            points = np.concatenate([[0.0], np.cumsum(gaps)])
+            grid = Grid.from_points(points)
+        else:
+            grid = Grid.uniform(0.0, 1.0, m)
+        diag, off = _ou_precision(grid.points)
+        Q = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        t = grid.points
+        K = np.exp(-np.abs(t[:, None] - t[None, :]))
+        assert np.max(np.abs(Q @ K - np.eye(m))) <= 1e-10
+        assert np.max(np.abs(Q - np.linalg.inv(K))) <= 1e-10 * np.max(np.abs(Q))
+
+    def test_precision_at_tiny_and_wide_gaps(self):
+        # independent closed forms: e / (1 - e^2) = 1 / (2 sinh gap) and
+        # e^2 / (1 - e^2) = 1 / expm1(2 gap); 1 - e*e loses digits at tiny gaps
+        points = np.concatenate([[0.0], np.cumsum(np.logspace(-12, 2.5, 30))])
+        diag, off = _ou_precision(points)
+        gaps = np.diff(points)
+        ratio = 1.0 / np.expm1(2.0 * gaps)
+        expected_diag = np.ones(gaps.size + 1)
+        expected_diag[:-1] += ratio
+        expected_diag[1:] += ratio
+        assert np.allclose(off, -0.5 / np.sinh(gaps), rtol=1e-14, atol=0.0)
+        assert np.allclose(diag, expected_diag, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["uniform", "random", "clustered", "mixed", "wide"]),
+           m=st.integers(2, 200), seed=st.integers(0, 2 ** 16))
+    # every gap near 1e-6: the reciprocals of Q's eigenvalues are off by
+    # 3.5e-9 and 4.8e-9 here; unscaled, MRRR stops with LAPACK info 22 on
+    # the second and on the mixed grid
+    @example(kind="clustered", m=200, seed=0)
+    @example(kind="clustered", m=200, seed=53)
+    @example(kind="mixed", m=200, seed=0)
+    # equal interior weights: m - 2 tied eigenvalues
+    @example(kind="wide", m=200, seed=0)
+    @example(kind="uniform", m=2, seed=0)
+    def test_spectrum_matches_dense_oracle(self, kind, m, seed):
+        grid = spectrum_grid(kind, m, seed)
+        op = IntegralOperator(grid)
+        vals, vecs = op.spectrum()
+        ref_vals, ref_vecs = reference_decompose(op)
+        top = ref_vals[0]
+        # the dense oracle is accurate relative to the largest eigenvalue
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-9 * top
+        assert np.all(np.diff(vals) <= 0.0)
+        gram = vecs.T @ (grid.weights[:, None] * vecs)
+        assert np.max(np.abs(gram - np.eye(m))) <= 1e-10
+        # each pair against the dense kernel formula, in the quadrature norm
+        resid = op.matrix() @ vecs - vecs * vals
+        assert np.max(np.sqrt((resid * resid).T @ grid.weights)) <= 1e-8 * top
+        # a truncated operator, rebuilt from its spectrum, against the
+        # oracle's rank-q map; q sits at a spectral gap, so that subspaces,
+        # not single eigenvectors, are compared and ties cannot matter
+        gaps = ref_vals[:-1] - ref_vals[1:]
+        cuts = np.flatnonzero(gaps > 1e-3 * top)
+        if cuts.size:
+            q = int(cuts[min(cuts.size - 1, 5)]) + 1
+            trunc = IntegralOperator(grid, rank=q).matrix()
+            ref = (ref_vecs[:, :q] * ref_vals[:q]) @ (ref_vecs[:, :q].T * grid.weights)
+            sw = np.sqrt(grid.weights)
+            err = np.linalg.norm(sw[:, None] * (trunc - ref) / sw[None, :], 2)
+            assert err <= 1e-7 * top
+
+    def test_truncated_operator_builds_no_dense_matrix(self):
+        op = IntegralOperator(Grid.uniform(0.0, 1.0, 50), rank=5)
+        op.apply_rows(np.ones((2, 50)))
+        op.full_basis()
+        assert op._tmat is None
+        full = IntegralOperator(Grid.uniform(0.0, 1.0, 50))
+        assert full._tmat is None
+        first = full.matrix()
+        assert full._tmat is not None
+        assert np.array_equal(full.matrix(), first)
 
 
 class TestStack:
