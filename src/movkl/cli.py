@@ -427,13 +427,16 @@ def cmd_bench(args) -> int:
     for idx in range(instances):
         stack, X, Y, ridge, n, m, M = _random_instance(rng)
         gram = assemble_gram(stack, X)
+        # e.g. "identity;integral:3", the rank of a truncated operator after ":"
+        ops = ";".join(":".join(str(v) for v in op.to_config().values() if v)
+                       for op, _ in gram.merged_groups)
         t0 = time.perf_counter()
         ref, ref_report = dense_solve(gram, ridge, Y)
         t_dense = time.perf_counter() - t0
         ref_norm = np.sqrt(np.sum((ref.values ** 2) @ gram.grid.weights))
         rows.append([idx, n, m, M, "dense", ref_report.iterations,
                      ref_report.final_residual, int(ref_report.converged),
-                     0.0, t_dense])
+                     0.0, t_dense, ops])
         solvers = [
             ("kron", lambda: kron_solve(gram, ridge, Y)),
             ("pcg", lambda: pcg_solve(gram, ridge, Y, solve_cfg)),
@@ -449,13 +452,13 @@ def cmd_bench(args) -> int:
                                  @ gram.grid.weights))
             rows.append([idx, n, m, M, name, report.iterations,
                          report.final_residual, int(report.converged),
-                         err / ref_norm if ref_norm > 0 else err, seconds])
+                         err / ref_norm if ref_norm > 0 else err, seconds, ops])
     out_dir = _out_dir(config, args)
     with open(out_dir / "bench.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance", "n", "m", "M", "solver", "iterations",
                          "rel_residual", "converged", "rel_err_vs_dense",
-                         "seconds"])
+                         "seconds", "operators"])
         for row in rows:
             writer.writerow(row)
     worst = max(r[8] for r in rows)

@@ -37,7 +37,7 @@ import numbers
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .funcspace import CurveVec, Grid, as_int
+from .funcspace import _BLOCK, CurveVec, Grid, as_int
 
 __all__ = [
     "CurveDataset",
@@ -51,11 +51,6 @@ __all__ = [
 
 FORMAT_TAG = "movkl-dataset v1"
 CHANNEL_GAP = 0.25
-
-# Rows per block of numeric work: large enough to amortize numpy call
-# overhead, small enough that a block's temporaries stay well under a MB
-# each on the desk task's 200-point grid.
-_BLOCK = 256
 
 
 @dataclass

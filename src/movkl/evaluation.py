@@ -152,16 +152,16 @@ def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r):
     terms share one operator; None for any other stack.
 
     With G = U diag(g) U^T the merged scalar Gram, (s, V) the operator's
-    full basis and B = U^T Y W V, each eigencomponent l of the operator is
-    a scalar ridge problem with Gram s_l G, whose residual operator
+    q retained eigenpairs and B = U^T Y W V, each retained eigencomponent l
+    is a scalar ridge problem with Gram s_l G, whose residual operator
     I - H_l = U diag(kappa_l) U^T has kappa = lambda / (g s^T + lambda).
     The held-out residual coordinates are then
     E = U (kappa o B) / ((U o U) kappa), the leave-one-out identity
     e_i = [(I - H) c]_i / (I - H)_ii (Rifkin & Lippert, "Notes on
-    Regularized Least Squares", 2007), and the RSSE is sum E^2.  The
-    residual is formed from kappa directly, not as C - H C, which loses
-    digits at small lambda.  A truncated operator's zero eigenvalues give
-    kappa = 1: those components are predicted as zero.
+    Regularized Least Squares", 2007).  The residual is formed from kappa
+    directly, not as C - H C, which loses digits at small lambda.  The
+    operator's null space has kappa = 1 and is predicted as zero, so
+    RSSE(lambda) = sum E^2 + ||Y - (Y W V) V^T||_W^2.
     """
     M = len(stack)
     if not weights_fixed(M, r):
@@ -173,14 +173,16 @@ def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r):
     if targets.grid != stack.output_grid:
         raise DimensionError("targets do not live on the stack's output grid")
     [(op, G)] = groups
-    g, U, s, _, B = product_basis(op, G, targets.grid.weights, targets.values)
+    w = targets.grid.weights
+    g, U, s, _, B, Y0 = product_basis(op, G, w, targets.values)
+    null_rsse = float(np.sum((Y0 * Y0) @ w))
     gs = np.multiply.outer(g, s)
     UU = U * U
     scores = []
     for lam in lams:
         kappa = lam / (gs + lam)
         E = (U @ (kappa * B)) / (UU @ kappa)
-        total = float(np.sum(E * E))
+        total = float(np.sum(E * E)) + null_rsse
         scores.append(total if math.isfinite(total) else None)
     return scores
 

@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+# Rows per block of numeric work: large enough to amortize numpy call
+# overhead, small enough that a block's temporaries stay well under a MB
+# each on the desk task's 200-point grid.
+_BLOCK = 256
+
+
 def _readonly(a, copy: bool = True) -> np.ndarray:
     # copy=False takes a float64 array as it is, or raises ValueError;
     # a frozen float64 array is shared either way (Curve's sharing rule)
@@ -231,7 +237,9 @@ class CurveVec:
             raise DimensionError(
                 f"curves have {values.shape[1]} values for a grid of size {grid.size}"
             )
-        if not np.all(np.isfinite(values)):
+        # by blocks of rows: no boolean mask larger than one block
+        if not all(np.isfinite(values[lo:lo + _BLOCK]).all()
+                   for lo in range(0, values.shape[0], _BLOCK)):
             raise ValueError("curve values must be finite (no NaN/Inf)")
         self.grid = grid
         self.values = values

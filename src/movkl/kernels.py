@@ -23,11 +23,12 @@ low-rank.  The integral operator's spectrum costs O(m^2), not the O(m^3) of a
 dense eigensolver: on sorted points its kernel is an Ornstein-Uhlenbeck
 covariance, whose inverse is tridiagonal in closed form (:func:`_ou_precision`),
 so one tridiagonal eigensolve gives the eigenvectors, and one bidiagonal solve
-their eigenvalues.  Every operator gives its quadrature-orthonormal eigenbasis
-(:meth:`OutputOperator.full_basis`), from which it solves its shifted system
-(scale * T + c * I) u = b, and its mean eigenvalue, which sets the scale of
-trace normalization and of the operators folded into the solver's
-preconditioner of :func:`movkl.linsolve.pcg_solve`.
+their eigenvalues.  Every operator gives its q retained, quadrature-
+orthonormal eigenpairs (:meth:`OutputOperator.spectrum`; q < m only for a
+truncated integral operator, which stores just those), maps every other
+direction to zero, solves (scale * T + c * I) u = b from them, and gives its
+mean eigenvalue, the scale of trace normalization and of the operators
+folded into the preconditioner of :func:`movkl.linsolve.pcg_solve`.
 """
 
 from __future__ import annotations
@@ -293,21 +294,15 @@ class OutputOperator:
         return self.apply_rows(A), None
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (descending) and eigenvectors, orthonormal under the
-        quadrature inner product.  Truncated operators return their retained
-        pairs only."""
-        raise NotImplementedError
-
-    def full_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """All m eigenpairs of the operator's action (zeros filled in for
-        directions a truncated operator annihilates)."""
+        """The q retained eigenvalues (descending, (q,)) and eigenvectors
+        ((m, q), orthonormal under the quadrature inner product).  The
+        operator maps every direction outside them to zero."""
         raise NotImplementedError
 
     def mean_eigenvalue(self) -> float:
-        """Mean of the m eigenvalues of :meth:`full_basis`: 1 for the
-        identity, the mean of the diagonal for multiplication."""
-        vals, _ = self.full_basis()
-        return float(vals.sum()) / vals.size
+        """Mean of all m eigenvalues, the null space's zeros included: 1 for
+        the identity, the mean of the diagonal for multiplication."""
+        return float(self.spectrum()[0].sum()) / self.grid.size
 
     def shifted_solve(self, c: float, scale: float, b: Curve) -> Curve:
         """Solve (scale * T + c * I) u = b through the spectrum.
@@ -346,9 +341,6 @@ class IdentityOperator(OutputOperator):
         np.fill_diagonal(vecs, 1.0 / np.sqrt(self.grid.weights))
         return np.ones(m), vecs
 
-    def full_basis(self):
-        return self.spectrum()
-
     def matrix(self):
         return np.eye(self.grid.size)
 
@@ -382,9 +374,6 @@ class MultiplicationOperator(OutputOperator):
         vecs = np.zeros((m, m))
         vecs[order, np.arange(m)] = 1.0 / np.sqrt(self.grid.weights[order])
         return self.diag[order].copy(), vecs
-
-    def full_basis(self):
-        return self.spectrum()
 
     def matrix(self):
         return np.diag(self.diag)
@@ -494,11 +483,12 @@ class IntegralOperator(OutputOperator):
             _, vecs = eigh_tridiagonal(np.ldexp(diag, -exp2), np.ldexp(off, -exp2),
                                        lapack_driver="stemr")
             vals = _ou_quadratic_forms(t, vecs * sw[:, None])
-            order = np.argsort(-vals, kind="stable")
-            self._eigvals = vals[order]
+            # only the retained pairs are kept: m x q, not m x m
+            keep = np.argsort(-vals, kind="stable")[:self.retained]
+            self._eigvals = vals[keep]
             # quadrature-orthonormal: v^T W v = 1; dividing in place is
             # several times faster than a new array here
-            self._eigvecs = vecs[:, order]
+            self._eigvecs = vecs[:, keep]
             self._eigvecs /= sw[:, None]
         return self._eigvals, self._eigvecs
 
@@ -516,21 +506,12 @@ class IntegralOperator(OutputOperator):
         if self.rank is None:
             return A @ self._kernel_matrix().T, None
         vals, vecs = self._decompose()
-        q = self.rank
-        coeffs = A @ (self.grid.weights[:, None] * vecs[:, :q])
-        return coeffs * vals[:q], vecs[:, :q].T
+        coeffs = A @ (self.grid.weights[:, None] * vecs)
+        return coeffs * vals, vecs.T
 
     def spectrum(self):
         vals, vecs = self._decompose()
-        q = self.retained
-        return vals[:q].copy(), vecs[:, :q].copy()
-
-    def full_basis(self):
-        vals, vecs = self._decompose()
-        vals = vals.copy()
-        if self.rank is not None:
-            vals[self.rank:] = 0.0
-        return vals, vecs.copy()
+        return vals.copy(), vecs.copy()
 
     def matrix(self):
         if self.rank is None:

@@ -132,9 +132,9 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     """Eigendecomposition solve for stacks sharing one output operator.
 
     With G = U diag(g) U^T the combined scalar Gram and T = V diag(s) V^*
-    (V orthonormal under the quadrature inner product), the solution is
-    obtained coordinate-wise in the product basis without forming any
-    Kronecker product.
+    (its q retained eigenpairs, V orthonormal under the quadrature inner
+    product), the solution X = U [B / (g s^T + ridge)] V^T + Y0 / ridge of
+    :func:`product_basis` needs no Kronecker product.
     """
     _check_solve_args(gram, ridge, y)
     groups = gram.merged_groups
@@ -148,9 +148,9 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     Y = y.values
     if groups:
         op, G = groups[0]
-        gvals, U, svals, V, B = product_basis(op, G, w, Y)
+        gvals, U, svals, V, B, Y0 = product_basis(op, G, w, Y)
         Z = B / (np.multiply.outer(gvals, svals) + ridge)
-        X = U @ Z @ V.T
+        X = U @ Z @ V.T + Y0 / ridge
     else:
         # all weights zero: pure ridge system
         X = Y / ridge
@@ -164,16 +164,19 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
 def product_basis(op, G: np.ndarray, w: np.ndarray, Y: np.ndarray):
     """Eigenbasis of the one-operator system G kron T and Y in its coordinates.
 
-    Returns ``(g, U, s, V, B)`` with G = U diag(g) U^T, ``(s, V) =
-    op.full_basis()`` (V orthonormal under the quadrature weights ``w``) and
-    B = U^T Y W V, so that (G kron T + ridge*I) decouples into the scalar
-    equations (g_a s_l + ridge) z_al = B_al.  Shared by :func:`kron_solve`
-    and the closed-form leave-one-out scores of :func:`movkl.evaluation.loo_cv`.
+    Returns ``(g, U, s, V, B, Y0)`` with G = U diag(g) U^T, ``(s, V) =
+    op.spectrum()`` (V (m, q), orthonormal under the quadrature weights
+    ``w``), B = U^T Y W V and Y0 = Y - (Y W V) V^T, the part of Y in the
+    operator's null space.  So (G kron T + ridge*I) decouples into the
+    scalar equations (g_a s_l + ridge) z_al = B_al and ridge * X0 = Y0.
+    Shared by :func:`kron_solve` and the closed-form leave-one-out scores
+    of :func:`movkl.evaluation.loo_cv`.
     """
     G = 0.5 * (G + G.T)
     g, U = np.linalg.eigh(G)
-    s, V = op.full_basis()
-    return g, U, s, V, U.T @ Y @ (w[:, None] * V)
+    s, V = op.spectrum()
+    YV = Y @ (w[:, None] * V)
+    return g, U, s, V, U.T @ YV, Y - YV @ V.T
 
 
 def solve_route(gram: BlockGram) -> str:
@@ -198,11 +201,13 @@ def _two_group_preconditioner(gram: BlockGram, ridge: float):
     operator, else its identity.  Every other group (T, G_T) folds into
     C = ridge*I + sum_T mean-eigenvalue(T) * G_T.  With (nu, S) =
     ``scipy.linalg.eigh(G_B, C)``, so that S^T C S = I and S^T G_B S =
-    diag(nu), and (s, V) = ``B.full_basis()``, the inverse is
-    P(R) = S [(S^T R W V) / (1 + nu s^T)] V^T.  That is the solve of
-    :func:`kron_solve` with C in place of ridge*I, exact for any stack of
-    the identity plus one other operator.  nu is clipped at 0, so that
-    rounding in a rank-deficient G_B cannot make P indefinite.
+    diag(nu), and (s, V) = ``B.spectrum()``, the inverse is
+    P(R) = C^-1 R + S [(S^T R W V) o (H - 1)] V^T, H - 1 = -nu s^T / (1 + nu s^T):
+    B's null space sees C alone, and the q retained directions cost
+    O(n m q).  That is the solve of :func:`kron_solve` with C in place of
+    ridge*I, exact for any stack of the identity plus one other operator.
+    nu is clipped at 0, so that rounding in a rank-deficient G_B cannot
+    make P indefinite.
     """
     groups = sorted(gram.merged_groups, key=lambda g: _preconditioner_group(g[0]))
     if not groups:
@@ -212,10 +217,12 @@ def _two_group_preconditioner(gram: BlockGram, ridge: float):
         C += op.mean_eigenvalue() * G
     op, GB = groups[0]
     nu, S = scipy.linalg.eigh(GB, C)
-    s, V = op.full_basis()
+    s, V = op.spectrum()
     WV = gram.grid.weights[:, None] * V
-    H = 1.0 / (1.0 + np.multiply.outer(np.maximum(nu, 0.0), s))
-    return lambda R: S @ (((S.T @ R) @ WV) * H) @ V.T
+    nus = np.multiply.outer(np.maximum(nu, 0.0), s)
+    H1 = -nus / (1.0 + nus)
+    Cinv = S @ S.T
+    return lambda R: Cinv @ R + S @ (((S.T @ R) @ WV) * H1) @ V.T
 
 
 def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,

@@ -510,6 +510,20 @@ class TestBench:
             assert row[conv_col] == "1"
             assert float(row[err_col]) <= 1e-6
 
+    def test_bench_names_operators_and_covers_truncation(self, tmp_path):
+        # both routes see truncated integral operators, kept at rank q
+        cfg = base_config(tmp_path)
+        cfg["bench"] = {"instances": 40}
+        assert main(["bench", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        with open(tmp_path / "out" / "bench.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["operators"] for row in rows if row["solver"] == "dense"} >= {
+            "identity", "multiplication", "integral"}
+        for solver in ("kron", "pcg"):
+            assert any("integral:" in row["operators"]
+                       for row in rows if row["solver"] == solver)
+        assert all(float(row["rel_err_vs_dense"]) <= 1e-7 for row in rows)
+
     def test_bench_flags_unconverged_rows(self, tmp_path, capsys):
         # fit.solver caps CG at one step, too few for the first seed-4
         # instance: it mixes three operators, so the preconditioner is not

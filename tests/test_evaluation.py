@@ -232,7 +232,9 @@ class TestLooCv:
 CV_OPERATORS = {
     "identity": IdentityOperator,
     "multiplication": MultiplicationOperator,
+    "integral rank 1": lambda grid: IntegralOperator(grid, rank=1),
     "integral rank 2": lambda grid: IntegralOperator(grid, rank=2),
+    "integral rank m - 1": lambda grid: IntegralOperator(grid, rank=grid.size - 1),
     "integral": IntegralOperator,
 }
 # r = inf stacks draw their terms from this pool; nested scales included
@@ -262,6 +264,12 @@ class TestClosedFormCv:
     @example(seed=4, n=9, m_out=8, kind="integral", terms=[0], log_lams=[-4.0, 1.0])
     @example(seed=5, n=8, m_out=7, kind="integral rank 2", terms=[0, 2, 1],
              log_lams=[-4.0, -1.0, 2.0])
+    # the null space of a truncated operator is m - 1 directions wide here,
+    # one direction wide in the next
+    @example(seed=6, n=10, m_out=9, kind="integral rank 1", terms=[1, 0],
+             log_lams=[-4.0, 0.0, 2.0])
+    @example(seed=7, n=6, m_out=9, kind="integral rank m - 1", terms=[2],
+             log_lams=[-4.0, -2.0, 1.0])
     def test_matches_fold_refits(self, seed, n, m_out, kind, terms, log_lams):
         rng = np.random.default_rng(seed)
         gin = Grid.uniform(0.0, 1.0, 6)

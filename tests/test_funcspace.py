@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from movkl import (
     vec_inner,
     vec_norm_sq,
 )
+from movkl.funcspace import _BLOCK
 from conftest import random_curve, random_curve_vec, writeable_through
 
 
@@ -319,6 +322,31 @@ class TestSharingRule:
             Curve(g, values[2])
         with pytest.raises(DimensionError):
             CurveVec(Grid.uniform(0, 1, 3), values[:2])
+
+    @pytest.mark.parametrize("row", [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 2])
+    def test_finiteness_check_covers_every_row(self, row):
+        g = Grid.uniform(0, 1, 3)
+        values = np.ones((2 * _BLOCK + 3, 3))
+        values[row, 1] = np.nan
+        values.setflags(write=False)
+        with pytest.raises(ValueError, match="curve values must be finite"):
+            CurveVec(g, values)
+
+    def test_shared_slice_is_validated_without_a_full_mask(self):
+        # a 10,000 x 600 slice is shared, not copied; an np.isfinite mask of
+        # all of it would take 6 MB, one block of rows takes 154 kB
+        g = Grid.uniform(0, 1, 600)
+        values = np.zeros((10001, 600))
+        values.setflags(write=False)
+        part = values[1:]
+        tracemalloc.start()
+        try:
+            cv = CurveVec(g, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cv.values is part
+        assert peak < part.size // 8
 
     def test_copy_false_keeps_its_meaning(self):
         # a read-only view of a writeable array is taken as it is when the

@@ -129,8 +129,10 @@ class TestScalarKernels:
 
         op = IntegralOperator(grid, rank=4)
         block = block_trace_normalized(base, op, xs)
-        vals, _ = op.full_basis()
-        expected = 1.0 / (np.diag(base.gram(xs)).mean() * vals.sum() / vals.size)
+        vals, _ = op.spectrum()
+        # a truncated operator keeps its retained pairs only
+        assert op._eigvecs.shape == (grid.size, 4)
+        expected = 1.0 / (np.diag(base.gram(xs)).mean() * vals.sum() / grid.size)
         assert block.factor == pytest.approx(expected)
 
     def test_median_pairwise_distance(self, rng, grid):
@@ -390,8 +392,9 @@ class TestIntegralSpectrum:
     def test_truncated_operator_builds_no_dense_matrix(self):
         op = IntegralOperator(Grid.uniform(0.0, 1.0, 50), rank=5)
         op.apply_rows(np.ones((2, 50)))
-        op.full_basis()
+        op.spectrum()
         assert op._tmat is None
+        assert op._eigvecs.shape == (50, 5)
         full = IntegralOperator(Grid.uniform(0.0, 1.0, 50))
         assert full._tmat is None
         first = full.matrix()

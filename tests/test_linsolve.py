@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -162,6 +164,22 @@ class TestKronSolve:
         assert route == "pcg"
         with pytest.raises(SolverError, match=f"use {route}_solve "):
             kron_solve(gram, 0.1, random_curve_vec(rng, gout, 3))
+
+    @pytest.mark.parametrize("rank", [1, 3, 7])
+    def test_truncated_operator_at_small_ridge_matches_dense(self, rng, rank):
+        # at ridge 1e-4 the answer is dominated by the operator's null space,
+        # which kron_solve divides by the ridge in closed form
+        gout = random_grid(rng, 8)
+        X = random_curve_vec(rng, Grid.uniform(0, 1, 9), 6)
+        op = IntegralOperator(gout, rank=rank)
+        stack = KernelStack([OvKernelTerm(GaussianKernel(1.0), op, 0.6),
+                             OvKernelTerm(PolynomialKernel(2), op, 0.8)])
+        gram = assemble_gram(stack, X)
+        y = random_curve_vec(rng, gout, 6)
+        ak, report = kron_solve(gram, 1e-4, y)
+        ad, _ = dense_solve(gram, 1e-4, y)
+        assert report.converged
+        assert vec_norm(ak - ad) <= 1e-9 * vec_norm(ad)
 
     def test_all_zero_weights(self, rng):
         gout = Grid.uniform(0, 1, 4)
@@ -388,6 +406,58 @@ class TestPcgSolve:
         WP = np.tile(grid.weights, 2)[:, None] * P
         assert np.allclose(WP, WP.T, atol=1e-10 * np.abs(WP).max())
         assert np.linalg.eigvalsh(0.5 * (WP + WP.T)).min() > 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 24), n=st.integers(1, 6), data=st.data(),
+           folded=st.lists(st.sampled_from(["identity", "multiplication"]),
+                           max_size=2),
+           ridge=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 16))
+    @example(m=24, n=6, data=None, folded=["identity", "multiplication"],
+             ridge=1e-3, seed=1)
+    def test_preconditioner_inverts_two_group_system(self, m, n, data, folded,
+                                                     ridge, seed):
+        # P(R) against the dense solve of C kron I + G_B kron B, with B a
+        # rank-q integral operator (q = m is the full one) on an uneven grid
+        # and the other operators folded into C at their mean eigenvalues
+        q = m if data is None else data.draw(st.integers(1, m), label="rank")
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, m)
+        X = random_curve_vec(rng, Grid.uniform(0.0, 1.0, 5), n)
+        grams = [GaussianKernel(0.8 + 0.4 * k).gram(X) for k in range(len(folded) + 1)]
+        ops = [IntegralOperator(grid, rank=q)] + [make_operator(kind, grid)
+                                                  for kind in folded]
+        weights = rng.uniform(0.2, 1.0, len(ops))
+        gram = BlockGram(grams, ops, weights, grid)
+        C = ridge * np.eye(n)
+        for op, G in gram.merged_groups[1:]:
+            C += op.mean_eigenvalue() * G
+        op, GB = gram.merged_groups[0]
+        A = np.kron(C, np.eye(m)) + np.kron(GB, op.matrix())
+        R = rng.normal(size=(n, m))
+        got = movkl.linsolve._two_group_preconditioner(gram, ridge)(R)
+        want = np.linalg.solve(A, R.reshape(-1)).reshape(n, m)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_truncated_operators_stay_rank_q(self, rng):
+        # once their spectra exist, CG on rank-10 and rank-4 integral
+        # operators over 2,000 points holds m x q arrays; an m x m basis
+        # alone would take 32 MB
+        m = 2000
+        grid = Grid.uniform(0.0, 1.0, m)
+        ops = [IntegralOperator(grid, rank=10), IntegralOperator(grid, rank=4)]
+        for op in ops:
+            op.spectrum()
+        G = GaussianKernel(1.0).gram(random_curve_vec(rng, Grid.uniform(0, 1, 20), 5))
+        gram = BlockGram([G, G], ops, [0.6, 0.8], grid)
+        y = random_curve_vec(rng, grid, 5)
+        tracemalloc.start()
+        try:
+            _, report = pcg_solve(gram, 0.01, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < m * m * 8 / 4
 
     def test_old_capacitance_guard_case(self, rng):
         # n*Q = 85 * 59 was over the 5,000 guard of the deleted capacitance
