@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
 from .funcspace import CurveVec, as_int
-from .kernels import assemble_gram
+from .kernels import CurveStats, assemble_gram
 from .learn import FitConfig, movkl_fit, predict, weights_fixed
 from .linsolve import product_basis
 
@@ -113,7 +113,9 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
     learned weights differ from fold to fold, or several operators) each
     fold is refitted on the n-1 remaining curves.  Candidates whose folds
     fail are marked invalid and excluded.  Ties break toward the smallest
-    lambda, then the smallest rank.
+    lambda, then the smallest rank.  The input curves' statistics (their
+    inner products and distances) are computed once per call and shared by
+    every rank.
 
     Returns ``(best_lambda, best_rank, candidates)``.
     """
@@ -125,9 +127,10 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
 
     candidates: list[CvCandidate] = []
     lams = list(spec.lambda_grid)
+    pairs = CurveStats(inputs).pairs()
     for rank in spec.rank_grid:
         stack = stack_builder(rank)
-        scores = _closed_form_scores(stack, inputs, targets, lams, cfg.r)
+        scores = _closed_form_scores(stack, inputs, targets, lams, cfg.r, pairs)
         if scores is None:
             scores = _refit_scores(stack, inputs, targets, lams, cfg)
         candidates += [CvCandidate(lam, rank, total, total is not None)
@@ -147,9 +150,11 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
     return best.lam, best.rank, candidates
 
 
-def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r):
+def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r,
+                        pairs):
     """Exact leave-one-out RSSE per lambda for a fixed-weight stack whose
-    terms share one operator; None for any other stack.
+    terms share one operator, from the inputs' :meth:`CurveStats.pairs`;
+    None for any other stack.
 
     With G = U diag(g) U^T the merged scalar Gram, (s, V) the operator's
     q retained eigenpairs and B = U^T Y W V, each retained eigencomponent l
@@ -167,7 +172,7 @@ def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r):
     if not weights_fixed(M, r):
         return None
     groups = assemble_gram(stack.with_weights(np.full(M, 1.0 / M)),
-                           inputs).merged_groups
+                           inputs, pairs).merged_groups
     if len(groups) != 1:
         return None
     if targets.grid != stack.output_grid:

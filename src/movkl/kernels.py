@@ -23,12 +23,14 @@ low-rank.  The integral operator's spectrum costs O(m^2), not the O(m^3) of a
 dense eigensolver: on sorted points its kernel is an Ornstein-Uhlenbeck
 covariance, whose inverse is tridiagonal in closed form (:func:`_ou_precision`),
 so one tridiagonal eigensolve gives the eigenvectors, and one bidiagonal solve
-their eigenvalues.  Every operator gives its q retained, quadrature-
-orthonormal eigenpairs (:meth:`OutputOperator.spectrum`; q < m only for a
-truncated integral operator, which stores just those), maps every other
-direction to zero, solves (scale * T + c * I) u = b from them, and gives its
-mean eigenvalue, the scale of trace normalization and of the operators
-folded into the preconditioner of :func:`movkl.linsolve.pcg_solve`.
+their eigenvalues.  A truncated operator solves for its q retained pairs
+alone, in O(m q), when q is small enough against m for that to pay (a
+measured crossover, :func:`_subset_pays`).  Every operator gives its q
+retained, quadrature-orthonormal eigenpairs (:meth:`OutputOperator.spectrum`;
+q < m only for a truncated integral operator, which stores just those), maps
+every other direction to zero, solves (scale * T + c * I) u = b from them,
+and gives its mean eigenvalue, the scale of trace normalization and of the
+operators folded into the preconditioner of :func:`movkl.linsolve.pcg_solve`.
 """
 
 from __future__ import annotations
@@ -240,7 +242,8 @@ def block_trace_normalized(kernel: ScalarKernel, operator, xs: CurveVec) -> Scal
     different trace (the identity versus a truncated integral operator,
     say) compete on an even footing in a weighted combination.
     """
-    sq = CurveStats(xs).sq_norms  # the pairs (x_i, x_i), in O(n m)
+    # the pairs (x_i, x_i), in O(n m)
+    sq = _sq_norms(xs.values, xs.grid.weights)
     gram_scale = float(kernel.evaluate(sq, np.zeros_like(sq)).mean())
     scale = gram_scale * operator.mean_eigenvalue()
     if scale <= 0:
@@ -341,6 +344,9 @@ class IdentityOperator(OutputOperator):
         np.fill_diagonal(vecs, 1.0 / np.sqrt(self.grid.weights))
         return np.ones(m), vecs
 
+    def mean_eigenvalue(self):
+        return 1.0
+
     def matrix(self):
         return np.eye(self.grid.size)
 
@@ -374,6 +380,9 @@ class MultiplicationOperator(OutputOperator):
         vecs = np.zeros((m, m))
         vecs[order, np.arange(m)] = 1.0 / np.sqrt(self.grid.weights[order])
         return self.diag[order].copy(), vecs
+
+    def mean_eigenvalue(self):
+        return float(self.diag.sum()) / self.grid.size
 
     def matrix(self):
         return np.diag(self.diag)
@@ -411,6 +420,20 @@ def _ou_precision(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, -e / denom
 
 
+def _subset_pays(m: int, q: int) -> bool:
+    """Whether MRRR should solve for the q leading pairs alone, not all m.
+
+    The subset solve costs about m q against the full solve's m^2, with a
+    larger constant and a fixed overhead on tiny grids.  Measured on one
+    BLAS thread, whole decomposition of a random grid, subset time over
+    full time: 0.70 at m = 200, q = 40, 0.88 at q = 50, 1.06 at q = 60;
+    0.94 at m = 500, q = 125, 1.19 at q = 150; 0.88 at m = 2,000,
+    q = 500, 1.10 at q = 600; 0.95 at m = 16, q = 4; but 0.98 to 1.11 for
+    q <= m / 4 at m = 4 and 8, where either solve takes about 0.1 ms.
+    """
+    return m >= 16 and 4 * q <= m
+
+
 def _ou_quadratic_forms(points: np.ndarray, X: np.ndarray) -> np.ndarray:
     """x^T K x for each column x of the (m, k) array X, with K as in
     :func:`_ou_precision`, in O(m k).
@@ -437,7 +460,10 @@ class IntegralOperator(OutputOperator):
     The spectrum of W^1/2 K W^1/2 (K the kernel matrix on the grid points,
     W the quadrature weights) costs O(m^2).  Its eigenvectors are those of
     the tridiagonal W^-1/2 Q W^-1/2, Q = K^-1 in closed form
-    (:func:`_ou_precision`), from one MRRR eigensolve.  Each eigenvalue is
+    (:func:`_ou_precision`), from one MRRR eigensolve.  A truncated operator
+    asks MRRR for the index range of its q leading pairs alone, in O(m q),
+    when q is below the measured crossover of :func:`_subset_pays`, and for
+    all m pairs otherwise; it keeps only the q.  Each eigenvalue is
     then the Rayleigh quotient of K at its eigenvector
     (:func:`_ou_quadratic_forms`): the reciprocal of Q's eigenvalue would
     lose the leading eigenvalues' accuracy on grids with close points,
@@ -480,11 +506,20 @@ class IntegralOperator(OutputOperator):
             # to converge (LAPACK info 22) on grids with gaps near 1e-6,
             # where the entries reach 1e12
             _, exp2 = np.frexp(diag.max())
+            q = self.retained
+            # Q's q smallest eigenvalues are K's q largest: MRRR solves for
+            # that index range alone when it pays.  It is asked for two pairs
+            # at least: alone, the leading pair's residual reached 1e-4 of
+            # its eigenvalue on grids that mix gaps near 1e-6 with ordinary
+            # ones, where two matched the full solve's 5e-10
+            subset = {}
+            if _subset_pays(t.size, q):
+                subset = {"select": "i", "select_range": (0, max(q, 2) - 1)}
             _, vecs = eigh_tridiagonal(np.ldexp(diag, -exp2), np.ldexp(off, -exp2),
-                                       lapack_driver="stemr")
+                                       lapack_driver="stemr", **subset)
             vals = _ou_quadratic_forms(t, vecs * sw[:, None])
             # only the retained pairs are kept: m x q, not m x m
-            keep = np.argsort(-vals, kind="stable")[:self.retained]
+            keep = np.argsort(-vals, kind="stable")[:q]
             self._eigvals = vals[keep]
             # quadrature-orthonormal: v^T W v = 1; dividing in place is
             # several times faster than a new array here
@@ -714,10 +749,15 @@ class BlockGram:
         return out
 
 
-def assemble_gram(stack: KernelStack, inputs: CurveVec) -> BlockGram:
-    """Compute the per-term scalar Gram matrices for a set of input curves."""
-    stats = CurveStats(inputs).pairs()
-    grams = [t.scalar.evaluate(*stats) for t in stack.terms]
+def assemble_gram(stack: KernelStack, inputs: CurveVec, pairs=None) -> BlockGram:
+    """Compute the per-term scalar Gram matrices for a set of input curves.
+
+    ``pairs`` may pass in ``CurveStats(inputs).pairs()``, computed once by a
+    caller that assembles several stacks on the same inputs.
+    """
+    if pairs is None:
+        pairs = CurveStats(inputs).pairs()
+    grams = [t.scalar.evaluate(*pairs) for t in stack.terms]
     return BlockGram(
         grams, [t.operator for t in stack.terms], stack.weights, stack.output_grid
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import movkl.evaluation
+from movkl.kernels import CurveStats
 from movkl import (
     CurveVec,
     CvSpec,
@@ -291,6 +292,36 @@ class TestClosedFormCv:
             assert cand.valid
             rel = 1e-12 if cand.lam >= 1e-2 else 1e-9
             assert cand.cv_rsse == pytest.approx(ref, rel=rel)
+
+    def test_statistics_built_once_per_call(self, rng, monkeypatch):
+        gout = Grid.uniform(0.0, 1.0, 80)
+        X = random_curve_vec(rng, Grid.uniform(0.0, 1.0, 12), 8)
+        Y = random_curve_vec(rng, gout, 8)
+
+        def builder(rank):
+            return KernelStack.uniform(
+                [(GaussianKernel(1.0), IntegralOperator(gout, rank=rank))])
+
+        spec = CvSpec(lambda_grid=[1e-3, 0.1, 1.0], rank_grid=[5, 10, 20])
+        built = []
+        init = CurveStats.__init__
+
+        def counting(self, xs):
+            built.append(xs)
+            init(self, xs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(CurveStats, "__init__", counting)
+            mp.setattr(movkl.evaluation, "movkl_fit", no_fold_fit)
+            _, _, table = loo_cv(builder, X, Y, spec, FitConfig())
+        assert len(built) == 1
+        # the same table with the statistics rebuilt for every rank
+        assemble = movkl.evaluation.assemble_gram
+        monkeypatch.setattr(movkl.evaluation, "assemble_gram",
+                            lambda stack, inputs, pairs: assemble(stack, inputs))
+        _, _, per_rank = loo_cv(builder, X, Y, spec, FitConfig())
+        assert ([(c.lam, c.rank, c.cv_rsse) for c in table]
+                == [(c.lam, c.rank, c.cv_rsse) for c in per_rank])
 
     def test_fold_fits_follow_the_route(self, rng, monkeypatch):
         X, Y = tiny_task(rng, n=6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +22,7 @@ from movkl import (
     median_pairwise_distance,
     vec_inner,
 )
+import movkl.kernels
 from movkl.kernels import _ou_precision
 from conftest import random_curve, random_curve_vec
 
@@ -243,6 +246,18 @@ class TestOperators:
         expected = np.trace(integ.matrix()) / grid.size
         assert integ.mean_eigenvalue() == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("make_op", [IdentityOperator, MultiplicationOperator])
+    def test_diagonal_mean_eigenvalue_builds_no_matrix(self, make_op):
+        # the dense m x m eigenvector matrix would be 30.5 MiB here
+        op = make_op(Grid.uniform(0.0, 1.0, 2000))
+        tracemalloc.start()
+        try:
+            op.mean_eigenvalue()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_shifted_solve_identity(self, rng, grid):
         b = random_curve(rng, grid)
         out = IdentityOperator(grid).shifted_solve(1.0, 1.0, b)
@@ -315,6 +330,30 @@ def spectrum_grid(kind: str, m: int, seed: int) -> Grid:
     return Grid.from_points(np.concatenate([[start], gaps]).cumsum())
 
 
+def assert_pairs_match_oracle(op, ref_vals):
+    """The operator's retained pairs against the oracle's leading
+    eigenvalues and the dense kernel formula of the full operator."""
+    grid, q = op.grid, op.retained
+    vals, vecs = op.spectrum()
+    assert vals.shape == (q,) and vecs.shape == (grid.size, q)
+    top = ref_vals[0]
+    # the dense oracle is accurate relative to the largest eigenvalue
+    assert np.max(np.abs(vals - ref_vals[:q])) <= 1e-9 * top
+    assert np.all(np.diff(vals) <= 0.0)
+    gram = vecs.T @ (grid.weights[:, None] * vecs)
+    assert np.max(np.abs(gram - np.eye(q))) <= 1e-10
+    # each pair against the dense kernel formula, in the quadrature norm
+    resid = op._kernel_matrix() @ vecs - vecs * vals
+    assert np.max(np.sqrt((resid * resid).T @ grid.weights)) <= 1e-8 * top
+
+
+def quadrature_residual(basis, vecs, weights):
+    """Largest quadrature norm of a column of ``vecs`` outside the span of
+    the quadrature-orthonormal columns of ``basis``."""
+    outside = vecs - basis @ (basis.T @ (weights[:, None] * vecs))
+    return float(np.max(np.sqrt((outside * outside).T @ weights), initial=0.0))
+
+
 class TestIntegralSpectrum:
     """The tridiagonal spectrum against the dense oracle."""
 
@@ -365,17 +404,9 @@ class TestIntegralSpectrum:
     def test_spectrum_matches_dense_oracle(self, kind, m, seed):
         grid = spectrum_grid(kind, m, seed)
         op = IntegralOperator(grid)
-        vals, vecs = op.spectrum()
         ref_vals, ref_vecs = reference_decompose(op)
         top = ref_vals[0]
-        # the dense oracle is accurate relative to the largest eigenvalue
-        assert np.max(np.abs(vals - ref_vals)) <= 1e-9 * top
-        assert np.all(np.diff(vals) <= 0.0)
-        gram = vecs.T @ (grid.weights[:, None] * vecs)
-        assert np.max(np.abs(gram - np.eye(m))) <= 1e-10
-        # each pair against the dense kernel formula, in the quadrature norm
-        resid = op.matrix() @ vecs - vecs * vals
-        assert np.max(np.sqrt((resid * resid).T @ grid.weights)) <= 1e-8 * top
+        assert_pairs_match_oracle(op, ref_vals)
         # a truncated operator, rebuilt from its spectrum, against the
         # oracle's rank-q map; q sits at a spectral gap, so that subspaces,
         # not single eigenvectors, are compared and ties cannot matter
@@ -388,6 +419,64 @@ class TestIntegralSpectrum:
             sw = np.sqrt(grid.weights)
             err = np.linalg.norm(sw[:, None] * (trunc - ref) / sw[None, :], 2)
             assert err <= 1e-7 * top
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["uniform", "random", "clustered", "mixed", "wide"]),
+           m=st.integers(2, 200), seed=st.integers(0, 2 ** 16),
+           frac=st.floats(0.0, 1.0))
+    # subset solves (4 q <= m) on the grids pinned above, ...
+    @example(kind="clustered", m=200, seed=53, frac=0.0)
+    @example(kind="clustered", m=200, seed=0, frac=0.1)
+    @example(kind="mixed", m=200, seed=0, frac=0.24)
+    # (asked for this one pair alone, MRRR misses by 5e-5 in residual)
+    @example(kind="mixed", m=200, seed=0, frac=0.0)
+    @example(kind="wide", m=200, seed=0, frac=0.05)
+    @example(kind="random", m=16, seed=1, frac=3 / 14)
+    # ... full solves just above the crossover and at q = m - 1, ...
+    @example(kind="mixed", m=200, seed=0, frac=0.26)
+    @example(kind="random", m=200, seed=1, frac=1.0)
+    # ... and below the smallest grid size that takes the subset
+    @example(kind="uniform", m=15, seed=0, frac=0.0)
+    @example(kind="uniform", m=2, seed=0, frac=0.0)
+    def test_truncated_spectrum_matches_dense_oracle(self, kind, m, seed, frac):
+        grid = spectrum_grid(kind, m, seed)
+        q = 1 + round(frac * (m - 2))  # 1 to m - 1
+        op = IntegralOperator(grid, rank=q)
+        assert_pairs_match_oracle(op, reference_decompose(op)[0])
+
+    def test_truncated_solve_asks_for_retained_pairs_only(self, monkeypatch):
+        calls = []
+        solve = movkl.kernels.eigh_tridiagonal
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("select_range"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(movkl.kernels, "eigh_tridiagonal", recording)
+        for m, q in [(200, 5), (200, 50), (200, 51), (200, None), (15, 1), (16, 4),
+                     (200, 1)]:
+            IntegralOperator(Grid.uniform(0.0, 1.0, m), rank=q).spectrum()
+        assert calls == [(0, 4), (0, 49), None, None, None, (0, 3), (0, 1)]
+
+    @pytest.mark.parametrize("q", [45, 100])  # subset and full solves
+    def test_truncated_subspace_at_tied_boundary(self, q):
+        # on this wide grid the 36 leading eigenvalues tie at 60 and the
+        # next 105 at 50; q cuts through the second cluster, so only
+        # subspaces, not the retained vectors, are unique
+        grid = spectrum_grid("wide", 200, 8)
+        op = IntegralOperator(grid, rank=q)
+        ref_vals, ref_vecs = reference_decompose(op)
+        assert_pairs_match_oracle(op, ref_vals)
+        tol = 1e-12 * ref_vals[0]
+        tied = np.abs(ref_vals - ref_vals[q - 1]) <= tol
+        above = ref_vals > ref_vals[q - 1] + tol
+        assert tied[q] and np.count_nonzero(above) == 36
+        _, vecs = op.spectrum()
+        w = grid.weights
+        # the retained span holds every oracle eigenvector above the tie ...
+        assert quadrature_residual(vecs, ref_vecs[:, above], w) <= 1e-10
+        # ... and lies in the span of those at or above it
+        assert quadrature_residual(ref_vecs[:, above | tied], vecs, w) <= 1e-10
 
     def test_truncated_operator_builds_no_dense_matrix(self):
         op = IntegralOperator(Grid.uniform(0.0, 1.0, 50), rank=5)
