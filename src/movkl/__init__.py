@@ -52,7 +52,6 @@ from .linsolve import (
 from .learn import (
     FitConfig,
     MovklModel,
-    fk_norm_sq,
     krr_fit,
     load_model,
     movkl_fit,
@@ -86,7 +85,7 @@ __all__ = [
     "SolveConfig", "SolveReport",
     "dense_solve", "kron_solve", "pcg_solve", "solve_route",
     "FitConfig", "MovklModel",
-    "krr_fit", "movkl_fit", "weight_update", "fk_norm_sq",
+    "krr_fit", "movkl_fit", "weight_update",
     "predict", "predict_many", "save_model", "load_model",
     "CvSpec", "rsse", "lcr", "loo_cv",
     "CurveDataset", "SynthSpec", "generate_synthetic",

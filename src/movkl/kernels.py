@@ -293,7 +293,8 @@ class OutputOperator:
     def factored_rows(self, A: np.ndarray):
         """:meth:`apply_rows` as factors (L, R) with L @ R the result, for an
         operator of rank q < m: L is (k, q) and R is (q, m).  Operators kept
-        at full rank return (apply_rows(A), None)."""
+        at full rank return (apply_rows(A), None).  L may be A itself, so
+        callers must not write to it."""
         return self.apply_rows(A), None
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -337,6 +338,10 @@ class IdentityOperator(OutputOperator):
 
     def apply_rows(self, A: np.ndarray) -> np.ndarray:
         return np.array(A, copy=True)
+
+    def factored_rows(self, A: np.ndarray):
+        # A itself: the copy of apply_rows buys nothing in a product
+        return A, None
 
     def spectrum(self):
         m = self.grid.size
@@ -681,9 +686,13 @@ class BlockGram:
     """Factored block operator Gram matrix sum_k d_k (G_k kron T_k).
 
     Stores one n x n scalar Gram per term and the structured operators.
-    Terms sharing an operator are merged for matrix-vector work, so the
-    cost of one application is one scalar-Gram product plus one operator
-    application per *distinct* operator.
+    Terms sharing an operator are merged for matrix-vector work.  G_o acts
+    on the rows' index and T_o on the grid, so the two commute, and each
+    distinct operator o adds G_o (T_o A) with T_o A in the factors (L_o, R_o)
+    of :meth:`OutputOperator.factored_rows`, as (G_o L_o) R_o.  One
+    application costs one n^2 m product per full-rank operator and
+    O(n^2 q + n m q) per operator of rank q, plus the full-rank integral
+    operator's O(n m^2) application.
     """
 
     def __init__(self, scalar_grams, operators, weights, grid: Grid):
@@ -699,11 +708,12 @@ class BlockGram:
         for g in self.scalar_grams:
             if g.shape != (self.n, self.n):
                 raise DimensionError("scalar Gram matrices must share one shape")
+        live = [k for k, d in enumerate(self.weights) if d != 0.0]
         self._groups = group_by_operator(
-            (op, d * gmat)
-            for gmat, op, d in zip(self.scalar_grams, self.operators, self.weights)
-            if d != 0.0
+            (self.operators[k], self.weights[k] * self.scalar_grams[k]) for k in live
         )
+        # the indices of the terms on each distinct operator
+        self._members = group_by_operator((self.operators[k], [k]) for k in live)
 
     @property
     def n_terms(self) -> int:
@@ -719,10 +729,18 @@ class BlockGram:
 
     def apply_values(self, A: np.ndarray) -> np.ndarray:
         """Block matrix action on stacked curve values (n, m)."""
-        out = np.zeros_like(A)
+        out = None
         for op, gmat in self._groups:
-            out += op.apply_rows(gmat @ A)
-        return out
+            left, right = op.factored_rows(A)
+            part = gmat @ left
+            if right is not None:
+                part = part @ right
+            # every part is a fresh product: the first one is kept as the sum
+            if out is None:
+                out = part
+            else:
+                out += part
+        return np.zeros_like(A) if out is None else out
 
     def apply(self, alpha: CurveVec) -> CurveVec:
         if alpha.grid != self.grid:
@@ -733,12 +751,25 @@ class BlockGram:
             )
         return CurveVec(self.grid, self.apply_values(alpha.values))
 
-    def quad_form_term(self, k: int, A: np.ndarray) -> float:
-        """Unweighted quadratic form <(G_k kron T_k) a, a> for term k."""
-        if not 0 <= k < self.n_terms:
-            raise IndexError(f"term index {k} out of range")
-        B = self.operators[k].apply_rows(self.scalar_grams[k] @ A)
-        return float(np.sum((B * A) @ self.grid.weights))
+    def quad_forms(self, A: np.ndarray) -> np.ndarray:
+        """Unweighted quadratic forms <(G_k kron T_k) a, a> of every term, in
+        the quadrature pairing; zero for the terms of zero weight, which the
+        block Gram leaves out.
+
+        Term k's form is the Frobenius product <G_k, M_o> with
+        M_o = (A W)(T_o A)^T, one n x n matrix per distinct operator o:
+        ((A W) R_o^T) L_o^T from the factors of
+        :meth:`OutputOperator.factored_rows`, so a rank-q operator costs
+        O(n m q + n^2 q) in place of an n^2 m product.
+        """
+        out = np.zeros(self.n_terms)
+        weighted = A * self.grid.weights
+        for op, terms in self._members:
+            left, right = op.factored_rows(A)
+            M = (weighted if right is None else weighted @ right.T) @ left.T
+            for k in terms:
+                out[k] = np.vdot(self.scalar_grams[k], M)
+        return out
 
     def densify(self) -> np.ndarray:
         """Explicit (n*m) x (n*m) matrix; testing escape hatch."""

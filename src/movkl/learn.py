@@ -44,7 +44,6 @@ __all__ = [
     "krr_fit",
     "movkl_fit",
     "weight_update",
-    "fk_norm_sq",
     "predict",
     "predict_many",
     "save_model",
@@ -246,27 +245,14 @@ def weight_update(fnorms_sq, r: float) -> np.ndarray:
     return num / z ** (1.0 / r)
 
 
-def fk_norm_sq(gram: BlockGram, alpha: CurveVec, k: int) -> float:
-    """Squared RKHS norm of the k-th component function.
-
-    By the reproducing property this is d_k^2 <(G_k kron T_k) alpha, alpha>
-    in the quadrature pairing.
-    """
-    d_k = gram.weights[k]
-    if d_k == 0.0:
-        return 0.0
-    return float(d_k ** 2 * max(gram.quad_form_term(k, alpha.values), 0.0))
-
-
-def _objective(gram: BlockGram, alpha_values, targets_values, lam):
+def _objective(gram: BlockGram, alpha_values, residual, lam):
     # primal value: sum_k ||f_k||^2/(2 d_k) + ||xi||^2/(2 lambda), with
-    # ||f_k||^2/d_k = d_k * <(G_k kron T_k) a, a> (zero-weight terms vanish)
-    quads = [
-        gram.quad_form_term(k, alpha_values) if gram.weights[k] > 0 else 0.0
-        for k in range(gram.n_terms)
-    ]
+    # ||f_k||^2/d_k = d_k * <(G_k kron T_k) a, a> from one product per
+    # distinct operator (zero-weight terms vanish), and the misfit
+    # xi = y - K a = R + lambda a from the solver's true residual R
+    quads = gram.quad_forms(alpha_values)
     smooth = 0.5 * float(np.dot(gram.weights, np.maximum(quads, 0.0)))
-    xi = targets_values - gram.apply_values(alpha_values)
+    xi = residual + lam * alpha_values
     w = gram.grid.weights
     fit = float(np.sum((xi * xi) @ w)) / (2.0 * lam)
     return smooth + fit, quads
@@ -339,7 +325,7 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
         solver_iters.append(report.iterations)
         routes.append(report.solver_kind)
         residuals.append(float(report.final_residual))
-        obj, quads = _objective(gram, alpha_new.values, targets.values, cfg.lam)
+        obj, quads = _objective(gram, alpha_new.values, report.residual, cfg.lam)
         trace.append(obj)
         change = vec_norm(alpha_new - alpha)
         alpha = alpha_new

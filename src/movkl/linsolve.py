@@ -21,7 +21,7 @@ relative to the norm of the right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -66,10 +66,16 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
+    """A solve's step count, the relative residual of its answer, whether
+    that met the solver's tolerance, and its route.  ``residual`` is the
+    true residual Y - (K + ridge*I) X itself, from which ``final_residual``
+    was measured; :func:`movkl.learn.movkl_fit` takes its misfit from it."""
+
     iterations: int
     final_residual: float
     converged: bool
     solver_kind: str
+    residual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _wnorm(values: np.ndarray, w: np.ndarray) -> float:
@@ -77,15 +83,19 @@ def _wnorm(values: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(max(np.sum((v * v) @ w), 0.0)))
 
 
+def _residual(gram: BlockGram, ridge: float, A, Y) -> np.ndarray:
+    return Y - gram.apply_values(A) - ridge * A
+
+
 def _rel_residual(gram: BlockGram, ridge: float, A, Y, w) -> float:
-    return _relative(Y - gram.apply_values(A) - ridge * A, Y, w)
+    return _relative(_residual(gram, ridge, A, Y), _wnorm(Y, w), w)
 
 
-def _relative(R, Y, w) -> float:
-    """Quadrature norm of the residual R relative to that of Y (absolute
-    when Y is zero)."""
-    ynorm = _wnorm(Y, w)
-    return _wnorm(R, w) / ynorm if ynorm > 0 else _wnorm(R, w)
+def _relative(R, ynorm: float, w) -> float:
+    """Quadrature norm of the residual R relative to ``ynorm``, that of the
+    right-hand side (absolute when it is zero)."""
+    rnorm = _wnorm(R, w)
+    return rnorm / ynorm if ynorm > 0 else rnorm
 
 
 def _check_solve_args(gram: BlockGram, ridge: float, y: CurveVec) -> None:
@@ -118,12 +128,15 @@ def dense_solve(gram: BlockGram, ridge: float, y: CurveVec):
     x = scipy.linalg.lu_solve((lu, piv), b)
     x += scipy.linalg.lu_solve((lu, piv), b - A @ x)
     X = x.reshape(n, m)
-    resid = _rel_residual(gram, ridge, X, y.values, gram.grid.weights)
+    w = gram.grid.weights
+    R = _residual(gram, ridge, X, y.values)
+    resid = _relative(R, _wnorm(y.values, w), w)
     report = SolveReport(
         iterations=1,
         final_residual=resid,
         converged=resid <= DENSE_TOL,
         solver_kind="dense",
+        residual=R,
     )
     return CurveVec(gram.grid, X), report
 
@@ -154,10 +167,11 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     else:
         # all weights zero: pure ridge system
         X = Y / ridge
-    resid = _rel_residual(gram, ridge, X, Y, w)
+    R = _residual(gram, ridge, X, Y)
+    resid = _relative(R, _wnorm(Y, w), w)
     return (
         CurveVec(gram.grid, X),
-        SolveReport(1, resid, resid <= KRON_TOL, "kron"),
+        SolveReport(1, resid, resid <= KRON_TOL, "kron", R),
     )
 
 
@@ -203,9 +217,11 @@ def _two_group_preconditioner(gram: BlockGram, ridge: float):
     ``scipy.linalg.eigh(G_B, C)``, so that S^T C S = I and S^T G_B S =
     diag(nu), and (s, V) = ``B.spectrum()``, the inverse is
     P(R) = C^-1 R + S [(S^T R W V) o (H - 1)] V^T, H - 1 = -nu s^T / (1 + nu s^T):
-    B's null space sees C alone, and the q retained directions cost
-    O(n m q).  That is the solve of :func:`kron_solve` with C in place of
-    ridge*I, exact for any stack of the identity plus one other operator.
+    B's null space sees C alone.  The second term is taken from the thin
+    side first, R W V before S^T, so the q retained directions cost
+    O(n m q + n^2 q) and one application O(n^2 m + n m q).  That is the
+    solve of :func:`kron_solve` with C in place of ridge*I, exact for any
+    stack of the identity plus one other operator.
     nu is clipped at 0, so that rounding in a rank-deficient G_B cannot
     make P indefinite.
     """
@@ -222,7 +238,7 @@ def _two_group_preconditioner(gram: BlockGram, ridge: float):
     nus = np.multiply.outer(np.maximum(nu, 0.0), s)
     H1 = -nus / (1.0 + nus)
     Cinv = S @ S.T
-    return lambda R: Cinv @ R + S @ (((S.T @ R) @ WV) * H1) @ V.T
+    return lambda R: Cinv @ R + S @ ((S.T @ (R @ WV)) * H1) @ V.T
 
 
 def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,
@@ -238,7 +254,9 @@ def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,
     measured; convergence is declared only if it meets ``outer_tol`` too,
     and otherwise CG restarts from the true residual.  ``outer_max_iter``
     caps the CG steps.  The report counts the steps and gives the true
-    relative residual of the returned answer.
+    residual of the returned answer and its relative norm.  One step makes
+    one block application (:meth:`BlockGram.apply_values`) and one
+    preconditioner application, plus O(n m) of vector work.
     """
     cfg = cfg or SolveConfig()
     _check_solve_args(gram, ridge, y)
@@ -255,8 +273,9 @@ def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,
     def inner(A, B):
         return float(np.sum((A * B) @ w))
 
-    R = Y - gram.apply_values(X) - ridge * X
-    resid = _relative(R, Y, w)
+    ynorm = _wnorm(Y, w)
+    R = _residual(gram, ridge, X, Y)
+    resid = _relative(R, ynorm, w)
     steps = 0
     while resid > cfg.outer_tol and steps < cfg.outer_max_iter:
         Z = precondition(R)
@@ -267,13 +286,13 @@ def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,
             a = rz / inner(P, Q)
             X += a * P
             R -= a * Q
-            if _relative(R, Y, w) <= cfg.outer_tol:
+            if _relative(R, ynorm, w) <= cfg.outer_tol:
                 break
             Z = precondition(R)
             rz, rz_old = inner(R, Z), rz
             P = Z + (rz / rz_old) * P
         # the true residual, the same arithmetic as _rel_residual
-        R = Y - gram.apply_values(X) - ridge * X
-        resid = _relative(R, Y, w)
-    report = SolveReport(steps, resid, resid <= cfg.outer_tol, "pcg")
+        R = _residual(gram, ridge, X, Y)
+        resid = _relative(R, ynorm, w)
+    report = SolveReport(steps, resid, resid <= cfg.outer_tol, "pcg", R)
     return CurveVec(gram.grid, X), report

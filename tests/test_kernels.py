@@ -632,3 +632,109 @@ class TestBlockGram:
         separate = (gram.with_weights(d1).apply(alpha).values
                     + gram.with_weights(d2).apply(alpha).values)
         assert np.allclose(combined, separate, atol=1e-12)
+
+
+def factored_stack_operator(kind, q, grid):
+    if kind == "identity":
+        return IdentityOperator(grid)
+    if kind == "multiplication":
+        return MultiplicationOperator(grid)
+    return IntegralOperator(grid, rank=q)
+
+
+def term_quad_oracle(G, op, alpha):
+    """<(G kron T) a, a> in the quadrature pairing from the densified term,
+    and the sum of its summands' magnitudes, the scale of its rounding."""
+    K = BlockGram([G], [op], [1.0], op.grid).densify()
+    a = alpha.ravel()
+    wa = np.tile(op.grid.weights, alpha.shape[0]) * a
+    return float((K @ a) @ wa), float((np.abs(K) @ np.abs(a)) @ np.abs(wa))
+
+
+class TestFactoredProducts:
+    """apply_values and quad_forms, which work from each operator's factors,
+    against the densified block Gram."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(2, 40),
+        n=st.integers(1, 7),
+        uneven=st.booleans(),
+        terms=st.lists(
+            st.tuples(st.sampled_from(["identity", "multiplication", "integral"]),
+                      st.floats(0.0, 1.0),
+                      st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
+            min_size=1, max_size=6),
+        seed=st.integers(0, 2 ** 16),
+    )
+    # every kind, ranks 1 and m, a zero weight and a repeated operator, on
+    # a grid where the truncated operators take the subset eigensolve
+    @example(m=32, n=5, uneven=True,
+             terms=[("identity", 0.0, 0.3), ("multiplication", 0.0, 0.0),
+                    ("integral", 0.0, 0.4), ("integral", 1.0, 0.2),
+                    ("integral", 0.2, 0.5), ("integral", 0.2, 0.1)], seed=3)
+    # every weight zero: nothing is applied
+    @example(m=5, n=2, uneven=False, terms=[("identity", 0.0, 0.0)], seed=4)
+    def test_match_densified(self, m, n, uneven, terms, seed):
+        rng = np.random.default_rng(seed)
+        if uneven:
+            points = np.cumsum(rng.uniform(0.05, 0.5, m)) - 1.0
+            gout = Grid(points, rng.uniform(0.05, 0.5, m))
+        else:
+            gout = Grid.uniform(0.0, 1.0, m)
+        X = random_curve_vec(rng, Grid.uniform(0.0, 1.0, m + 1), n)
+        kernels = [GaussianKernel(0.8), PolynomialKernel(2), GaussianKernel(1.5)]
+        grams = [kernels[k % 3].gram(X) for k in range(len(terms))]
+        # rank q from 1 to m; q = m is the full-rank operator
+        ops = [factored_stack_operator(kind, 1 + round(frac * (m - 1)), gout)
+               for kind, frac, _ in terms]
+        gram = BlockGram(grams, ops, [d for _, _, d in terms], gout)
+        alpha = rng.normal(size=(n, m))
+
+        expected = (gram.densify() @ alpha.ravel()).reshape(n, m)
+        scale = max(float(np.abs(expected).max()), 1.0)
+        np.testing.assert_allclose(gram.apply_values(alpha), expected,
+                                   rtol=1e-10, atol=1e-12 * scale)
+
+        quads = gram.quad_forms(alpha)
+        assert quads.shape == (len(terms),)
+        for k, (G, op, (_, _, d)) in enumerate(zip(grams, ops, terms)):
+            if d == 0.0:
+                assert quads[k] == 0.0
+                continue
+            oracle, magnitude = term_quad_oracle(G, op, alpha)
+            assert quads[k] == pytest.approx(oracle, rel=1e-10,
+                                             abs=1e-12 * magnitude)
+
+
+class TestQuadForms:
+    def setup_gram(self, rng):
+        gin = Grid.uniform(0, 1, 6)
+        gout = Grid.uniform(0, 1, 5)
+        xs = random_curve_vec(rng, gin, 3)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(1.0), IdentityOperator(gout)),
+             (PolynomialKernel(2), IntegralOperator(gout))])
+        return assemble_gram(stack, xs), gout
+
+    def test_zero_alpha(self, rng):
+        gram, gout = self.setup_gram(rng)
+        assert np.all(gram.quad_forms(np.zeros((3, gout.size))) == 0.0)
+
+    def test_zero_weight(self, rng):
+        gram, gout = self.setup_gram(rng)
+        gram0 = gram.with_weights([0.0, 0.5])
+        quads = gram0.quad_forms(random_curve_vec(rng, gout, 3).values)
+        assert quads[0] == 0.0
+        assert quads[1] > 0.0
+
+    def test_densified_quadratic_form_oracle(self, rng):
+        gram, gout = self.setup_gram(rng)
+        alpha = random_curve_vec(rng, gout, 3)
+        w_flat = np.tile(gout.weights, 3)
+        a_flat = alpha.values.ravel()
+        quads = gram.quad_forms(alpha.values)
+        for k in range(2):
+            K_k = np.kron(gram.scalar_grams[k], gram.operators[k].matrix())
+            oracle = float((K_k @ a_flat) @ (w_flat * a_flat))
+            assert quads[k] == pytest.approx(oracle, rel=1e-10, abs=1e-12)

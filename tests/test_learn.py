@@ -30,7 +30,6 @@ from movkl import (
     SolverError,
     assemble_gram,
     block_trace_normalized,
-    fk_norm_sq,
     krr_fit,
     kron_solve,
     load_model,
@@ -136,44 +135,6 @@ class TestWeightUpdate:
     def test_infinite_exponent_rejected(self):
         with pytest.raises(ValueError):
             weight_update([1.0, 2.0], math.inf)
-
-
-class TestFkNormSq:
-    def setup_gram(self, rng):
-        gin = Grid.uniform(0, 1, 6)
-        gout = Grid.uniform(0, 1, 5)
-        xs = random_curve_vec(rng, gin, 3)
-        stack = KernelStack.uniform(
-            [(GaussianKernel(1.0), IdentityOperator(gout)),
-             (PolynomialKernel(2), IntegralOperator(gout))])
-        return assemble_gram(stack, xs), gout
-
-    def test_zero_alpha(self, rng):
-        gram, gout = self.setup_gram(rng)
-        assert fk_norm_sq(gram, CurveVec.zero(gout, 3), 0) == 0.0
-
-    def test_zero_weight(self, rng):
-        gram, gout = self.setup_gram(rng)
-        gram0 = gram.with_weights([0.0, 0.5])
-        alpha = random_curve_vec(rng, gout, 3)
-        assert fk_norm_sq(gram0, alpha, 0) == 0.0
-
-    def test_densified_quadratic_form_oracle(self, rng):
-        gram, gout = self.setup_gram(rng)
-        alpha = random_curve_vec(rng, gout, 3)
-        w_flat = np.tile(gout.weights, 3)
-        a_flat = alpha.values.ravel()
-        for k in range(2):
-            K_k = np.kron(gram.scalar_grams[k], gram.operators[k].matrix())
-            oracle = gram.weights[k] ** 2 * float(
-                (K_k @ a_flat) @ (w_flat * a_flat))
-            assert fk_norm_sq(gram, alpha, k) == pytest.approx(oracle, rel=1e-10,
-                                                               abs=1e-12)
-
-    def test_index_out_of_range(self, rng):
-        gram, gout = self.setup_gram(rng)
-        with pytest.raises(IndexError):
-            fk_norm_sq(gram, CurveVec.zero(gout, 3), 5)
 
 
 def small_problem(rng, n=4, m_in=6, m_out=5):
@@ -394,6 +355,40 @@ class TestMovklFit:
                                       IdentityOperator(Y.grid))])
         with pytest.raises(Exception):
             movkl_fit(stack, X, bad_Y, tight_cfg(0.1))
+
+
+class TestObjective:
+    @pytest.mark.parametrize("route", ["kron", "pcg"])
+    def test_solver_residual_gives_fresh_objective(self, rng, route):
+        # the objective takes its misfit from the solver's true residual; it
+        # must equal the objective of a fresh block application, and the
+        # primal value of the densified system
+        X, Y = small_problem(rng, n=5)
+        lam = 0.05
+        pairs = [(GaussianKernel(1.0), IntegralOperator(Y.grid, rank=3)),
+                 (PolynomialKernel(2), IntegralOperator(Y.grid, rank=3))]
+        if route == "pcg":
+            pairs += [(GaussianKernel(0.5), IdentityOperator(Y.grid)),
+                      (GaussianKernel(2.0), MultiplicationOperator(Y.grid))]
+        gram = assemble_gram(KernelStack.uniform(pairs), X)
+        alpha, report = movkl.learn._ridge_solve(
+            gram, Y, CurveVec.zero(Y.grid, Y.n), tight_cfg(lam))
+        assert report.solver_kind == route
+        a = alpha.values
+        obj, quads = movkl.learn._objective(gram, a, report.residual, lam)
+        fresh = Y.values - gram.apply_values(a) - lam * a
+        ref_obj, ref_quads = movkl.learn._objective(gram, a, fresh, lam)
+        assert obj == pytest.approx(ref_obj, rel=1e-12)
+        assert np.array_equal(quads, ref_quads)
+
+        w_flat = np.tile(Y.grid.weights, Y.n)
+        a_flat = a.ravel()
+        xi = Y.values.ravel() - gram.densify() @ a_flat
+        smooth = sum(
+            d * float((np.kron(G, op.matrix()) @ a_flat) @ (w_flat * a_flat))
+            for G, op, d in zip(gram.scalar_grams, gram.operators, gram.weights))
+        dense_obj = 0.5 * smooth + float(xi @ (w_flat * xi)) / (2.0 * lam)
+        assert obj == pytest.approx(dense_obj, rel=1e-10)
 
 
 class TestSolveRouting:
