@@ -23,17 +23,23 @@ one = mk.Curve(gout, np.ones(gout.size))
 print("integral operator on the constant 1, value at t=0:",
       integ.apply(one).values[0], "vs analytic", 1 - np.exp(-1.0))
 
-vals, vecs = trunc.spectrum()
+# each operator gives its retained eigenvalues and two maps into and out of
+# the coordinates of its quadrature-orthonormal eigenvectors V:
+# coords(A) = A W V and expand(C) = C V^T
+vals = trunc.eigvals()
 print("leading integral eigenvalues:", np.round(vals[:5], 4))
-orth = vecs.T @ (gout.weights[:, None] * vecs)
-print("eigenbasis orthonormal under quadrature:",
-      np.allclose(orth, np.eye(10), atol=1e-10))
+print("eigenbasis orthonormal under quadrature, coords(expand(I)) = I:",
+      np.allclose(trunc.coords(trunc.expand(np.eye(10))), np.eye(10),
+                  atol=1e-10))
 
-# shifted solves go through the spectrum: (scale*T + c*I) u = b
-b = mk.Curve(gout, rng.normal(size=gout.size))
-u = trunc.shifted_solve(0.1, 1.0, b)
-resid = 1.0 * trunc.apply(u).values + 0.1 * u.values - b.values
-print("shifted solve residual:", np.linalg.norm(resid))
+# T = V diag(s) V^T W: the operator acts as a scaling in its coordinates;
+# for the identity and multiplication operators V = W^-1/2 in grid order,
+# so both maps rescale elementwise and no m x m matrix is built
+b = rng.normal(size=(1, gout.size))
+for op in (mult, trunc):
+    via_coords = op.expand(op.coords(b) * op.eigvals())
+    print(f"{op!r} applied through its coordinates:",
+          np.allclose(via_coords, op.apply_rows(b), atol=1e-10))
 
 # scalar kernels act on whole curves through the quadrature geometry
 gin = mk.Grid.uniform(0.0, 1.0, 80)

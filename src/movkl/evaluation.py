@@ -156,8 +156,10 @@ def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r,
     terms share one operator, from the inputs' :meth:`CurveStats.pairs`;
     None for any other stack.
 
-    With G = U diag(g) U^T the merged scalar Gram, (s, V) the operator's
-    q retained eigenpairs and B = U^T Y W V, each retained eigencomponent l
+    With G = U diag(g) U^T the merged scalar Gram, s the operator's q
+    retained eigenvalues and B = U^T Y W V in their quadrature-orthonormal
+    eigenvectors V (:func:`movkl.linsolve.product_basis`, through the
+    operator's ``coords``), each retained eigencomponent l
     is a scalar ridge problem with Gram s_l G, whose residual operator
     I - H_l = U diag(kappa_l) U^T has kappa = lambda / (g s^T + lambda).
     The held-out residual coordinates are then
@@ -179,7 +181,7 @@ def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r,
         raise DimensionError("targets do not live on the stack's output grid")
     [(op, G)] = groups
     w = targets.grid.weights
-    g, U, s, _, B, Y0 = product_basis(op, G, w, targets.values)
+    g, U, s, B, Y0 = product_basis(op, G, targets.values)
     null_rsse = float(np.sum((Y0 * Y0) @ w))
     gs = np.multiply.outer(g, s)
     UU = U * U

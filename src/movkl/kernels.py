@@ -26,11 +26,16 @@ so one tridiagonal eigensolve gives the eigenvectors, and one bidiagonal solve
 their eigenvalues.  A truncated operator solves for its q retained pairs
 alone, in O(m q), when q is small enough against m for that to pay (a
 measured crossover, :func:`_subset_pays`).  Every operator gives its q
-retained, quadrature-orthonormal eigenpairs (:meth:`OutputOperator.spectrum`;
-q < m only for a truncated integral operator, which stores just those), maps
-every other direction to zero, solves (scale * T + c * I) u = b from them,
-and gives its mean eigenvalue, the scale of trace normalization and of the
-operators folded into the preconditioner of :func:`movkl.linsolve.pcg_solve`.
+retained eigenvalues (:meth:`OutputOperator.eigvals`; q < m only for a
+truncated integral operator, which stores just those pairs) and two maps
+between grid values and coordinates in its quadrature-orthonormal
+eigenvectors V: :meth:`~OutputOperator.coords` (A W V) and
+:meth:`~OutputOperator.expand` (C V^T).  For the identity and multiplication
+operators V = W^-1/2 in grid order, so both maps rescale elementwise and no
+m x m matrix is built.  Every direction outside V maps to zero.  Each
+operator also gives its mean eigenvalue, the scale of trace normalization
+and of the operators folded into the preconditioner of
+:func:`movkl.linsolve.pcg_solve`.
 """
 
 from __future__ import annotations
@@ -297,33 +302,28 @@ class OutputOperator:
         callers must not write to it."""
         return self.apply_rows(A), None
 
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """The q retained eigenvalues (descending, (q,)) and eigenvectors
-        ((m, q), orthonormal under the quadrature inner product).  The
-        operator maps every direction outside them to zero."""
+    def eigvals(self) -> np.ndarray:
+        """The q retained eigenvalues, (q,), in the order of the eigenvectors
+        V of :meth:`coords` and :meth:`expand`.  The operator maps every
+        direction outside V to zero.  Callers must not write to it."""
         raise NotImplementedError
+
+    def coords(self, A: np.ndarray) -> np.ndarray:
+        """Coordinates A W V, (k, q), of the rows of a (k, m) array in the
+        retained eigenvectors V ((m, q), orthonormal under the quadrature
+        inner product).  This default serves the diagonal operators, whose
+        V = W^-1/2 in grid order: it scales by sqrt(w)."""
+        return A * np.sqrt(self.grid.weights)
+
+    def expand(self, C: np.ndarray) -> np.ndarray:
+        """Grid values C V^T, (k, m), of (k, q) coordinates; so
+        coords(expand(C)) = C.  The default scales by 1 / sqrt(w)."""
+        return C / np.sqrt(self.grid.weights)
 
     def mean_eigenvalue(self) -> float:
         """Mean of all m eigenvalues, the null space's zeros included: 1 for
         the identity, the mean of the diagonal for multiplication."""
-        return float(self.spectrum()[0].sum()) / self.grid.size
-
-    def shifted_solve(self, c: float, scale: float, b: Curve) -> Curve:
-        """Solve (scale * T + c * I) u = b through the spectrum.
-
-        Directions outside the retained eigenvectors see the shift alone,
-        so truncated operators invert exactly.
-        """
-        if c <= 0:
-            raise ValueError("shift c must be positive")
-        if scale < 0:
-            raise ValueError("scale must be nonnegative")
-        if b.grid != self.grid:
-            raise DimensionError("curve does not live on the operator grid")
-        vals, vecs = self.spectrum()
-        coeffs = (b.values * self.grid.weights) @ vecs
-        corr = 1.0 / (scale * vals + c) - 1.0 / c
-        return Curve(self.grid, vecs @ (coeffs * corr) + b.values / c)
+        return float(self.eigvals().sum()) / self.grid.size
 
     def matrix(self) -> np.ndarray:
         """Dense coordinate-space matrix (the dense oracle and tests)."""
@@ -343,14 +343,8 @@ class IdentityOperator(OutputOperator):
         # A itself: the copy of apply_rows buys nothing in a product
         return A, None
 
-    def spectrum(self):
-        m = self.grid.size
-        vecs = np.zeros((m, m))
-        np.fill_diagonal(vecs, 1.0 / np.sqrt(self.grid.weights))
-        return np.ones(m), vecs
-
-    def mean_eigenvalue(self):
-        return 1.0
+    def eigvals(self):
+        return np.ones(self.grid.size)
 
     def matrix(self):
         return np.eye(self.grid.size)
@@ -379,15 +373,8 @@ class MultiplicationOperator(OutputOperator):
     def apply_rows(self, A: np.ndarray) -> np.ndarray:
         return A * self.diag[None, :]
 
-    def spectrum(self):
-        order = np.argsort(-self.diag, kind="stable")
-        m = self.grid.size
-        vecs = np.zeros((m, m))
-        vecs[order, np.arange(m)] = 1.0 / np.sqrt(self.grid.weights[order])
-        return self.diag[order].copy(), vecs
-
-    def mean_eigenvalue(self):
-        return float(self.diag.sum()) / self.grid.size
+    def eigvals(self):
+        return self.diag
 
     def matrix(self):
         return np.diag(self.diag)
@@ -459,8 +446,8 @@ class IntegralOperator(OutputOperator):
 
     With ``rank=None`` the quadrature discretization of the full operator is
     used.  With ``rank=q < m`` the operator *is* the best rank-q
-    approximation: application, spectrum and shifted solves all refer to
-    the truncated map.
+    approximation: application, eigenvalues and coordinate maps all refer
+    to the truncated map.
 
     The spectrum of W^1/2 K W^1/2 (K the kernel matrix on the grid points,
     W the quadrature weights) costs O(m^2).  Its eigenvectors are those of
@@ -530,6 +517,8 @@ class IntegralOperator(OutputOperator):
             # several times faster than a new array here
             self._eigvecs = vecs[:, keep]
             self._eigvecs /= sw[:, None]
+            self._eigvals.setflags(write=False)
+            self._eigvecs.setflags(write=False)
         return self._eigvals, self._eigvecs
 
     @property
@@ -546,17 +535,21 @@ class IntegralOperator(OutputOperator):
         if self.rank is None:
             return A @ self._kernel_matrix().T, None
         vals, vecs = self._decompose()
-        coeffs = A @ (self.grid.weights[:, None] * vecs)
-        return coeffs * vals, vecs.T
+        return self.coords(A) * vals, vecs.T
 
-    def spectrum(self):
-        vals, vecs = self._decompose()
-        return vals.copy(), vecs.copy()
+    def eigvals(self):
+        return self._decompose()[0]
+
+    def coords(self, A):
+        return A @ (self.grid.weights[:, None] * self._decompose()[1])
+
+    def expand(self, C):
+        return C @ self._decompose()[1].T
 
     def matrix(self):
         if self.rank is None:
             return self._kernel_matrix().copy()
-        vals, vecs = self.spectrum()
+        vals, vecs = self._decompose()
         return (vecs * vals[None, :]) @ (vecs.T * self.grid.weights[None, :])
 
     def __eq__(self, other):
@@ -649,11 +642,6 @@ class KernelStack:
             [OvKernelTerm(t.scalar, t.operator, w) for t, w in zip(self.terms, d)],
             self.norm_exponent,
         )
-
-    def shared_operator(self) -> OutputOperator | None:
-        """The single output operator if all terms agree, else None."""
-        groups = group_by_operator((t.operator, 0) for t in self.terms)
-        return groups[0][0] if len(groups) == 1 else None
 
 
 def group_by_operator(pairs):

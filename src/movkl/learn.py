@@ -281,25 +281,13 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     term shares one operator; otherwise preconditioned conjugate gradients,
     warm-started from the previous alpha, which raise ``SolverError`` when
     they miss ``outer_tol`` within ``outer_max_iter`` steps), and stops
-    once the dual curves move less than ``mkl_tol`` in the quadrature norm.  With a finite norm exponent
-    and several terms the weights are then refreshed from the component
-    norms; otherwise they cannot change and the first solve is final.  The
-    weights are never refreshed after the last allowed round, so the
-    returned alpha always solves the system of the returned weights.
+    once the dual curves move less than ``mkl_tol`` in the quadrature norm.
+    With a finite norm exponent and several terms the weights are then
+    refreshed from the component norms; otherwise they cannot change and
+    the first solve is final.  The weights are never refreshed after the
+    last allowed round, so the returned alpha always solves the system of
+    the returned weights.
     """
-    return _alternate(stack, inputs, targets, cfg)
-
-
-def krr_fit(term: OvKernelTerm, inputs: CurveVec, targets: CurveVec,
-            cfg: FitConfig) -> MovklModel:
-    """Single-kernel ridge fit: one eigendecomposition solve, weight 1."""
-    stack = KernelStack([OvKernelTerm(term.scalar, term.operator, 1.0)],
-                        norm_exponent=cfg.r)
-    return _alternate(stack, inputs, targets, cfg)
-
-
-def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
-               cfg: FitConfig) -> MovklModel:
     _check_fit_args(inputs, targets)
     M = len(stack)
     d = np.full(M, 1.0 / M)
@@ -345,6 +333,14 @@ def _alternate(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
         solver_routes=routes,
         solver_residuals=residuals,
     )
+
+
+def krr_fit(term: OvKernelTerm, inputs: CurveVec, targets: CurveVec,
+            cfg: FitConfig) -> MovklModel:
+    """Single-kernel ridge fit: one eigendecomposition solve, weight 1."""
+    stack = KernelStack([OvKernelTerm(term.scalar, term.operator, 1.0)],
+                        norm_exponent=cfg.r)
+    return movkl_fit(stack, inputs, targets, cfg)
 
 
 def _ridge_solve(gram: BlockGram, targets: CurveVec, warm: CurveVec,

@@ -144,10 +144,12 @@ def dense_solve(gram: BlockGram, ridge: float, y: CurveVec):
 def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     """Eigendecomposition solve for stacks sharing one output operator.
 
-    With G = U diag(g) U^T the combined scalar Gram and T = V diag(s) V^*
+    With G = U diag(g) U^T the combined scalar Gram and T = V diag(s) V^T W
     (its q retained eigenpairs, V orthonormal under the quadrature inner
-    product), the solution X = U [B / (g s^T + ridge)] V^T + Y0 / ridge of
-    :func:`product_basis` needs no Kronecker product.
+    product), the solution X = expand(U [B / (g s^T + ridge)]) + Y0 / ridge,
+    with B and Y0 from :func:`product_basis` and expand(C) = C V^T, needs no
+    Kronecker product.  For a diagonal operator the operator's maps are
+    elementwise rescalings, so the solve holds no m x m array.
     """
     _check_solve_args(gram, ridge, y)
     groups = gram.merged_groups
@@ -161,9 +163,9 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     Y = y.values
     if groups:
         op, G = groups[0]
-        gvals, U, svals, V, B, Y0 = product_basis(op, G, w, Y)
+        gvals, U, svals, B, Y0 = product_basis(op, G, Y)
         Z = B / (np.multiply.outer(gvals, svals) + ridge)
-        X = U @ Z @ V.T + Y0 / ridge
+        X = op.expand(U @ Z) + Y0 / ridge
     else:
         # all weights zero: pure ridge system
         X = Y / ridge
@@ -175,22 +177,21 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     )
 
 
-def product_basis(op, G: np.ndarray, w: np.ndarray, Y: np.ndarray):
+def product_basis(op, G: np.ndarray, Y: np.ndarray):
     """Eigenbasis of the one-operator system G kron T and Y in its coordinates.
 
-    Returns ``(g, U, s, V, B, Y0)`` with G = U diag(g) U^T, ``(s, V) =
-    op.spectrum()`` (V (m, q), orthonormal under the quadrature weights
-    ``w``), B = U^T Y W V and Y0 = Y - (Y W V) V^T, the part of Y in the
-    operator's null space.  So (G kron T + ridge*I) decouples into the
-    scalar equations (g_a s_l + ridge) z_al = B_al and ridge * X0 = Y0.
-    Shared by :func:`kron_solve` and the closed-form leave-one-out scores
-    of :func:`movkl.evaluation.loo_cv`.
+    Returns ``(g, U, s, B, Y0)`` with G = U diag(g) U^T, s = ``op.eigvals()``,
+    B = U^T ``op.coords(Y)`` and Y0 = Y - ``op.expand(op.coords(Y))``, the
+    part of Y in the operator's null space (zero up to rounding at full
+    rank).  So (G kron T + ridge*I) decouples into the scalar equations
+    (g_a s_l + ridge) z_al = B_al and ridge * X0 = Y0.  Shared by
+    :func:`kron_solve` and the closed-form leave-one-out scores of
+    :func:`movkl.evaluation.loo_cv`.
     """
     G = 0.5 * (G + G.T)
     g, U = np.linalg.eigh(G)
-    s, V = op.spectrum()
-    YV = Y @ (w[:, None] * V)
-    return g, U, s, V, U.T @ YV, Y - YV @ V.T
+    YV = op.coords(Y)
+    return g, U, op.eigvals(), U.T @ YV, Y - op.expand(YV)
 
 
 def solve_route(gram: BlockGram) -> str:
@@ -215,11 +216,13 @@ def _two_group_preconditioner(gram: BlockGram, ridge: float):
     operator, else its identity.  Every other group (T, G_T) folds into
     C = ridge*I + sum_T mean-eigenvalue(T) * G_T.  With (nu, S) =
     ``scipy.linalg.eigh(G_B, C)``, so that S^T C S = I and S^T G_B S =
-    diag(nu), and (s, V) = ``B.spectrum()``, the inverse is
-    P(R) = C^-1 R + S [(S^T R W V) o (H - 1)] V^T, H - 1 = -nu s^T / (1 + nu s^T):
-    B's null space sees C alone.  The second term is taken from the thin
-    side first, R W V before S^T, so the q retained directions cost
-    O(n m q + n^2 q) and one application O(n^2 m + n m q).  That is the
+    diag(nu), and s = ``B.eigvals()``, the inverse is
+    P(R) = C^-1 R + expand(S [(S^T coords(R)) o (H - 1)]), with
+    H - 1 = -nu s^T / (1 + nu s^T) and B's maps coords(R) = R W V and
+    expand(Z) = Z V^T: B's null space sees C alone.  The second term is
+    taken from the thin side first, coords(R) before S^T, so the q retained
+    directions cost O(n m q + n^2 q) and one application O(n^2 m + n m q);
+    a diagonal B's maps cost O(n m).  That is the
     solve of :func:`kron_solve` with C in place of ridge*I, exact for any
     stack of the identity plus one other operator.
     nu is clipped at 0, so that rounding in a rank-deficient G_B cannot
@@ -233,12 +236,10 @@ def _two_group_preconditioner(gram: BlockGram, ridge: float):
         C += op.mean_eigenvalue() * G
     op, GB = groups[0]
     nu, S = scipy.linalg.eigh(GB, C)
-    s, V = op.spectrum()
-    WV = gram.grid.weights[:, None] * V
-    nus = np.multiply.outer(np.maximum(nu, 0.0), s)
+    nus = np.multiply.outer(np.maximum(nu, 0.0), op.eigvals())
     H1 = -nus / (1.0 + nus)
     Cinv = S @ S.T
-    return lambda R: Cinv @ R + S @ ((S.T @ (R @ WV)) * H1) @ V.T
+    return lambda R: Cinv @ R + op.expand(S @ ((S.T @ op.coords(R)) * H1))
 
 
 def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,

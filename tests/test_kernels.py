@@ -32,15 +32,6 @@ def grid():
     return Grid.uniform(0.0, 1.0, 9)
 
 
-def all_operators(grid):
-    return [
-        IdentityOperator(grid),
-        MultiplicationOperator(grid),
-        IntegralOperator(grid),
-        IntegralOperator(grid, rank=4),
-    ]
-
-
 class TestScalarKernels:
     def test_gaussian_self_similarity(self, rng, grid):
         k = GaussianKernel(0.7)
@@ -132,7 +123,7 @@ class TestScalarKernels:
 
         op = IntegralOperator(grid, rank=4)
         block = block_trace_normalized(base, op, xs)
-        vals, _ = op.spectrum()
+        vals = op.eigvals()
         # a truncated operator keeps its retained pairs only
         assert op._eigvecs.shape == (grid.size, 4)
         expected = 1.0 / (np.diag(base.gram(xs)).mean() * vals.sum() / grid.size)
@@ -181,30 +172,29 @@ class TestOperators:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
             assert l2_inner(op.apply(a), a) >= -1e-10
 
-    def test_identity_spectrum(self):
-        g = Grid.uniform(0.0, 1.0, 4)
-        vals, vecs = IdentityOperator(g).spectrum()
-        assert np.array_equal(vals, np.ones(4))
-        # orthonormal under the quadrature inner product
-        gram = vecs.T @ (g.weights[:, None] * vecs)
-        assert np.allclose(gram, np.eye(4), atol=1e-12)
-
-    def test_multiplication_spectrum_two_points(self):
-        g = Grid.uniform(0.0, 1.0, 2)
-        vals, vecs = MultiplicationOperator(g).spectrum()
-        assert np.allclose(vals, [1.0, np.exp(-1.0)])
-        gram = vecs.T @ (g.weights[:, None] * vecs)
-        assert np.allclose(gram, np.eye(2), atol=1e-12)
-
     @pytest.mark.parametrize("make_op", [IdentityOperator,
                                          MultiplicationOperator,
                                          IntegralOperator])
-    def test_eigenpairs_satisfy_definition(self, make_op, grid):
-        op = make_op(grid)
-        vals, vecs = op.spectrum()
-        assert np.all(np.diff(vals) <= 1e-14)
-        applied = op.apply_rows(vecs.T)
-        assert np.allclose(applied, (vecs * vals[None, :]).T, atol=1e-8)
+    def test_eigenpairs_satisfy_definition(self, rng, make_op):
+        # T = V diag(s) V^T W with V orthonormal under the quadrature weights,
+        # on a uniform and an uneven grid; the integral operator at every
+        # rank from 1 to m, where m is the full operator
+        m = 9
+        for grid in (Grid.uniform(0.0, 1.0, m),
+                     Grid.from_points(np.sort(rng.uniform(-2.0, 2.0, m)))):
+            if make_op is IntegralOperator:
+                ops = [IntegralOperator(grid, rank=q) for q in range(1, m + 1)]
+            else:
+                ops = [make_op(grid)]
+            for op in ops:
+                vals = op.eigvals()
+                # W-orthonormality: coords inverts expand
+                C = rng.normal(size=(4, vals.size))
+                assert np.max(np.abs(op.coords(op.expand(C)) - C)) <= 1e-12
+                A = rng.normal(size=(5, m))
+                want = op.apply_rows(A)
+                got = op.expand(op.coords(A) * vals)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
     def test_integral_truncation_against_dense_eigh(self):
         # the rank-q reconstruction must miss the full operator by exactly
@@ -218,7 +208,7 @@ class TestOperators:
         sym = sw[:, None] * full.matrix() / sw[None, :]
         oracle_vals = np.sort(np.linalg.eigvalsh(0.5 * (sym + sym.T)))[::-1]
 
-        vals, _ = trunc.spectrum()
+        vals = trunc.eigvals()
         assert vals.shape == (q,)
         assert np.allclose(vals, oracle_vals[:q], atol=1e-10)
 
@@ -257,39 +247,6 @@ class TestOperators:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-
-    def test_shifted_solve_identity(self, rng, grid):
-        b = random_curve(rng, grid)
-        out = IdentityOperator(grid).shifted_solve(1.0, 1.0, b)
-        assert np.allclose(out.values, b.values / 2.0)
-
-    @pytest.mark.parametrize("make_op", [IdentityOperator,
-                                         MultiplicationOperator,
-                                         IntegralOperator])
-    def test_shifted_solve_pure_ridge(self, rng, grid, make_op):
-        b = random_curve(rng, grid)
-        out = make_op(grid).shifted_solve(2.5, 0.0, b)
-        assert np.allclose(out.values, b.values / 2.5)
-
-    @pytest.mark.parametrize("rank", [None, 7])
-    def test_shifted_solve_matches_dense(self, rng, rank):
-        g = Grid.uniform(0.0, 1.0, 51)
-        op = IntegralOperator(g, rank=rank)
-        b = random_curve(rng, g)
-        u = op.shifted_solve(0.1, 1.0, b)
-        dense = np.linalg.solve(op.matrix() + 0.1 * np.eye(51), b.values)
-        assert np.linalg.norm(u.values - dense) <= 1e-6 * np.linalg.norm(dense)
-
-    def test_shifted_solve_residual(self, rng, grid):
-        for op in all_operators(grid):
-            b = random_curve(rng, grid)
-            u = op.shifted_solve(0.3, 0.8, b)
-            resid = 0.8 * op.apply(u).values + 0.3 * u.values - b.values
-            assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(b.values), 1.0)
-
-    def test_shifted_solve_rejects_bad_shift(self, rng, grid):
-        with pytest.raises(ValueError):
-            IdentityOperator(grid).shifted_solve(0.0, 1.0, random_curve(rng, grid))
 
 
 def reference_decompose(op):
@@ -334,7 +291,7 @@ def assert_pairs_match_oracle(op, ref_vals):
     """The operator's retained pairs against the oracle's leading
     eigenvalues and the dense kernel formula of the full operator."""
     grid, q = op.grid, op.retained
-    vals, vecs = op.spectrum()
+    vals, vecs = op._decompose()
     assert vals.shape == (q,) and vecs.shape == (grid.size, q)
     top = ref_vals[0]
     # the dense oracle is accurate relative to the largest eigenvalue
@@ -455,7 +412,7 @@ class TestIntegralSpectrum:
         monkeypatch.setattr(movkl.kernels, "eigh_tridiagonal", recording)
         for m, q in [(200, 5), (200, 50), (200, 51), (200, None), (15, 1), (16, 4),
                      (200, 1)]:
-            IntegralOperator(Grid.uniform(0.0, 1.0, m), rank=q).spectrum()
+            IntegralOperator(Grid.uniform(0.0, 1.0, m), rank=q).eigvals()
         assert calls == [(0, 4), (0, 49), None, None, None, (0, 3), (0, 1)]
 
     @pytest.mark.parametrize("q", [45, 100])  # subset and full solves
@@ -471,7 +428,7 @@ class TestIntegralSpectrum:
         tied = np.abs(ref_vals - ref_vals[q - 1]) <= tol
         above = ref_vals > ref_vals[q - 1] + tol
         assert tied[q] and np.count_nonzero(above) == 36
-        _, vecs = op.spectrum()
+        _, vecs = op._decompose()
         w = grid.weights
         # the retained span holds every oracle eigenvector above the tie ...
         assert quadrature_residual(vecs, ref_vecs[:, above], w) <= 1e-10
@@ -481,7 +438,7 @@ class TestIntegralSpectrum:
     def test_truncated_operator_builds_no_dense_matrix(self):
         op = IntegralOperator(Grid.uniform(0.0, 1.0, 50), rank=5)
         op.apply_rows(np.ones((2, 50)))
-        op.spectrum()
+        op.eigvals()
         assert op._tmat is None
         assert op._eigvecs.shape == (50, 5)
         full = IntegralOperator(Grid.uniform(0.0, 1.0, 50))
@@ -509,15 +466,6 @@ class TestStack:
             [(GaussianKernel(1.0), IdentityOperator(grid)),
              (GaussianKernel(2.0), IdentityOperator(grid))])
         assert np.allclose(stack.weights, [0.5, 0.5])
-
-    def test_shared_operator_detection(self, grid):
-        op = IntegralOperator(grid, rank=3)
-        stack = KernelStack.uniform(
-            [(GaussianKernel(1.0), op), (PolynomialKernel(1), IntegralOperator(grid, rank=3))])
-        assert stack.shared_operator() == op
-        mixed = KernelStack.uniform(
-            [(GaussianKernel(1.0), op), (GaussianKernel(1.0), IdentityOperator(grid))])
-        assert mixed.shared_operator() is None
 
     def test_negative_weight_rejected(self, grid):
         with pytest.raises(ValueError):

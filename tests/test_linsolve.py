@@ -118,15 +118,32 @@ class TestKronSolve:
         assert np.allclose(alpha.values, y.values / 2.0, atol=1e-12)
         assert report.converged
 
-    def test_n1_reduces_to_shifted_solve(self, rng):
+    def test_n1_matches_dense(self, rng):
         gout = Grid.uniform(0, 1, 8)
         op = IntegralOperator(gout, rank=5)
-        g11 = 0.6
-        gram = BlockGram([np.array([[g11]])], [op], [1.0], gout)
+        gram = BlockGram([np.array([[0.6]])], [op], [1.0], gout)
         y = random_curve_vec(rng, gout, 1)
-        alpha, _ = kron_solve(gram, 0.2, y)
-        direct = op.shifted_solve(0.2, g11, y[0])
-        assert np.allclose(alpha.values[0], direct.values, atol=1e-10)
+        ak, _ = kron_solve(gram, 0.2, y)
+        ad, _ = dense_solve(gram, 0.2, y)
+        assert np.allclose(ak.values, ad.values, atol=1e-10)
+
+    @pytest.mark.parametrize("make_op", [IdentityOperator, MultiplicationOperator])
+    def test_diagonal_operator_builds_no_grid_square(self, rng, make_op):
+        # a diagonal operator's eigen-coordinates are a rescaling: an m x m
+        # basis alone would be 30.5 MiB here, against Y's 1 MiB
+        m = 2000
+        grid = Grid.uniform(0.0, 1.0, m)
+        G = GaussianKernel(1.0).gram(random_curve_vec(rng, Grid.uniform(0, 1, 20), 65))
+        gram = BlockGram([G], [make_op(grid)], [1.0], grid)
+        y = random_curve_vec(rng, grid, 65)
+        tracemalloc.start()
+        try:
+            _, report = kron_solve(gram, 0.01, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 8 * y.values.nbytes
 
     @pytest.mark.parametrize("kind", OPERATOR_KINDS)
     def test_matches_dense(self, rng, kind):
@@ -221,6 +238,9 @@ def mixed_system(m, n, terms, seed, uneven=True):
 
 
 THREE_GROUPS = [("identity", 0.5), ("multiplication", 0.6), ("integral", 0.6)]
+
+# operator kinds in the order the preconditioner picks the one it keeps exact
+PRECONDITIONER_ORDER = ["integral", "multiplication", "identity"]
 
 
 def true_residual(gram, ridge, alpha, y):
@@ -409,23 +429,35 @@ class TestPcgSolve:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(m=st.integers(2, 24), n=st.integers(1, 6), data=st.data(),
+           exact=st.sampled_from(PRECONDITIONER_ORDER),
            folded=st.lists(st.sampled_from(["identity", "multiplication"]),
                            max_size=2),
            ridge=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 16))
-    @example(m=24, n=6, data=None, folded=["identity", "multiplication"],
-             ridge=1e-3, seed=1)
-    def test_preconditioner_inverts_two_group_system(self, m, n, data, folded,
-                                                     ridge, seed):
+    @example(m=24, n=6, data=None, exact="integral",
+             folded=["identity", "multiplication"], ridge=1e-3, seed=1)
+    # diagonal B in stacks without an integral operator
+    @example(m=24, n=6, data=None, exact="multiplication",
+             folded=["identity"], ridge=1e-3, seed=1)
+    @example(m=24, n=6, data=None, exact="identity", folded=[], ridge=1e-3,
+             seed=1)
+    def test_preconditioner_inverts_two_group_system(self, m, n, data, exact,
+                                                     folded, ridge, seed):
         # P(R) against the dense solve of C kron I + G_B kron B, with B a
-        # rank-q integral operator (q = m is the full one) on an uneven grid
-        # and the other operators folded into C at their mean eigenvalues
-        q = m if data is None else data.draw(st.integers(1, m), label="rank")
+        # rank-q integral operator (q = m is the full one), else the
+        # multiplication operator, else the identity, on an uneven grid, and
+        # the operators ranked below B folded into C at their mean eigenvalues
+        order = PRECONDITIONER_ORDER.index
+        folded = [kind for kind in folded if order(kind) > order(exact)]
         rng = np.random.default_rng(seed)
         grid = random_grid(rng, m)
         X = random_curve_vec(rng, Grid.uniform(0.0, 1.0, 5), n)
         grams = [GaussianKernel(0.8 + 0.4 * k).gram(X) for k in range(len(folded) + 1)]
-        ops = [IntegralOperator(grid, rank=q)] + [make_operator(kind, grid)
-                                                  for kind in folded]
+        if exact == "integral":
+            q = m if data is None else data.draw(st.integers(1, m), label="rank")
+            B = IntegralOperator(grid, rank=q)
+        else:
+            B = make_operator(exact, grid)
+        ops = [B] + [make_operator(kind, grid) for kind in folded]
         weights = rng.uniform(0.2, 1.0, len(ops))
         gram = BlockGram(grams, ops, weights, grid)
         C = ridge * np.eye(n)
@@ -446,7 +478,7 @@ class TestPcgSolve:
         grid = Grid.uniform(0.0, 1.0, m)
         ops = [IntegralOperator(grid, rank=10), IntegralOperator(grid, rank=4)]
         for op in ops:
-            op.spectrum()
+            op.eigvals()
         G = GaussianKernel(1.0).gram(random_curve_vec(rng, Grid.uniform(0, 1, 20), 5))
         gram = BlockGram([G, G], ops, [0.6, 0.8], grid)
         y = random_curve_vec(rng, grid, 5)
