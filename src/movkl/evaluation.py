@@ -13,7 +13,11 @@ eigenbasis of the scalar Gram and the operator the fit splits into scalar
 kernel ridge problems, whose exact leave-one-out residuals follow from the
 hat matrix without refitting.  Any other stack (several terms under a
 finite r, whose weights differ per fold, or several operators) refits
-every fold.
+every fold.  One call builds the stacks of every rank before it scores
+any, and scores every closed-form rank from one eigensolve: each distinct
+scalar Gram is decomposed once, and an operator that equals a wider
+one's truncation (:meth:`movkl.kernels.OutputOperator.truncated`) reads
+its pairs from that one's solve.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import DataError, DegenerateModelError, DimensionError, SolverError
 from .funcspace import CurveVec, as_int
 from .kernels import CurveStats, assemble_gram
 from .learn import FitConfig, movkl_fit, predict, weights_fixed
-from .linsolve import product_basis
+from .linsolve import gram_eigh, product_basis
 
 __all__ = ["CvSpec", "CvCandidate", "rsse", "lcr", "loo_cv"]
 
@@ -104,18 +108,22 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
     """Leave-one-curve-out selection of (lambda, rank).
 
     ``stack_builder`` maps a truncation rank (possibly ``None``) to a
-    :class:`KernelStack`; it is the stack template.  Every candidate pair
-    is scored by the held-out RSSE accumulated over all n folds.  When the
-    fit keeps fixed weights (the stack has one term, or ``cfg.r`` is
+    :class:`KernelStack`; it is the stack template, and it is called for
+    every rank of the grid before any candidate is scored.  Every candidate
+    pair is scored by the held-out RSSE accumulated over all n folds.  When
+    the fit keeps fixed weights (the stack has one term, or ``cfg.r`` is
     infinite) and every term shares one output operator, the scores come
-    in closed form from one eigendecomposition per rank, with no fold
-    refit.  Otherwise (several terms under a finite ``cfg.r``, whose
-    learned weights differ from fold to fold, or several operators) each
-    fold is refitted on the n-1 remaining curves.  Candidates whose folds
-    fail are marked invalid and excluded.  Ties break toward the smallest
-    lambda, then the smallest rank.  The input curves' statistics (their
-    inner products and distances) are computed once per call and shared by
-    every rank.
+    in closed form, with no fold refit, and one call scores every such rank
+    from one eigensolve: each distinct scalar Gram is decomposed once, and
+    an operator that equals a wider one's truncation (an integral operator
+    at rank 5 beside one at rank 20, say) reads its leading pairs from the
+    wider one's solve.  Otherwise (several terms under a finite ``cfg.r``,
+    whose learned weights differ from fold to fold, or several operators)
+    each fold is refitted on the n-1 remaining curves.  Candidates whose
+    folds fail are marked invalid and excluded.  Ties break toward the
+    smallest lambda, then the smallest rank.  The input curves' statistics
+    (their inner products and distances) are computed once per call and
+    shared by every rank.
 
     Returns ``(best_lambda, best_rank, candidates)``.
     """
@@ -127,12 +135,13 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
 
     candidates: list[CvCandidate] = []
     lams = list(spec.lambda_grid)
-    pairs = CurveStats(inputs).pairs()
-    for rank in spec.rank_grid:
-        stack = stack_builder(rank)
-        scores = _closed_form_scores(stack, inputs, targets, lams, cfg.r, pairs)
-        if scores is None:
+    stacks = [stack_builder(rank) for rank in spec.rank_grid]
+    systems = _closed_form_systems(stacks, inputs, targets, cfg.r)
+    for rank, stack, system in zip(spec.rank_grid, stacks, systems):
+        if system is None:
             scores = _refit_scores(stack, inputs, targets, lams, cfg)
+        else:
+            scores = _closed_form_scores(*system, targets, lams)
         candidates += [CvCandidate(lam, rank, total, total is not None)
                        for lam, total in zip(lams, scores)]
 
@@ -150,11 +159,58 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
     return best.lam, best.rank, candidates
 
 
-def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r,
-                        pairs):
+def _closed_form_systems(stacks, inputs: CurveVec, targets: CurveVec, r):
+    """Per stack, the ``(operator, gram_eig)`` that
+    :func:`_closed_form_scores` takes, or None for a stack that refits its
+    folds.  Equal Grams share one decomposition.  Operators are taken
+    widest first, and one that equals a wider one's truncation
+    (:meth:`OutputOperator.truncated`) is replaced by that truncation,
+    which reads its pairs from the wider one's eigensolve.
+    """
+    pairs = CurveStats(inputs).pairs()
+    groups = []
+    for stack in stacks:
+        M = len(stack)
+        merged = []
+        if weights_fixed(M, r):
+            merged = assemble_gram(stack.with_weights(np.full(M, 1.0 / M)),
+                                   inputs, pairs).merged_groups
+        if len(merged) == 1 and targets.grid != stack.output_grid:
+            raise DimensionError("targets do not live on the stack's output grid")
+        groups.append(merged[0] if len(merged) == 1 else None)
+
+    systems = [None] * len(stacks)
+    wide_ops, grams = [], []  # the operators and Grams decomposed so far
+    live = [k for k, group in enumerate(groups) if group is not None]
+    for k in sorted(live, key=lambda k: -groups[k][0].retained):
+        op, G = groups[k]
+        for wide in wide_ops:
+            try:
+                narrow = wide.truncated(op.retained)
+            except ValueError:  # wide has no truncation at that rank
+                continue
+            if narrow == op:
+                op = narrow
+                break
+        else:
+            wide_ops.append(op)
+        for G_seen, eig in grams:
+            if np.array_equal(G_seen, G):
+                break
+        else:
+            eig = gram_eigh(G)
+            grams.append((G, eig))
+        systems[k] = (op, eig)
+    return systems
+
+
+def _closed_form_scores(op, gram_eig, targets: CurveVec, lams):
     """Exact leave-one-out RSSE per lambda for a fixed-weight stack whose
-    terms share one operator, from the inputs' :meth:`CurveStats.pairs`;
-    None for any other stack.
+    terms share the operator ``op``, from the eigendecomposition
+    ``gram_eig`` of their merged scalar Gram
+    (:func:`movkl.linsolve.gram_eigh`).  :func:`loo_cv` builds the stack
+    of every rank before it scores any, and shares both among the ranks of
+    one call, so that one call scores every rank from one eigensolve.
 
     With G = U diag(g) U^T the merged scalar Gram, s the operator's q
     retained eigenvalues and B = U^T Y W V in their quadrature-orthonormal
@@ -168,21 +224,14 @@ def _closed_form_scores(stack, inputs: CurveVec, targets: CurveVec, lams, r,
     Regularized Least Squares", 2007).  The residual is formed from kappa
     directly, not as C - H C, which loses digits at small lambda.  The
     operator's null space has kappa = 1 and is predicted as zero, so
-    RSSE(lambda) = sum E^2 + ||Y - (Y W V) V^T||_W^2.
+    RSSE(lambda) = sum E^2 + ||Y - (Y W V) V^T||_W^2; an operator that
+    keeps all m pairs has no null space and no second term.
     """
-    M = len(stack)
-    if not weights_fixed(M, r):
-        return None
-    groups = assemble_gram(stack.with_weights(np.full(M, 1.0 / M)),
-                           inputs, pairs).merged_groups
-    if len(groups) != 1:
-        return None
-    if targets.grid != stack.output_grid:
-        raise DimensionError("targets do not live on the stack's output grid")
-    [(op, G)] = groups
-    w = targets.grid.weights
-    g, U, s, B, Y0 = product_basis(op, G, targets.values)
-    null_rsse = float(np.sum((Y0 * Y0) @ w))
+    g, U = gram_eig
+    s, B, Y0 = product_basis(op, U, targets.values)
+    null_rsse = 0.0
+    if Y0 is not None:
+        null_rsse = float(np.sum((Y0 * Y0) @ targets.grid.weights))
     gs = np.multiply.outer(g, s)
     UU = U * U
     scores = []

@@ -201,6 +201,15 @@ class Curve:
     def zero(cls, grid: Grid) -> "Curve":
         return cls(grid, np.zeros(grid.size))
 
+    @classmethod
+    def _wrap(cls, grid: Grid, values: np.ndarray) -> "Curve":
+        """A curve over ``values`` as they are, neither copied nor checked:
+        the caller vouches for a read-only, finite float64 (m,) array."""
+        curve = object.__new__(cls)
+        curve.grid = grid
+        curve.values = values
+        return curve
+
     def __add__(self, other: "Curve") -> "Curve":
         _check_same_grid(self, other)
         return Curve(self.grid, self.values + other.values)
@@ -274,10 +283,7 @@ class CurveVec:
         row = self.values[i]
         if row.ndim != 1:
             raise DimensionError("curve values must be 1-d")
-        curve = object.__new__(Curve)
-        curve.grid = self.grid
-        curve.values = row
-        return curve
+        return Curve._wrap(self.grid, row)
 
     def curves(self):
         return [self[i] for i in range(self.n)]

@@ -25,9 +25,11 @@ covariance, whose inverse is tridiagonal in closed form (:func:`_ou_precision`),
 so one tridiagonal eigensolve gives the eigenvectors, and one bidiagonal solve
 their eigenvalues.  A truncated operator solves for its q retained pairs
 alone, in O(m q), when q is small enough against m for that to pay (a
-measured crossover, :func:`_subset_pays`).  Every operator gives its q
-retained eigenvalues (:meth:`OutputOperator.eigvals`; q < m only for a
-truncated integral operator, which stores just those pairs) and two maps
+measured crossover, :func:`_subset_pays`), and its narrower truncations
+(:meth:`OutputOperator.truncated`) read theirs from that one solve.  Every
+operator gives its q = :attr:`~OutputOperator.retained` eigenvalues
+(:meth:`OutputOperator.eigvals`; q < m only for a truncated integral
+operator, which stores just those pairs) and two maps
 between grid values and coordinates in its quadrature-orthonormal
 eigenvectors V: :meth:`~OutputOperator.coords` (A W V) and
 :meth:`~OutputOperator.expand` (C V^T).  For the identity and multiplication
@@ -102,7 +104,13 @@ class CurveStats:
         if grid != self.curves.grid:
             raise DimensionError("kernel arguments live on different grids")
         ip = self.weighted @ z.T
-        sq_dist = np.add.outer(self.sq_norms, _sq_norms(z, grid.weights))
+        zn = _sq_norms(z, grid.weights)
+        if z.ndim == 1:
+            # one curve's norm is a scalar: the values of add.outer, without
+            # its overhead
+            sq_dist = self.sq_norms + zn
+        else:
+            sq_dist = np.add.outer(self.sq_norms, zn)
         sq_dist -= 2.0 * ip
         return ip, np.maximum(sq_dist, 0.0, out=sq_dist)
 
@@ -302,6 +310,21 @@ class OutputOperator:
         callers must not write to it."""
         return self.apply_rows(A), None
 
+    @property
+    def retained(self) -> int:
+        """q, the number of retained eigenpairs: m unless the operator is
+        truncated."""
+        return self.grid.size
+
+    def truncated(self, q: int) -> "OutputOperator":
+        """The operator kept to its q leading eigenpairs, equal to one built
+        at rank q, which reads them from this operator's eigensolve.  This
+        default serves the operators that have no truncation: each is its
+        own at q = m, and any other q raises ``ValueError``."""
+        if q != self.retained:
+            raise ValueError(f"{self!r} has no rank-{q} truncation")
+        return self
+
     def eigvals(self) -> np.ndarray:
         """The q retained eigenvalues, (q,), in the order of the eigenvectors
         V of :meth:`coords` and :meth:`expand`.  The operator maps every
@@ -316,8 +339,8 @@ class OutputOperator:
         return A * np.sqrt(self.grid.weights)
 
     def expand(self, C: np.ndarray) -> np.ndarray:
-        """Grid values C V^T, (k, m), of (k, q) coordinates; so
-        coords(expand(C)) = C.  The default scales by 1 / sqrt(w)."""
+        """Grid values C V^T, (k, m), a fresh array, of (k, q) coordinates;
+        so coords(expand(C)) = C.  The default scales by 1 / sqrt(w)."""
         return C / np.sqrt(self.grid.weights)
 
     def mean_eigenvalue(self) -> float:
@@ -455,8 +478,12 @@ class IntegralOperator(OutputOperator):
     (:func:`_ou_precision`), from one MRRR eigensolve.  A truncated operator
     asks MRRR for the index range of its q leading pairs alone, in O(m q),
     when q is below the measured crossover of :func:`_subset_pays`, and for
-    all m pairs otherwise; it keeps only the q.  Each eigenvalue is
-    then the Rayleigh quotient of K at its eigenvector
+    all m pairs otherwise; it keeps only the q, in order of decreasing
+    eigenvalue.  :meth:`truncated` gives a narrower rank read-only views of
+    their leading columns, with no second solve: the index-range solve for
+    q pairs holds every smaller range's (Dhillon, Parlett & Vomel, ACM TOMS
+    32, 2006).  Each eigenvalue is then the Rayleigh quotient of K at its
+    eigenvector
     (:func:`_ou_quadratic_forms`): the reciprocal of Q's eigenvalue would
     lose the leading eigenvalues' accuracy on grids with close points,
     where Q's entries are large.  The dense m x m kernel matrix is built
@@ -524,6 +551,16 @@ class IntegralOperator(OutputOperator):
     @property
     def retained(self) -> int:
         return self.grid.size if self.rank is None else self.rank
+
+    def truncated(self, q: int) -> "IntegralOperator":
+        # read-only views of this operator's leading pairs: no eigensolve
+        q = as_int("rank", q)
+        if q >= self.retained:
+            return super().truncated(q)
+        vals, vecs = self._decompose()
+        out = IntegralOperator(self.grid, rank=q)
+        out._eigvals, out._eigvecs = vals[:q], vecs[:, :q]
+        return out
 
     def apply_rows(self, A: np.ndarray) -> np.ndarray:
         left, right = self.factored_rows(A)

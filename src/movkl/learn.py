@@ -363,13 +363,18 @@ def predict(model: MovklModel, x_new: Curve) -> Curve:
     kernel combines nothing.  The plan is built on the
     first call and rebuilt after ``alpha``, ``stack`` or ``train_inputs`` is
     replaced or ``weights`` changes.  The fresh output is wrapped without a
-    copy.  A query on another input grid raises ``DimensionError``, and a
-    non-finite prediction (a polynomial kernel that overflows, say) raises
-    ``ValueError``.
+    copy or a second validation pass.  A query on another input grid raises
+    ``DimensionError``, and a non-finite prediction (a polynomial kernel
+    that overflows, say) raises ``ValueError``.
     """
     plan = model.prediction_plan()
-    stats = plan.stats.cross(x_new.grid, x_new.values)
-    return Curve(model.output_grid, plan.evaluate(*stats), copy=False)
+    values = plan.evaluate(*plan.stats.cross(x_new.grid, x_new.values))
+    # a finite sum proves every value finite; only a sum that is not (some
+    # value is not, or the sum overflows) needs the elementwise scan
+    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
+        raise ValueError("curve values must be finite (no NaN/Inf)")
+    values.setflags(write=False)
+    return Curve._wrap(model.output_grid, values)
 
 
 def predict_many(model: MovklModel, xs: CurveVec) -> CurveVec:

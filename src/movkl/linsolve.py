@@ -148,7 +148,8 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     (its q retained eigenpairs, V orthonormal under the quadrature inner
     product), the solution X = expand(U [B / (g s^T + ridge)]) + Y0 / ridge,
     with B and Y0 from :func:`product_basis` and expand(C) = C V^T, needs no
-    Kronecker product.  For a diagonal operator the operator's maps are
+    Kronecker product.  An operator that keeps all m pairs has no null
+    space and no Y0 term.  For a diagonal operator the operator's maps are
     elementwise rescalings, so the solve holds no m x m array.
     """
     _check_solve_args(gram, ridge, y)
@@ -163,9 +164,12 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     Y = y.values
     if groups:
         op, G = groups[0]
-        gvals, U, svals, B, Y0 = product_basis(op, G, Y)
+        gvals, U = gram_eigh(G)
+        svals, B, Y0 = product_basis(op, U, Y)
         Z = B / (np.multiply.outer(gvals, svals) + ridge)
-        X = op.expand(U @ Z) + Y0 / ridge
+        X = op.expand(U @ Z)
+        if Y0 is not None:
+            X += Y0 / ridge
     else:
         # all weights zero: pure ridge system
         X = Y / ridge
@@ -177,21 +181,29 @@ def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
     )
 
 
-def product_basis(op, G: np.ndarray, Y: np.ndarray):
-    """Eigenbasis of the one-operator system G kron T and Y in its coordinates.
+def gram_eigh(G: np.ndarray):
+    """Eigendecomposition ``(g, U)``, G = U diag(g) U^T, of a scalar Gram,
+    symmetrized first."""
+    return np.linalg.eigh(0.5 * (G + G.T))
 
-    Returns ``(g, U, s, B, Y0)`` with G = U diag(g) U^T, s = ``op.eigvals()``,
-    B = U^T ``op.coords(Y)`` and Y0 = Y - ``op.expand(op.coords(Y))``, the
-    part of Y in the operator's null space (zero up to rounding at full
-    rank).  So (G kron T + ridge*I) decouples into the scalar equations
+
+def product_basis(op, U: np.ndarray, Y: np.ndarray):
+    """Y in the eigenbasis of the one-operator system G kron T.
+
+    With G = U diag(g) U^T (U from :func:`gram_eigh`, passed in so that
+    several operators on one Gram share its decomposition), returns
+    ``(s, B, Y0)``: s = ``op.eigvals()``, B = U^T ``op.coords(Y)`` and
+    Y0 = Y - ``op.expand(op.coords(Y))``, the part of Y in the operator's
+    null space.  Y0 is None for an operator that keeps all m pairs, whose
+    null space is empty (the difference would be rounding alone).  So
+    (G kron T + ridge*I) decouples into the scalar equations
     (g_a s_l + ridge) z_al = B_al and ridge * X0 = Y0.  Shared by
     :func:`kron_solve` and the closed-form leave-one-out scores of
     :func:`movkl.evaluation.loo_cv`.
     """
-    G = 0.5 * (G + G.T)
-    g, U = np.linalg.eigh(G)
     YV = op.coords(Y)
-    return g, U, op.eigvals(), U.T @ YV, Y - op.expand(YV)
+    Y0 = None if op.retained == op.grid.size else Y - op.expand(YV)
+    return op.eigvals(), U.T @ YV, Y0
 
 
 def solve_route(gram: BlockGram) -> str:

@@ -24,3 +24,23 @@ def writeable_through(a: np.ndarray) -> bool:
             return True
         a = a.base
     return False
+
+
+def reference_decompose(op):
+    """The dense O(m^3) eigendecomposition that IntegralOperator used before
+    its tridiagonal path, kept as the oracle for its spectrum."""
+    # symmetrize with sqrt-weights so a plain eigh gives the
+    # quadrature-orthonormal eigenbasis
+    sw = np.sqrt(op.grid.weights)
+    sym = sw[:, None] * op._kernel_matrix() / sw[None, :]
+    sym = 0.5 * (sym + sym.T)
+    vals, vecs = np.linalg.eigh(sym)
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order] / sw[:, None]
+
+
+def quadrature_residual(basis, vecs, weights):
+    """Largest quadrature norm of a column of ``vecs`` outside the span of
+    the quadrature-orthonormal columns of ``basis``."""
+    outside = vecs - basis @ (basis.T @ (weights[:, None] * vecs))
+    return float(np.max(np.sqrt((outside * outside).T @ weights), initial=0.0))

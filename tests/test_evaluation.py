@@ -26,7 +26,7 @@ from movkl import (
     predict,
     rsse,
 )
-from conftest import random_curve_vec
+from conftest import quadrature_residual, random_curve_vec, reference_decompose
 
 
 @pytest.fixture
@@ -230,17 +230,38 @@ class TestLooCv:
         assert type(spec.rank_grid[0]) is int and type(spec.rank_grid[2]) is int
 
 
+# each kind maps a rank-grid entry to a fresh operator; the diagonal kinds
+# have no rank and ignore it
 CV_OPERATORS = {
-    "identity": IdentityOperator,
-    "multiplication": MultiplicationOperator,
-    "integral rank 1": lambda grid: IntegralOperator(grid, rank=1),
-    "integral rank 2": lambda grid: IntegralOperator(grid, rank=2),
-    "integral rank m - 1": lambda grid: IntegralOperator(grid, rank=grid.size - 1),
-    "integral": IntegralOperator,
+    "identity": lambda grid, rank: IdentityOperator(grid),
+    "multiplication": lambda grid, rank: MultiplicationOperator(grid),
+    "integral": lambda grid, rank: IntegralOperator(grid, rank=rank),
 }
+# rank-grid entries, "m - 1" one below the output grid's size
+CV_RANKS = [1, 2, "m - 1", None]
 # r = inf stacks draw their terms from this pool; nested scales included
 CV_KERNELS = [GaussianKernel(1.0), ScaledKernel(GaussianKernel(0.5), 2.0),
               ScaledKernel(ScaledKernel(PolynomialKernel(2), 0.5), 0.2)]
+
+
+def cv_output_grid(spacing, m, rng):
+    """uniform: [0, 1]; uneven: gaps from 0.05 to 0.4; wide: gaps of 40 or
+    60, where the integral kernel is diagonal to rounding, so that its
+    eigenvalues are the quadrature weights and tie."""
+    if spacing == "uniform":
+        return Grid.uniform(0.0, 1.0, m)
+    if spacing == "wide":
+        return Grid.from_points(np.cumsum(rng.choice([40.0, 60.0], m)))
+    return Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, m)))
+
+
+def tied_at_rank(op):
+    """Whether the operator's rank cuts through tied eigenvalues of the full
+    operator, with the dense oracle's eigenpairs and tolerance."""
+    ref_vals, ref_vecs = reference_decompose(IntegralOperator(op.grid))
+    q, tol = op.retained, 1e-12 * ref_vals[0]
+    tied = q < op.grid.size and ref_vals[q - 1] - ref_vals[q] <= tol
+    return tied, ref_vals, ref_vecs, tol
 
 
 def no_fold_fit(*args):
@@ -251,47 +272,125 @@ class TestClosedFormCv:
     """The closed-form table of fixed-weight single-operator stacks against
     the fold-refit oracle ``movkl.evaluation._refit_scores``."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12),
            m_out=st.integers(3, 9), kind=st.sampled_from(sorted(CV_OPERATORS)),
+           spacing=st.sampled_from(["uniform", "uneven", "wide"]),
+           ranks=st.lists(st.sampled_from(CV_RANKS), min_size=1, max_size=4),
            terms=st.lists(st.integers(0, len(CV_KERNELS) - 1), min_size=1,
                           max_size=3),
            log_lams=st.lists(st.floats(-4.0, 2.0), min_size=1, max_size=3))
-    @example(seed=1, n=3, m_out=5, kind="identity", terms=[0], log_lams=[-4.0, 2.0])
-    @example(seed=2, n=12, m_out=9, kind="multiplication", terms=[1],
-             log_lams=[-4.0, -2.0, 2.0])
-    @example(seed=3, n=7, m_out=6, kind="integral rank 2", terms=[0],
-             log_lams=[-3.0, 0.0])
-    @example(seed=4, n=9, m_out=8, kind="integral", terms=[0], log_lams=[-4.0, 1.0])
-    @example(seed=5, n=8, m_out=7, kind="integral rank 2", terms=[0, 2, 1],
-             log_lams=[-4.0, -1.0, 2.0])
+    @example(seed=1, n=3, m_out=5, kind="identity", spacing="uneven", ranks=[None],
+             terms=[0], log_lams=[-4.0, 2.0])
+    @example(seed=2, n=12, m_out=9, kind="multiplication", spacing="uneven",
+             ranks=[None], terms=[1], log_lams=[-4.0, -2.0, 2.0])
+    @example(seed=3, n=7, m_out=6, kind="integral", spacing="uneven", ranks=[2],
+             terms=[0], log_lams=[-3.0, 0.0])
+    @example(seed=4, n=9, m_out=8, kind="integral", spacing="uneven", ranks=[None],
+             terms=[0], log_lams=[-4.0, 1.0])
+    @example(seed=5, n=8, m_out=7, kind="integral", spacing="uneven", ranks=[2],
+             terms=[0, 2, 1], log_lams=[-4.0, -1.0, 2.0])
     # the null space of a truncated operator is m - 1 directions wide here,
     # one direction wide in the next
-    @example(seed=6, n=10, m_out=9, kind="integral rank 1", terms=[1, 0],
-             log_lams=[-4.0, 0.0, 2.0])
-    @example(seed=7, n=6, m_out=9, kind="integral rank m - 1", terms=[2],
-             log_lams=[-4.0, -2.0, 1.0])
-    def test_matches_fold_refits(self, seed, n, m_out, kind, terms, log_lams):
+    @example(seed=6, n=10, m_out=9, kind="integral", spacing="uneven", ranks=[1],
+             terms=[1, 0], log_lams=[-4.0, 0.0, 2.0])
+    @example(seed=7, n=6, m_out=9, kind="integral", spacing="uneven",
+             ranks=["m - 1"], terms=[2], log_lams=[-4.0, -2.0, 1.0])
+    # every rank from one eigensolve: a full-rank operator's, a truncated
+    # one's (a repeated rank included), and on tied eigenvalues
+    @example(seed=8, n=8, m_out=9, kind="integral", spacing="uniform",
+             ranks=[1, 2, "m - 1", None], terms=[0], log_lams=[-4.0, 0.0, 2.0])
+    @example(seed=9, n=11, m_out=8, kind="integral", spacing="uneven",
+             ranks=[2, "m - 1", 1, 2], terms=[0, 1], log_lams=[-4.0, -1.0])
+    @example(seed=10, n=7, m_out=9, kind="integral", spacing="wide",
+             ranks=[None, 2, 1, "m - 1"], terms=[0], log_lams=[-4.0, 0.0, 2.0])
+    @example(seed=11, n=5, m_out=6, kind="multiplication", spacing="uniform",
+             ranks=[1, None], terms=[2, 0], log_lams=[-2.0, 1.0])
+    def test_matches_fold_refits(self, seed, n, m_out, kind, spacing, ranks,
+                                 terms, log_lams):
         rng = np.random.default_rng(seed)
         gin = Grid.uniform(0.0, 1.0, 6)
-        gout = Grid.from_points(np.cumsum(rng.uniform(0.05, 0.4, m_out)))
+        gout = cv_output_grid(spacing, m_out, rng)
         X = CurveVec(gin, rng.normal(size=(n, 6)))
         Y = CurveVec(gout, rng.normal(size=(n, m_out)))
-        op = CV_OPERATORS[kind](gout)
-        stack = KernelStack.uniform([(CV_KERNELS[k], op) for k in terms],
-                                    norm_exponent=math.inf)
+        rank_grid = [m_out - 1 if rank == "m - 1" else rank for rank in ranks]
+
+        def builder(rank):
+            op = CV_OPERATORS[kind](gout, rank)
+            return KernelStack.uniform([(CV_KERNELS[k], op) for k in terms],
+                                       norm_exponent=math.inf)
+
         # one term keeps its weight under any r; several need r = inf
         cfg = FitConfig(lam=1.0, r=2.0 if len(terms) == 1 else math.inf)
         lams = [10.0 ** e for e in log_lams]
+        shared = []  # the operator each rank is scored with, in grid order
+        scores = movkl.evaluation._closed_form_scores
+
+        def recording(op, *args):
+            shared.append(op)
+            return scores(op, *args)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(movkl.evaluation, "movkl_fit", no_fold_fit)
-            _, _, table = loo_cv(lambda rank: stack, X, Y,
-                                 CvSpec(lambda_grid=lams), cfg)
-        want = movkl.evaluation._refit_scores(stack, X, Y, lams, cfg)
-        for cand, ref in zip(table, want):
-            assert cand.valid
-            rel = 1e-12 if cand.lam >= 1e-2 else 1e-9
-            assert cand.cv_rsse == pytest.approx(ref, rel=rel)
+            mp.setattr(movkl.evaluation, "_closed_form_scores", recording)
+            _, _, table = loo_cv(builder, X, Y,
+                                 CvSpec(lambda_grid=lams, rank_grid=rank_grid), cfg)
+        assert len(shared) == len(rank_grid)
+        for k, (rank, op) in enumerate(zip(rank_grid, shared)):
+            assert op == builder(rank).terms[0].operator
+            rows = table[k * len(lams):(k + 1) * len(lams)]
+            assert all(cand.valid and cand.rank == rank for cand in rows)
+            tied, ref_vals, ref_vecs, tol = tied_at_rank(op)
+            if tied:
+                # any leading subspace is a truncation: the shared pairs
+                # must hold every eigenvector above the tie and lie in the
+                # span of those at or above it
+                cut = ref_vals[op.retained - 1]
+                above = ref_vals > cut + tol
+                _, vecs = op._decompose()
+                w = gout.weights
+                assert quadrature_residual(vecs, ref_vecs[:, above], w) <= 1e-10
+                within = ref_vecs[:, ref_vals >= cut - tol]
+                assert quadrature_residual(within, vecs, w) <= 1e-10
+                continue
+            want = movkl.evaluation._refit_scores(builder(rank), X, Y, lams, cfg)
+            for cand, ref in zip(rows, want):
+                rel = 1e-12 if cand.lam >= 1e-2 else 1e-9
+                assert cand.cv_rsse == pytest.approx(ref, rel=rel)
+
+    def test_one_eigensolve_per_call(self, rng, monkeypatch):
+        # the parent of this design made one of each per rank
+        gout = Grid.uniform(0.0, 1.0, 80)
+        X = random_curve_vec(rng, Grid.uniform(0.0, 1.0, 12), 8)
+        Y = random_curve_vec(rng, gout, 8)
+        events = []
+
+        def builder(rank):
+            events.append("build")
+            return KernelStack.uniform(
+                [(GaussianKernel(1.0), IntegralOperator(gout, rank=rank))])
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(movkl.evaluation, "movkl_fit", no_fold_fit)
+        monkeypatch.setattr(movkl.kernels, "eigh_tridiagonal", counting(
+            "tridiagonal", movkl.kernels.eigh_tridiagonal))
+        monkeypatch.setattr(np.linalg, "eigh", counting("gram", np.linalg.eigh))
+        monkeypatch.setattr(movkl.evaluation, "_closed_form_scores", counting(
+            "score", movkl.evaluation._closed_form_scores))
+        for ranks in ([5, 10, 20], [None, 5, 79], [10, 10]):
+            events.clear()
+            loo_cv(builder, X, Y, CvSpec(lambda_grid=[1e-3, 0.1, 1.0],
+                                         rank_grid=ranks), FitConfig())
+            k = len(ranks)
+            # every stack is built before any rank is scored
+            assert events[:k] == ["build"] * k
+            assert sorted(events[k:]) == sorted(
+                ["gram", "tridiagonal"] + ["score"] * k)
 
     def test_statistics_built_once_per_call(self, rng, monkeypatch):
         gout = Grid.uniform(0.0, 1.0, 80)

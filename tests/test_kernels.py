@@ -24,7 +24,8 @@ from movkl import (
 )
 import movkl.kernels
 from movkl.kernels import _ou_precision
-from conftest import random_curve, random_curve_vec
+from conftest import (quadrature_residual, random_curve, random_curve_vec,
+                      reference_decompose)
 
 
 @pytest.fixture
@@ -249,19 +250,6 @@ class TestOperators:
         assert peak < 2 ** 20
 
 
-def reference_decompose(op):
-    """The dense O(m^3) eigendecomposition that IntegralOperator used before
-    its tridiagonal path, kept as the oracle for its spectrum."""
-    # symmetrize with sqrt-weights so a plain eigh gives the
-    # quadrature-orthonormal eigenbasis
-    sw = np.sqrt(op.grid.weights)
-    sym = sw[:, None] * op._kernel_matrix() / sw[None, :]
-    sym = 0.5 * (sym + sym.T)
-    vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order] / sw[:, None]
-
-
 def spectrum_grid(kind: str, m: int, seed: int) -> Grid:
     """Grids for the spectrum tests.
 
@@ -302,13 +290,6 @@ def assert_pairs_match_oracle(op, ref_vals):
     # each pair against the dense kernel formula, in the quadrature norm
     resid = op._kernel_matrix() @ vecs - vecs * vals
     assert np.max(np.sqrt((resid * resid).T @ grid.weights)) <= 1e-8 * top
-
-
-def quadrature_residual(basis, vecs, weights):
-    """Largest quadrature norm of a column of ``vecs`` outside the span of
-    the quadrature-orthonormal columns of ``basis``."""
-    outside = vecs - basis @ (basis.T @ (weights[:, None] * vecs))
-    return float(np.max(np.sqrt((outside * outside).T @ weights), initial=0.0))
 
 
 class TestIntegralSpectrum:
@@ -434,6 +415,48 @@ class TestIntegralSpectrum:
         assert quadrature_residual(vecs, ref_vecs[:, above], w) <= 1e-10
         # ... and lies in the span of those at or above it
         assert quadrature_residual(ref_vecs[:, above | tied], vecs, w) <= 1e-10
+
+    @pytest.mark.parametrize("wide_rank", [40, None])  # subset and full solves
+    def test_truncation_reads_the_wider_solve(self, monkeypatch, wide_rank):
+        calls = []
+        solve = movkl.kernels.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(movkl.kernels, "eigh_tridiagonal", counting)
+        grid = spectrum_grid("mixed", 200, 0)
+        wide = IntegralOperator(grid, rank=wide_rank)
+        vals, vecs = wide._decompose()
+        ref_vals = reference_decompose(wide)[0]
+        for q in (1, 2, 17, 39):
+            narrow = wide.truncated(q)
+            assert narrow == IntegralOperator(grid, rank=q) and narrow.retained == q
+            n_vals, n_vecs = narrow._decompose()
+            # read-only views of the leading pairs, no copy
+            assert np.shares_memory(n_vecs, vecs) and not n_vecs.flags.writeable
+            assert not n_vals.flags.writeable
+            assert np.array_equal(n_vals, vals[:q])
+            assert np.array_equal(n_vecs, vecs[:, :q])
+            assert_pairs_match_oracle(narrow, ref_vals)
+        assert len(calls) == 1
+
+    def test_truncation_rules(self):
+        grid = Grid.uniform(0.0, 1.0, 12)
+        for op in (IdentityOperator(grid), MultiplicationOperator(grid),
+                   IntegralOperator(grid), IntegralOperator(grid, rank=4)):
+            assert op.truncated(op.retained) is op
+            with pytest.raises(ValueError):
+                op.truncated(op.retained + 1)
+        assert IdentityOperator(grid).retained == 12
+        assert IntegralOperator(grid, rank=4).retained == 4
+        # the diagonal operators keep all m pairs and have no truncation
+        for op in (IdentityOperator(grid), MultiplicationOperator(grid)):
+            with pytest.raises(ValueError, match="no rank-11 truncation"):
+                op.truncated(11)
+        with pytest.raises(ValueError, match="rank"):
+            IntegralOperator(grid).truncated(0)
 
     def test_truncated_operator_builds_no_dense_matrix(self):
         op = IntegralOperator(Grid.uniform(0.0, 1.0, 50), rank=5)

@@ -523,6 +523,21 @@ class TestPredict:
             with pytest.raises(ValueError, match="finite"):
                 predict_many(model, Z)
 
+    def test_finite_prediction_whose_sum_overflows(self):
+        # every predicted value is 2e307, finite, but 50 of them sum to inf:
+        # the finiteness check must fall back to scanning the values
+        gin, gout = Grid.uniform(0.0, 1.0, 5), Grid.uniform(0.0, 1.0, 50)
+        X = CurveVec(gin, np.zeros((2, 5)))
+        model = MovklModel(alpha=CurveVec(gout, np.full((2, 50), 1e307)),
+                           weights=np.ones(1),
+                           stack=KernelStack.uniform([(GaussianKernel(1.0),
+                                                       IdentityOperator(gout))]),
+                           train_inputs=X, lam=0.1, objective_trace=[])
+        with np.errstate(over="ignore"):
+            pred = predict(model, X[0])
+            assert math.isinf(pred.values.sum())
+        assert np.all(pred.values == 2e307)
+
     def test_outputs_are_read_only(self, rng):
         model = plan_model(rng)
         Z = random_curve_vec(rng, model.input_grid, 3)
