@@ -45,9 +45,7 @@ from .linsolve import (
     SolveConfig,
     SolveReport,
     dense_solve,
-    kron_solve,
     pcg_solve,
-    solve_route,
 )
 from .learn import (
     FitConfig,
@@ -83,7 +81,7 @@ __all__ = [
     "OvKernelTerm", "KernelStack", "BlockGram",
     "assemble_gram", "median_pairwise_distance",
     "SolveConfig", "SolveReport",
-    "dense_solve", "kron_solve", "pcg_solve", "solve_route",
+    "dense_solve", "pcg_solve",
     "FitConfig", "MovklModel",
     "krr_fit", "movkl_fit", "weight_update",
     "predict", "predict_many", "save_model", "load_model",

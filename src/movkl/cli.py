@@ -49,7 +49,7 @@ from .kernels import (
     scalar_kernel_from_config,
 )
 from .learn import FitConfig, load_model, movkl_fit, predict_many, save_model
-from .linsolve import SolveConfig, dense_solve, kron_solve, pcg_solve
+from .linsolve import SolveConfig, dense_solve, pcg_solve
 
 CONFIG_VERSION = 1
 
@@ -437,22 +437,13 @@ def cmd_bench(args) -> int:
         rows.append([idx, n, m, M, "dense", ref_report.iterations,
                      ref_report.final_residual, int(ref_report.converged),
                      0.0, t_dense, ops])
-        solvers = [
-            ("kron", lambda: kron_solve(gram, ridge, Y)),
-            ("pcg", lambda: pcg_solve(gram, ridge, Y, solve_cfg)),
-        ]
-        for name, run in solvers:
-            t0 = time.perf_counter()
-            try:
-                sol, report = run()
-            except SolverError:
-                continue  # the route does not apply to this stack
-            seconds = time.perf_counter() - t0
-            err = np.sqrt(np.sum(((sol.values - ref.values) ** 2)
-                                 @ gram.grid.weights))
-            rows.append([idx, n, m, M, name, report.iterations,
-                         report.final_residual, int(report.converged),
-                         err / ref_norm if ref_norm > 0 else err, seconds, ops])
+        t0 = time.perf_counter()
+        sol, report = pcg_solve(gram, ridge, Y, solve_cfg)
+        seconds = time.perf_counter() - t0
+        err = np.sqrt(np.sum(((sol.values - ref.values) ** 2) @ gram.grid.weights))
+        rows.append([idx, n, m, M, "pcg", report.iterations,
+                     report.final_residual, int(report.converged),
+                     err / ref_norm if ref_norm > 0 else err, seconds, ops])
     out_dir = _out_dir(config, args)
     with open(out_dir / "bench.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -93,8 +93,10 @@ class CurveStats:
 
     def pairs(self, zs: CurveVec | None = None):
         """Inner products and squared distances of every pair (x_i, z_j), the
-        arguments of :meth:`ScalarKernel.evaluate`; zs defaults to xs."""
-        zs = self.curves if zs is None else zs
+        arguments of :meth:`ScalarKernel.evaluate`; zs defaults to xs, whose
+        squared norms are already held."""
+        if zs is None:
+            return self._pairs(self.curves.values, self.sq_norms)
         return self.cross(zs.grid, zs.values)
 
     def cross(self, grid: Grid, z: np.ndarray):
@@ -103,8 +105,10 @@ class CurveStats:
         Lets a single validated curve skip the CurveVec wrapper."""
         if grid != self.curves.grid:
             raise DimensionError("kernel arguments live on different grids")
+        return self._pairs(z, _sq_norms(z, grid.weights))
+
+    def _pairs(self, z: np.ndarray, zn):
         ip = self.weighted @ z.T
-        zn = _sq_norms(z, grid.weights)
         if z.ndim == 1:
             # one curve's norm is a scalar: the values of add.outer, without
             # its overhead

@@ -8,10 +8,10 @@ objective
 
     sum_k ||f_k||^2 / (2 d_k) + ||y - f(x)||^2 / (2 lambda)
 
-whose value is non-increasing across iterations.  A stack whose terms
-share one output operator is solved by eigendecomposition; any other by
+whose value is non-increasing across iterations.  Every solve is
 preconditioned conjugate gradients, warm-started from the previous round's
-dual curves (:mod:`movkl.linsolve`).  At the solution the
+dual curves (:mod:`movkl.linsolve`); a stack whose terms share one output
+operator is solved in its one exact step.  At the solution the
 stationarity identity lambda * alpha_i = y_i - f(x_i) holds, which the
 tests use as an end-to-end consistency check.
 """
@@ -35,7 +35,7 @@ from .kernels import (
     operator_from_config,
     scalar_kernel_from_config,
 )
-from .linsolve import SolveConfig, kron_solve, pcg_solve, solve_route
+from .linsolve import SolveConfig, pcg_solve
 
 __all__ = [
     "FitConfig",
@@ -276,11 +276,11 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     """Alternate the dual ridge solve with the closed-form weight update.
 
     Weights start uniform at 1/M.  Each round rebuilds the weighted block
-    Gram, solves (K + lambda*I) alpha = y by the route
-    :func:`movkl.linsolve.solve_route` picks (eigendecomposition when every
-    term shares one operator; otherwise preconditioned conjugate gradients,
-    warm-started from the previous alpha, which raise ``SolverError`` when
-    they miss ``outer_tol`` within ``outer_max_iter`` steps), and stops
+    Gram, solves (K + lambda*I) alpha = y by
+    :func:`movkl.linsolve.pcg_solve` (from zero in the first round, then
+    warm-started from the previous alpha; one exact step when every term
+    shares one operator), raises ``SolverError`` when a solve misses
+    ``outer_tol`` within ``outer_max_iter`` steps, and stops
     once the dual curves move less than ``mkl_tol`` in the quadrature norm.
     With a finite norm exponent and several terms the weights are then
     refreshed from the component norms; otherwise they cannot change and
@@ -301,8 +301,9 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     outer = 0
     for outer in range(1, cfg.mkl_max_iter + 1):
         gram = base.with_weights(d)
-        alpha_new, report = _ridge_solve(gram, targets, alpha, cfg)
-        if report.solver_kind == "pcg" and not report.converged:
+        alpha_new, report = pcg_solve(gram, cfg.lam, targets, cfg.solve,
+                                      warm=alpha if outer > 1 else None)
+        if not report.converged:
             err = SolverError(
                 "conjugate-gradient solve did not converge "
                 f"(residual {report.final_residual:.3e} after "
@@ -337,19 +338,10 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
 
 def krr_fit(term: OvKernelTerm, inputs: CurveVec, targets: CurveVec,
             cfg: FitConfig) -> MovklModel:
-    """Single-kernel ridge fit: one eigendecomposition solve, weight 1."""
+    """Single-kernel ridge fit: weight 1, one solve in one exact step."""
     stack = KernelStack([OvKernelTerm(term.scalar, term.operator, 1.0)],
                         norm_exponent=cfg.r)
     return movkl_fit(stack, inputs, targets, cfg)
-
-
-def _ridge_solve(gram: BlockGram, targets: CurveVec, warm: CurveVec,
-                 cfg: FitConfig):
-    """Solve (K + lambda*I) alpha = y by the route of ``solve_route``; the
-    report's ``solver_kind`` names the route."""
-    if solve_route(gram) == "kron":
-        return kron_solve(gram, cfg.lam, targets)
-    return pcg_solve(gram, cfg.lam, targets, cfg.solve, warm=warm)
 
 
 def predict(model: MovklModel, x_new: Curve) -> Curve:

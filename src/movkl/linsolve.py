@@ -1,19 +1,19 @@
 """Solvers for the block operator ridge system (K + ridge*I) alpha = y.
 
-Three solvers are provided:
+Two solvers are provided:
 
 * :func:`dense_solve` densifies the block matrix and factorizes it; it is
   the reference oracle for small problems.
-* :func:`kron_solve` handles stacks whose terms share one output operator,
-  where the block matrix is a Kronecker product and the system diagonalizes
-  in the eigenbases of the combined scalar Gram and of the operator.
 * :func:`pcg_solve` runs conjugate gradients for any stack, preconditioned
   by the exact solve of a two-group system: one operator kept exact, every
-  other one folded into the scalar side at its mean eigenvalue.  A stack of
-  the identity plus one other operator is solved in one step.
+  other one folded into the scalar side at its mean eigenvalue.  When every
+  folded operator is a multiple of the identity the preconditioner is the
+  exact inverse, and one step solves the system: a stack whose terms share
+  one output operator, or the identity plus one other operator.
 
-:func:`solve_route` names the route :func:`movkl.learn.movkl_fit` takes:
-``kron`` when the stack has at most one operator, ``pcg`` otherwise.
+:func:`gram_eigh` and :func:`product_basis` give the eigenbasis of a
+one-operator system, which the closed-form leave-one-out scores of
+:func:`movkl.evaluation.loo_cv` and the preconditioner share.
 
 All residuals are measured in the quadrature norm of the output space,
 relative to the norm of the right-hand side.
@@ -27,7 +27,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, DimensionError, SolverError
+from .errors import CapacityError, DimensionError
 from .funcspace import CurveVec, as_int
 from .kernels import BlockGram, IntegralOperator, MultiplicationOperator
 
@@ -35,14 +35,11 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "dense_solve",
-    "kron_solve",
     "pcg_solve",
-    "solve_route",
 ]
 
 DENSE_GUARD = 5000
 DENSE_TOL = 1e-10
-KRON_TOL = 1e-8
 
 
 @dataclass
@@ -67,9 +64,10 @@ class SolveConfig:
 @dataclass
 class SolveReport:
     """A solve's step count, the relative residual of its answer, whether
-    that met the solver's tolerance, and its route.  ``residual`` is the
-    true residual Y - (K + ridge*I) X itself, from which ``final_residual``
-    was measured; :func:`movkl.learn.movkl_fit` takes its misfit from it."""
+    that met the solver's tolerance, and the solver (``dense`` or ``pcg``).
+    ``residual`` is the true residual Y - (K + ridge*I) X itself, from which
+    ``final_residual`` was measured; :func:`movkl.learn.movkl_fit` takes its
+    misfit from it."""
 
     iterations: int
     final_residual: float
@@ -141,46 +139,6 @@ def dense_solve(gram: BlockGram, ridge: float, y: CurveVec):
     return CurveVec(gram.grid, X), report
 
 
-def kron_solve(gram: BlockGram, ridge: float, y: CurveVec):
-    """Eigendecomposition solve for stacks sharing one output operator.
-
-    With G = U diag(g) U^T the combined scalar Gram and T = V diag(s) V^T W
-    (its q retained eigenpairs, V orthonormal under the quadrature inner
-    product), the solution X = expand(U [B / (g s^T + ridge)]) + Y0 / ridge,
-    with B and Y0 from :func:`product_basis` and expand(C) = C V^T, needs no
-    Kronecker product.  An operator that keeps all m pairs has no null
-    space and no Y0 term.  For a diagonal operator the operator's maps are
-    elementwise rescalings, so the solve holds no m x m array.
-    """
-    _check_solve_args(gram, ridge, y)
-    groups = gram.merged_groups
-    if len(groups) > 1:
-        route = solve_route(gram)
-        raise SolverError(
-            f"kernel stack mixes output operators; use {route}_solve "
-            f"(solve_route gives {route!r})"
-        )
-    w = gram.grid.weights
-    Y = y.values
-    if groups:
-        op, G = groups[0]
-        gvals, U = gram_eigh(G)
-        svals, B, Y0 = product_basis(op, U, Y)
-        Z = B / (np.multiply.outer(gvals, svals) + ridge)
-        X = op.expand(U @ Z)
-        if Y0 is not None:
-            X += Y0 / ridge
-    else:
-        # all weights zero: pure ridge system
-        X = Y / ridge
-    R = _residual(gram, ridge, X, Y)
-    resid = _relative(R, _wnorm(Y, w), w)
-    return (
-        CurveVec(gram.grid, X),
-        SolveReport(1, resid, resid <= KRON_TOL, "kron", R),
-    )
-
-
 def gram_eigh(G: np.ndarray):
     """Eigendecomposition ``(g, U)``, G = U diag(g) U^T, of a scalar Gram,
     symmetrized first."""
@@ -197,19 +155,12 @@ def product_basis(op, U: np.ndarray, Y: np.ndarray):
     null space.  Y0 is None for an operator that keeps all m pairs, whose
     null space is empty (the difference would be rounding alone).  So
     (G kron T + ridge*I) decouples into the scalar equations
-    (g_a s_l + ridge) z_al = B_al and ridge * X0 = Y0.  Shared by
-    :func:`kron_solve` and the closed-form leave-one-out scores of
-    :func:`movkl.evaluation.loo_cv`.
+    (g_a s_l + ridge) z_al = B_al and ridge * X0 = Y0, the closed-form
+    leave-one-out scores of :func:`movkl.evaluation.loo_cv`.
     """
     YV = op.coords(Y)
     Y0 = None if op.retained == op.grid.size else Y - op.expand(YV)
     return op.eigvals(), U.T @ YV, Y0
-
-
-def solve_route(gram: BlockGram) -> str:
-    """The route :func:`movkl.learn.movkl_fit` takes for this system:
-    ``kron`` for at most one operator group, ``pcg`` for two or more."""
-    return "kron" if len(gram.merged_groups) <= 1 else "pcg"
 
 
 def _preconditioner_group(op) -> int:
@@ -222,36 +173,60 @@ def _preconditioner_group(op) -> int:
 
 def _two_group_preconditioner(gram: BlockGram, ridge: float):
     """The exact inverse of the two-group system C kron I + G_B kron B, as a
-    map on (n, m) arrays.
+    map on (n, m) arrays, and whether it is the inverse of the whole system.
 
     B is the first integral operator of the stack, else its multiplication
     operator, else its identity.  Every other group (T, G_T) folds into
-    C = ridge*I + sum_T mean-eigenvalue(T) * G_T.  With (nu, S) =
-    ``scipy.linalg.eigh(G_B, C)``, so that S^T C S = I and S^T G_B S =
-    diag(nu), and s = ``B.eigvals()``, the inverse is
-    P(R) = C^-1 R + expand(S [(S^T coords(R)) o (H - 1)]), with
-    H - 1 = -nu s^T / (1 + nu s^T) and B's maps coords(R) = R W V and
-    expand(Z) = Z V^T: B's null space sees C alone.  The second term is
-    taken from the thin side first, coords(R) before S^T, so the q retained
-    directions cost O(n m q + n^2 q) and one application O(n^2 m + n m q);
-    a diagonal B's maps cost O(n m).  That is the
-    solve of :func:`kron_solve` with C in place of ridge*I, exact for any
-    stack of the identity plus one other operator.
-    nu is clipped at 0, so that rounding in a rank-deficient G_B cannot
-    make P indefinite.
+    C = ridge*I + sum_T mean-eigenvalue(T) * G_T.  With (nu, S) such that
+    S^T C S = I and S^T G_B S = diag(nu), and s = ``B.eigvals()``,
+
+        P(R) = expand(S [(S^T coords(R)) / (1 + nu s^T)]) + C^-1 R0,
+
+    with B's maps coords(R) = R W V and expand(Z) = Z V^T, and
+    R0 = R - expand(coords(R)) the part of R in B's null space, which sees
+    C alone (formed only for a truncated B, as in :func:`product_basis`).
+    Neither term is a difference of two large ones, so at a small ridge P
+    keeps the accuracy of a direct solve.  coords(R) is taken before S^T, so
+    the q retained directions cost O(n m q + n^2 q); a diagonal B's maps
+    cost O(n m).  (nu, S) come from ``scipy.linalg.eigh(G_B, C)``, or, with
+    no folded group (C = ridge*I), from :func:`gram_eigh` as
+    nu = g / ridge and S = U / sqrt(ridge).  nu is clipped at 0, so that
+    rounding in a rank-deficient G_B cannot make P indefinite.
+
+    P is the exact inverse when every folded operator is a multiple of the
+    identity, which is read from its spectrum: all m pairs retained and
+    ``eigvals()`` constant.  Then sum_T G_T kron T = (C - ridge*I) kron I.
+    That covers every stack of one operator group, and of the identity
+    plus one other operator.
     """
     groups = sorted(gram.merged_groups, key=lambda g: _preconditioner_group(g[0]))
     if not groups:
-        return lambda R: R / ridge
-    C = ridge * np.eye(gram.n)
-    for op, G in groups[1:]:
-        C += op.mean_eigenvalue() * G
-    op, GB = groups[0]
-    nu, S = scipy.linalg.eigh(GB, C)
-    nus = np.multiply.outer(np.maximum(nu, 0.0), op.eigvals())
-    H1 = -nus / (1.0 + nus)
-    Cinv = S @ S.T
-    return lambda R: Cinv @ R + op.expand(S @ ((S.T @ op.coords(R)) * H1))
+        return (lambda R: R / ridge), True
+    (op, GB), folded = groups[0], groups[1:]
+    exact = all(T.retained == T.grid.size and np.ptp(T.eigvals()) == 0
+                for T, _ in folded)
+    if folded:
+        C = ridge * np.eye(gram.n)
+        for T, G in folded:
+            C += T.mean_eigenvalue() * G
+        nu, S = scipy.linalg.eigh(GB, C)
+    else:
+        g, U = gram_eigh(GB)
+        nu, S = g / ridge, U / math.sqrt(ridge)
+    D = 1.0 + np.multiply.outer(np.maximum(nu, 0.0), op.eigvals())
+    Cinv = S @ S.T if op.retained < gram.grid.size else None
+
+    def precondition(R):
+        RV = op.coords(R)
+        X = op.expand(S @ ((S.T @ RV) / D))
+        if Cinv is not None:
+            # R0 = R - expand(coords(R)), written into expand's fresh array
+            R0 = op.expand(RV)
+            np.subtract(R, R0, out=R0)
+            X += Cinv @ R0
+        return X
+
+    return precondition, exact
 
 
 def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,
@@ -262,14 +237,17 @@ def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,
     The block operator is self-adjoint and positive definite in the
     quadrature inner product <A, B> = sum_ij A_ij B_ij w_j, and CG runs in
     it (Saad, Iterative Methods for Sparse Linear Systems, 2003, ch. 9).
-    The iteration starts from ``warm`` when given.  Once the recursively
-    updated residual meets ``outer_tol``, the true relative residual is
-    measured; convergence is declared only if it meets ``outer_tol`` too,
-    and otherwise CG restarts from the true residual.  ``outer_max_iter``
-    caps the CG steps.  The report counts the steps and gives the true
-    residual of the returned answer and its relative norm.  One step makes
-    one block application (:meth:`BlockGram.apply_values`) and one
-    preconditioner application, plus O(n m) of vector work.
+    The iteration starts from ``warm`` when given, else from zero, whose
+    residual is Y itself.  When the preconditioner is the exact inverse,
+    the first step adds P(R) for the starting residual R, which solves the
+    system up to rounding.  Once the recursively updated residual meets ``outer_tol``,
+    the true relative residual is measured; convergence is declared only if
+    it meets ``outer_tol`` too, and otherwise CG (re)starts from the true
+    residual.  ``outer_max_iter`` caps the steps.  The report counts the
+    steps and gives the true residual of the returned answer and its
+    relative norm.  One step makes one block application
+    (:meth:`BlockGram.apply_values`) and one preconditioner application,
+    plus O(n m) of vector work.
     """
     cfg = cfg or SolveConfig()
     _check_solve_args(gram, ridge, y)
@@ -277,19 +255,25 @@ def pcg_solve(gram: BlockGram, ridge: float, y: CurveVec,
     Y = y.values
     if warm is None:
         X = np.zeros_like(Y)
+        R = np.array(Y, copy=True)
     else:
         if warm.grid != gram.grid or warm.n != gram.n:
             raise DimensionError("warm start has the wrong shape")
         X = np.array(warm.values, copy=True)
-    precondition = _two_group_preconditioner(gram, ridge)
+        R = _residual(gram, ridge, X, Y)
+    precondition, exact = _two_group_preconditioner(gram, ridge)
 
     def inner(A, B):
         return float(np.sum((A * B) @ w))
 
     ynorm = _wnorm(Y, w)
-    R = _residual(gram, ridge, X, Y)
     resid = _relative(R, ynorm, w)
     steps = 0
+    if exact and resid > cfg.outer_tol:
+        steps = 1
+        X += precondition(R)
+        R = _residual(gram, ridge, X, Y)
+        resid = _relative(R, ynorm, w)
     while resid > cfg.outer_tol and steps < cfg.outer_max_iter:
         Z = precondition(R)
         P, rz = Z, inner(R, Z)

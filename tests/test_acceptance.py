@@ -45,7 +45,6 @@ from movkl import (
     block_trace_normalized,
     dense_solve,
     generate_synthetic,
-    kron_solve,
     krr_fit,
     lcr,
     loo_cv,
@@ -104,7 +103,7 @@ def random_instance(rng):
 class TestCriterion1SolverOracleEquivalence:
     def test_solvers_agree_with_dense_oracle(self):
         rng = np.random.default_rng(101)
-        checked = kron_checked = 0
+        checked = 0
         worst = 0.0
         for _ in range(50):
             stack, X, Y, ridge = random_instance(rng)
@@ -114,14 +113,8 @@ class TestCriterion1SolverOracleEquivalence:
             ap, _ = pcg_solve(gram, ridge, Y)
             worst = max(worst, vec_norm(ap - ref) / scale)
             checked += 1
-            if len(gram.merged_groups) <= 1:
-                ak, _ = kron_solve(gram, ridge, Y)
-                worst = max(worst, vec_norm(ak - ref) / scale)
-                kron_checked += 1
         ok = worst <= 1e-6
-        assert report(1, ok,
-                      f"(instances={checked}, kron-applicable={kron_checked}, "
-                      f"worst rel err={worst:.2e})")
+        assert report(1, ok, f"(instances={checked}, worst rel err={worst:.2e})")
 
 
 class TestCriterion2WeightUpdateOptimality:

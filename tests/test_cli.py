@@ -209,8 +209,8 @@ class TestTrain:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["weights"] == [1.0]
         assert report["n_terms"] == 1
-        assert report["solver_routes"] == ["kron"]
-        assert model.solver_routes == ["kron"]
+        assert report["solver_routes"] == ["pcg"]
+        assert model.solver_routes == ["pcg"]
         assert report["solver_residuals"] == model.solver_residuals
         assert len(model.solver_residuals) == 1
 
@@ -503,7 +503,7 @@ class TestBench:
         header, body = rows[0], rows[1:]
         assert header[:5] == ["instance", "n", "m", "M", "solver"]
         solvers = {row[4] for row in body}
-        assert solvers == {"dense", "kron", "pcg"}
+        assert solvers == {"dense", "pcg"}
         err_col = header.index("rel_err_vs_dense")
         conv_col = header.index("converged")
         for row in body:
@@ -511,7 +511,7 @@ class TestBench:
             assert float(row[err_col]) <= 1e-6
 
     def test_bench_names_operators_and_covers_truncation(self, tmp_path):
-        # both routes see truncated integral operators, kept at rank q
+        # CG sees truncated integral operators, kept at rank q
         cfg = base_config(tmp_path)
         cfg["bench"] = {"instances": 40}
         assert main(["bench", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
@@ -519,9 +519,8 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert {row["operators"] for row in rows if row["solver"] == "dense"} >= {
             "identity", "multiplication", "integral"}
-        for solver in ("kron", "pcg"):
-            assert any("integral:" in row["operators"]
-                       for row in rows if row["solver"] == solver)
+        assert any("integral:" in row["operators"]
+                   for row in rows if row["solver"] == "pcg")
         assert all(float(row["rel_err_vs_dense"]) <= 1e-7 for row in rows)
 
     def test_bench_flags_unconverged_rows(self, tmp_path, capsys):

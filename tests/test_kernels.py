@@ -33,6 +33,24 @@ def grid():
     return Grid.uniform(0.0, 1.0, 9)
 
 
+class TestCurveStats:
+    def test_pairs_reuses_its_squared_norms(self, rng, grid, monkeypatch):
+        xs = random_curve_vec(rng, grid, 7)
+        want = movkl.kernels.CurveStats(xs).cross(xs.grid, xs.values)
+        calls = []
+        sq_norms = movkl.kernels._sq_norms
+
+        def counting(values, weights):
+            calls.append(1)
+            return sq_norms(values, weights)
+
+        monkeypatch.setattr(movkl.kernels, "_sq_norms", counting)
+        got = movkl.kernels.CurveStats(xs).pairs()
+        assert len(calls) == 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 class TestScalarKernels:
     def test_gaussian_self_similarity(self, rng, grid):
         k = GaussianKernel(0.7)

@@ -30,10 +30,11 @@ from movkl import (
     SolverError,
     assemble_gram,
     block_trace_normalized,
+    dense_solve,
     krr_fit,
-    kron_solve,
     load_model,
     movkl_fit,
+    pcg_solve,
     predict,
     predict_many,
     rsse,
@@ -166,7 +167,6 @@ class TestKrrFit:
     def test_interpolation_limit(self, rng):
         # with a vanishing ridge the fit reproduces the training targets;
         # cross-checked against the dense oracle solution
-        from movkl import dense_solve
         X, Y = small_problem(rng)
         term = OvKernelTerm(GaussianKernel(1.5), IdentityOperator(Y.grid))
         cfg = tight_cfg(1e-6)
@@ -211,7 +211,7 @@ class TestMovklFit:
             [model.weights.sum()],
             Y.grid,
         )
-        ref, _ = kron_solve(merged, 0.1, Y)
+        ref, _ = dense_solve(merged, 0.1, Y)
         assert np.allclose(model.alpha.values, ref.values, atol=1e-6)
 
     def test_duplicated_terms_l1_match_single(self, rng):
@@ -358,8 +358,8 @@ class TestMovklFit:
 
 
 class TestObjective:
-    @pytest.mark.parametrize("route", ["kron", "pcg"])
-    def test_solver_residual_gives_fresh_objective(self, rng, route):
+    @pytest.mark.parametrize("operators", ["shared", "mixed"])
+    def test_solver_residual_gives_fresh_objective(self, rng, operators):
         # the objective takes its misfit from the solver's true residual; it
         # must equal the objective of a fresh block application, and the
         # primal value of the densified system
@@ -367,13 +367,12 @@ class TestObjective:
         lam = 0.05
         pairs = [(GaussianKernel(1.0), IntegralOperator(Y.grid, rank=3)),
                  (PolynomialKernel(2), IntegralOperator(Y.grid, rank=3))]
-        if route == "pcg":
+        if operators == "mixed":
             pairs += [(GaussianKernel(0.5), IdentityOperator(Y.grid)),
                       (GaussianKernel(2.0), MultiplicationOperator(Y.grid))]
         gram = assemble_gram(KernelStack.uniform(pairs), X)
-        alpha, report = movkl.learn._ridge_solve(
-            gram, Y, CurveVec.zero(Y.grid, Y.n), tight_cfg(lam))
-        assert report.solver_kind == route
+        alpha, report = pcg_solve(gram, lam, Y, tight_cfg(lam).solve)
+        assert report.converged
         a = alpha.values
         obj, quads = movkl.learn._objective(gram, a, report.residual, lam)
         fresh = Y.values - gram.apply_values(a) - lam * a
@@ -430,7 +429,8 @@ class TestSolveRouting:
         monkeypatch.setattr(movkl.learn, "pcg_solve", recording)
         model = movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
         assert model.outer_iterations == len(calls) > 2
-        assert np.all(calls[0][0].values == 0.0)
+        # the first round starts from zero without a warm start
+        assert calls[0][0] is None
         for (_, previous), (warm, _) in zip(calls, calls[1:]):
             assert warm is previous
         assert calls[-1][1] is model.alpha
@@ -477,6 +477,15 @@ class TestSolveRouting:
         # the objectives of the two finished rounds, non-increasing
         trace = err.value.trace
         assert len(trace) == 2 and trace[1] <= trace[0]
+
+    def test_unconverged_one_operator_solve_raises(self, rng):
+        # a one-operator stack takes the same route: a solve that misses
+        # outer_tol is an error, not a flagged number
+        X, Y = small_problem(rng, n=6)
+        term = OvKernelTerm(GaussianKernel(1.0), IntegralOperator(Y.grid, rank=3))
+        cfg = FitConfig(lam=0.1, solve=SolveConfig(outer_tol=1e-300, outer_max_iter=3))
+        with pytest.raises(SolverError, match="after 3 iterations"):
+            krr_fit(term, X, Y, cfg)
 
 
 def readme_quick_start() -> str:
@@ -1066,10 +1075,14 @@ class TestModelArchive:
         stack = KernelStack.uniform([(GaussianKernel(1.0),
                                       IdentityOperator(Y.grid))])
         model = movkl_fit(stack, X, Y, tight_cfg(0.5))
-        assert model.solver_routes == ["kron"]
+        assert model.solver_routes == ["pcg"]
         path = tmp_path / "model.json"
         save_model(path, model)
         doc = json.loads(path.read_text())
+        # archives from before every stack took one route may name "kron"
+        doc["solver_routes"] = ["kron"]
+        path.write_text(json.dumps(doc))
+        assert load_model(path).solver_routes == ["kron"]
         del doc["solver_routes"]
         path.write_text(json.dumps(doc))
         assert load_model(path).solver_routes == []

@@ -21,10 +21,8 @@ from movkl import (
     SolverError,
     assemble_gram,
     dense_solve,
-    kron_solve,
     median_pairwise_distance,
     pcg_solve,
-    solve_route,
     vec_norm,
 )
 import movkl.linsolve
@@ -110,11 +108,15 @@ class TestDenseSolve:
 
 
 class TestKronSolve:
+    """Stacks whose terms share one output operator, so that the block matrix
+    is the Kronecker product G kron T: the preconditioner of pcg_solve is
+    their exact inverse, and one step solves them."""
+
     def test_identity_gram_identity_operator(self, rng):
         gout = Grid.uniform(0, 1, 6)
         gram = identity_unit_gram(gout, n=3)
         y = random_curve_vec(rng, gout, 3)
-        alpha, report = kron_solve(gram, 1.0, y)
+        alpha, report = pcg_solve(gram, 1.0, y)
         assert np.allclose(alpha.values, y.values / 2.0, atol=1e-12)
         assert report.converged
 
@@ -123,7 +125,7 @@ class TestKronSolve:
         op = IntegralOperator(gout, rank=5)
         gram = BlockGram([np.array([[0.6]])], [op], [1.0], gout)
         y = random_curve_vec(rng, gout, 1)
-        ak, _ = kron_solve(gram, 0.2, y)
+        ak, _ = pcg_solve(gram, 0.2, y)
         ad, _ = dense_solve(gram, 0.2, y)
         assert np.allclose(ak.values, ad.values, atol=1e-10)
 
@@ -138,7 +140,7 @@ class TestKronSolve:
         y = random_curve_vec(rng, grid, 65)
         tracemalloc.start()
         try:
-            _, report = kron_solve(gram, 0.01, y)
+            _, report = pcg_solve(gram, 0.01, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,35 +159,33 @@ class TestKronSolve:
         ])
         gram = assemble_gram(stack, X)
         y = random_curve_vec(rng, gout, 6)
-        ak, _ = kron_solve(gram, 0.05, y)
+        ak, _ = pcg_solve(gram, 0.05, y)
         ad, _ = dense_solve(gram, 0.05, y)
         assert vec_norm(ak - ad) <= 1e-8 * vec_norm(ad)
 
-    def test_mixed_operators_rejected(self, rng):
-        gout = Grid.uniform(0, 1, 5)
-        gram, y = random_system(rng, 3, 5, 2, op_kinds=["identity", "integral"])
-        if len(gram.merged_groups) == 1:
-            pytest.skip("draw produced a shared operator")
-        with pytest.raises(SolverError, match="pcg"):
-            kron_solve(gram, 0.1, y)
-
-    @pytest.mark.parametrize("second", [
-        lambda grid: IntegralOperator(grid, rank=2),
-        IntegralOperator,
-    ])
-    def test_mixed_operators_error_names_route(self, rng, second):
-        gout = Grid.uniform(0, 1, 5)
-        gram = BlockGram([np.eye(3), np.eye(3)],
-                         [IdentityOperator(gout), second(gout)], [0.5, 0.5], gout)
-        route = solve_route(gram)
-        assert route == "pcg"
-        with pytest.raises(SolverError, match=f"use {route}_solve "):
-            kron_solve(gram, 0.1, random_curve_vec(rng, gout, 3))
+    @pytest.mark.parametrize("kind", ["identity", "multiplication", "integral"])
+    @pytest.mark.parametrize("uneven", [False, True])
+    @pytest.mark.parametrize("ridge", [1e-6, 1e-4])
+    def test_full_rank_operator_at_small_ridge_is_direct(self, kind, uneven, ridge):
+        # one step, as accurate as a direct solve: the preconditioner's two
+        # terms are not the difference of two O(1/ridge) ones
+        rng = np.random.default_rng(7)
+        gout = random_grid(rng, 8) if uneven else Grid.uniform(0, 1, 8)
+        X = random_curve_vec(rng, Grid.uniform(0, 1, 9), 6)
+        op = make_operator(kind, gout)
+        stack = KernelStack([OvKernelTerm(GaussianKernel(1.0), op, 0.6),
+                             OvKernelTerm(PolynomialKernel(2), op, 0.4)])
+        gram = assemble_gram(stack, X)
+        y = random_curve_vec(rng, gout, 6)
+        ak, report = pcg_solve(gram, ridge, y)
+        ad, _ = dense_solve(gram, ridge, y)
+        assert report.iterations == 1
+        assert vec_norm(ak - ad) <= 1e-12 * vec_norm(ad)
 
     @pytest.mark.parametrize("rank", [1, 3, 7])
     def test_truncated_operator_at_small_ridge_matches_dense(self, rng, rank):
         # at ridge 1e-4 the answer is dominated by the operator's null space,
-        # which kron_solve divides by the ridge in closed form
+        # which the preconditioner divides by the ridge on its own
         gout = random_grid(rng, 8)
         X = random_curve_vec(rng, Grid.uniform(0, 1, 9), 6)
         op = IntegralOperator(gout, rank=rank)
@@ -193,9 +193,10 @@ class TestKronSolve:
                              OvKernelTerm(PolynomialKernel(2), op, 0.8)])
         gram = assemble_gram(stack, X)
         y = random_curve_vec(rng, gout, 6)
-        ak, report = kron_solve(gram, 1e-4, y)
+        ak, report = pcg_solve(gram, 1e-4, y)
         ad, _ = dense_solve(gram, 1e-4, y)
         assert report.converged
+        assert report.iterations == 1
         assert vec_norm(ak - ad) <= 1e-9 * vec_norm(ad)
 
     def test_all_zero_weights(self, rng):
@@ -204,7 +205,7 @@ class TestKronSolve:
                          [IdentityOperator(gout), IntegralOperator(gout)],
                          [0.0, 0.0], gout)
         y = random_curve_vec(rng, gout, 2)
-        alpha, _ = kron_solve(gram, 0.5, y)
+        alpha, _ = pcg_solve(gram, 0.5, y)
         assert np.allclose(alpha.values, y.values / 0.5)
 
 
@@ -328,9 +329,6 @@ class TestPcgSolve:
             ap, rp = pcg_solve(gram, ridge, y)
             assert rp.converged
             assert vec_norm(ap - ad) <= 1e-6 * max(vec_norm(ad), 1e-12)
-            if len(gram.merged_groups) <= 1:
-                ak, _ = kron_solve(gram, ridge, y)
-                assert vec_norm(ak - ad) <= 1e-6 * max(vec_norm(ad), 1e-12)
 
     def test_small_multiplication_full_integral_matches_dense(self, rng):
         # a small multiplication scale beside a large full-rank integral
@@ -350,12 +348,13 @@ class TestPcgSolve:
     @pytest.mark.parametrize("kind", ["multiplication", "integral", "integral_r3"])
     @pytest.mark.parametrize("uneven", [False, True])
     def test_identity_plus_one_operator_is_exact(self, kind, uneven):
-        # the preconditioner solves these stacks exactly
+        # the preconditioner solves these stacks exactly, in one step
         gram, y = mixed_system(40, 7, [("identity", 0.6), (kind, 0.8)], 11, uneven)
+        assert movkl.linsolve._two_group_preconditioner(gram, 1e-2)[1]
         cfg = SolveConfig(outer_tol=1e-12)
         alpha, report = pcg_solve(gram, 1e-2, y, cfg)
         assert report.converged
-        assert report.iterations <= 2
+        assert report.iterations == 1
         assert report.final_residual <= 1e-12
 
     def test_warm_start_with_exact_solution(self):
@@ -418,7 +417,7 @@ class TestPcgSolve:
         gram = BlockGram([np.eye(2), np.diag([1.0, -0.5])],
                          [IdentityOperator(grid), IntegralOperator(grid)],
                          [0.01, 1.0], grid)
-        precondition = movkl.linsolve._two_group_preconditioner(gram, 0.01)
+        precondition, _ = movkl.linsolve._two_group_preconditioner(gram, 0.01)
         size = 2 * grid.size
         P = np.stack([precondition(e.reshape(2, -1)).reshape(-1)
                       for e in np.eye(size)], axis=1)
@@ -466,7 +465,8 @@ class TestPcgSolve:
         op, GB = gram.merged_groups[0]
         A = np.kron(C, np.eye(m)) + np.kron(GB, op.matrix())
         R = rng.normal(size=(n, m))
-        got = movkl.linsolve._two_group_preconditioner(gram, ridge)(R)
+        precondition, _ = movkl.linsolve._two_group_preconditioner(gram, ridge)
+        got = precondition(R)
         want = np.linalg.solve(A, R.reshape(-1)).reshape(n, m)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
@@ -499,19 +499,61 @@ class TestPcgSolve:
         gram = BlockGram([eye, eye],
                          [IdentityOperator(gout), IntegralOperator(gout, rank=59)],
                          [0.5, 0.5], gout)
-        assert solve_route(gram) == "pcg"
         cfg = SolveConfig()
         _, report = pcg_solve(gram, 0.1, random_curve_vec(rng, gout, 85), cfg)
         assert report.converged
         assert report.final_residual <= cfg.outer_tol
 
     def test_routes(self):
+        # one route for every stack; the preconditioner reports whether it is
+        # the exact inverse, which a stack of one operator group always is
         gout = Grid.uniform(0, 1, 6)
         eye = np.eye(3)
         full = [MultiplicationOperator(gout), IntegralOperator(gout)]
-        assert solve_route(BlockGram([eye, eye], full, [0.5, 0.5], gout)) == "pcg"
-        assert solve_route(BlockGram([eye, eye], full, [0.0, 1.0], gout)) == "kron"
-        assert solve_route(BlockGram([eye], full[1:], [1.0], gout)) == "kron"
+
+        def exact(weights, ops=full):
+            gram = BlockGram([eye] * len(ops), ops, weights, gout)
+            return movkl.linsolve._two_group_preconditioner(gram, 0.1)[1]
+
+        assert not exact([0.5, 0.5])
+        assert exact([0.0, 1.0])
+        assert exact([1.0], full[1:])
+
+    def test_multiplication_beside_truncated_integral_is_not_exact(self):
+        # the folded multiplication operator is not a multiple of the
+        # identity, so CG takes more than the first step
+        gram, y = mixed_system(30, 6, [("multiplication", 0.6),
+                                       ("integral_r10", 0.8)], 23)
+        assert not movkl.linsolve._two_group_preconditioner(gram, 1e-2)[1]
+        _, report = pcg_solve(gram, 1e-2, y)
+        assert report.converged
+        assert report.iterations > 1
+
+    def test_no_warm_start_skips_a_block_application(self, monkeypatch):
+        # without a warm start the first residual is Y itself: one block
+        # application fewer than from a zero warm start, and the same bits
+        gram, y = mixed_system(20, 6, THREE_GROUPS, 24)
+        calls = []
+        apply_values = BlockGram.apply_values
+
+        def counting(self, A):
+            calls.append(1)
+            return apply_values(self, A)
+
+        monkeypatch.setattr(BlockGram, "apply_values", counting)
+        cold, cold_report = pcg_solve(gram, 0.05, y)
+        cold_calls = len(calls)
+        calls.clear()
+        zero, zero_report = pcg_solve(gram, 0.05, y, warm=CurveVec.zero(y.grid, y.n))
+        assert cold_calls == len(calls) - 1
+        assert cold_report.iterations == zero_report.iterations > 1
+        assert np.array_equal(cold.values, zero.values)
+        # a one-operator stack: the exact step and its true residual
+        gram, y = mixed_system(20, 6, [("integral", 1.0)], 25)
+        calls.clear()
+        _, report = pcg_solve(gram, 0.05, y)
+        assert report.iterations == 1
+        assert len(calls) == 1
 
 
 class TestSolveConfig:
