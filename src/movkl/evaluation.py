@@ -33,7 +33,8 @@ from .kernels import CurveStats, assemble_gram
 from .learn import FitConfig, movkl_fit, predict, weights_fixed
 from .linsolve import gram_eigh, product_basis
 
-__all__ = ["CvSpec", "CvCandidate", "rsse", "lcr", "loo_cv"]
+__all__ = ["CvSpec", "CvCandidate", "rsse", "rsse_by_curve", "lcr",
+           "label_hits_by_curve", "loo_cv"]
 
 
 @dataclass
@@ -71,6 +72,12 @@ class CvCandidate:
 
 def rsse(truth: CurveVec, pred: CurveVec) -> float:
     """Integrated residual sum of squares sum_i int (y_i - yhat_i)^2 dt."""
+    return float(np.sum(rsse_by_curve(truth, pred)))
+
+
+def rsse_by_curve(truth: CurveVec, pred: CurveVec) -> np.ndarray:
+    """Each curve's integrated squared residual int (y_i - yhat_i)^2 dt,
+    (n,); :func:`rsse` is their sum."""
     if truth.grid != pred.grid:
         raise DimensionError("truth and prediction live on different grids")
     if truth.n != pred.n:
@@ -78,11 +85,20 @@ def rsse(truth: CurveVec, pred: CurveVec) -> float:
             f"{truth.n} truth curves scored against {pred.n} predictions"
         )
     diff = truth.values - pred.values
-    return float(np.sum((diff * diff) @ truth.grid.weights))
+    return (diff * diff) @ truth.grid.weights
 
 
 def lcr(truth_labels: CurveVec, pred: CurveVec, threshold: float = 0.5) -> float:
     """Percentage of step-label samples recovered by thresholding ``pred``."""
+    hits = label_hits_by_curve(truth_labels, pred, threshold)
+    return float(100.0 * (np.sum(hits) / truth_labels.values.size))
+
+
+def label_hits_by_curve(truth_labels: CurveVec, pred: CurveVec,
+                        threshold: float = 0.5) -> np.ndarray:
+    """Each curve's count of label samples that thresholding ``pred``
+    recovers, (n,) integers; :func:`lcr` is their sum as a percentage of
+    all samples."""
     if truth_labels.grid != pred.grid:
         raise DimensionError("labels and prediction live on different grids")
     if truth_labels.n != pred.n:
@@ -100,7 +116,7 @@ def lcr(truth_labels: CurveVec, pred: CurveVec, threshold: float = 0.5) -> float
         )
     predicted = pred.values >= threshold
     actual = labels >= 0.5
-    return float(100.0 * np.mean(predicted == actual))
+    return np.count_nonzero(predicted == actual, axis=1)
 
 
 def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,

@@ -507,6 +507,8 @@ class IntegralOperator(OutputOperator):
         self._tmat: np.ndarray | None = None
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
+        # W V, the basis that coords() multiplies by, kept beside V
+        self._weighted: np.ndarray | None = None
 
     def _kernel_matrix(self) -> np.ndarray:
         """Operator matrix in coordinates, (T a)_j = sum_l w_l
@@ -548,8 +550,9 @@ class IntegralOperator(OutputOperator):
             # several times faster than a new array here
             self._eigvecs = vecs[:, keep]
             self._eigvecs /= sw[:, None]
-            self._eigvals.setflags(write=False)
-            self._eigvecs.setflags(write=False)
+            self._weighted = w[:, None] * self._eigvecs
+            for a in (self._eigvals, self._eigvecs, self._weighted):
+                a.setflags(write=False)
         return self._eigvals, self._eigvecs
 
     @property
@@ -564,6 +567,7 @@ class IntegralOperator(OutputOperator):
         vals, vecs = self._decompose()
         out = IntegralOperator(self.grid, rank=q)
         out._eigvals, out._eigvecs = vals[:q], vecs[:, :q]
+        out._weighted = self._weighted[:, :q]
         return out
 
     def apply_rows(self, A: np.ndarray) -> np.ndarray:
@@ -582,7 +586,8 @@ class IntegralOperator(OutputOperator):
         return self._decompose()[0]
 
     def coords(self, A):
-        return A @ (self.grid.weights[:, None] * self._decompose()[1])
+        self._decompose()
+        return A @ self._weighted
 
     def expand(self, C):
         return C @ self._decompose()[1].T

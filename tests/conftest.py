@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,15 @@ def quadrature_residual(basis, vecs, weights):
     the quadrature-orthonormal columns of ``basis``."""
     outside = vecs - basis @ (basis.T @ (weights[:, None] * vecs))
     return float(np.max(np.sqrt((outside * outside).T @ weights), initial=0.0))
+
+
+def traced_peak(call, *args):
+    """call(*args) and the bytes it allocated at its peak, above what was
+    allocated before it, as traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

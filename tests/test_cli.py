@@ -5,17 +5,26 @@ import numpy as np
 import pytest
 
 from movkl import (
+    CurveDataset,
+    DataError,
     GaussianKernel,
     IdentityOperator,
     OvKernelTerm,
     FitConfig,
     SolveConfig,
+    SynthSpec,
+    generate_synthetic,
     krr_fit,
+    lcr,
     load_dataset,
     load_model,
     predict_many,
+    rsse,
+    save_dataset,
 )
-from movkl.cli import main
+from movkl.cli import _normalize_inputs, main
+from movkl.learn import QUERY_BLOCK
+from conftest import traced_peak
 
 
 def write_config(path, doc):
@@ -319,6 +328,16 @@ def trained_run(tmp_path, lam=0.1):
     return cfg_path, data, tmp_path / "out"
 
 
+def query_file(tmp_path, n: int):
+    """A labelled dataset file of n curves of the base config's task."""
+    cfg = base_config(tmp_path)
+    cfg["dataset"]["synth"]["n_samples"] = n
+    path = tmp_path / f"query{n}.txt"
+    assert main(["gen", "--config", write_config(tmp_path / "q.json", cfg),
+                 "--out", str(path)]) == 0
+    return path
+
+
 class TestPredictEval:
     def setup_run(self, tmp_path, lam=0.1):
         return trained_run(tmp_path, lam)
@@ -335,19 +354,22 @@ class TestPredictEval:
         assert len(lines) == 1 + 8
 
     def test_predict_csv_matches_per_value_writer(self, tmp_path):
+        # the training file, and 300 curves: one full block of QUERY_BLOCK
+        # and one partial block
         cfg_path, data, out = self.setup_run(tmp_path)
-        pred_path = tmp_path / "preds.csv"
-        assert main(["predict", "--model", str(out / "model.json"),
-                     "--data", str(data), "--out", str(pred_path)]) == 0
         model = load_model(out / "model.json")
-        preds = predict_many(model, load_dataset(data).inputs)
 
         def fmt(values):
             return ",".join(format(v, ".17g") for v in values)
 
-        expected = "# output_grid_points=" + fmt(model.output_grid.points) + "\n"
-        expected += "".join(fmt(row) + "\n" for row in preds.values)
-        assert pred_path.read_bytes() == expected.encode("utf-8")
+        for query in (data, query_file(tmp_path, 300)):
+            pred_path = tmp_path / "preds.csv"
+            assert main(["predict", "--model", str(out / "model.json"),
+                         "--data", str(query), "--out", str(pred_path)]) == 0
+            preds = predict_many(model, load_dataset(query).inputs)
+            expected = "# output_grid_points=" + fmt(model.output_grid.points) + "\n"
+            expected += "".join(fmt(row) + "\n" for row in preds.values)
+            assert pred_path.read_bytes() == expected.encode("utf-8")
 
     def test_eval_self_prediction_near_interpolation(self, tmp_path):
         cfg_path, data, out = self.setup_run(tmp_path, lam=1e-6)
@@ -375,6 +397,95 @@ class TestPredictEval:
         rc = main(["eval", "--model", str(out / "model.json"),
                    "--data", str(bad)])
         assert rc == 3
+
+
+class TestStreamedQueries:
+    """predict and eval read the query file in blocks of QUERY_BLOCK curves:
+    their outputs are those of the whole file, a fault past the first block
+    leaves no output, and their memory does not grow with the file."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        cfg_path, data, out = trained_run(tmp_path)
+        return out / "model.json", query_file(tmp_path, 300), out
+
+    @pytest.mark.parametrize("name", ["predict", "eval"])
+    @pytest.mark.parametrize("fault", ["number", "label", "trailing"])
+    def test_fault_past_first_block_writes_nothing(self, capsys, run, name, fault):
+        model, query, out = run
+        preds = out / "predictions.csv"
+        assert main(["predict", "--model", str(model), "--data", str(query),
+                     "--out", str(preds)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "predictions.csv.part" not in before
+        # record 290 lies in the second block; its input line is 8 + 3 * 290
+        lines = query.read_text().splitlines()
+        if fault == "trailing":
+            lines.append("extra")
+        else:
+            i = 7 + 3 * 290 + (2 if fault == "label" else 0)
+            key, _, rest = lines[i].partition("=")
+            first = "0.5" if fault == "label" else "1.5.0"
+            lines[i] = key + "=" + ",".join([first] + rest.split(",")[1:])
+        query.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(query)
+        if fault != "trailing":
+            assert f"{query}:{i + 1}: " in str(err.value)
+        capsys.readouterr()
+        argv = [name, "--model", str(model), "--data", str(query),
+                "--output-dir", str(out)]
+        if name == "predict":
+            argv += ["--out", str(preds)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"data error: {err.value}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("variant", ["labels", "no_labels", "normalize"])
+    def test_eval_scores_equal_whole_file_scores(self, tmp_path, run, variant):
+        model, query, out = run
+        config = {"version": 1}
+        ds = load_dataset(query)
+        if variant == "no_labels":
+            save_dataset(query, CurveDataset(ds.inputs, ds.targets))
+            ds = load_dataset(query)
+        elif variant == "normalize":
+            config["normalize_inputs"] = True
+            ds = _normalize_inputs(ds)
+        assert main(["eval", "--model", str(model), "--data", str(query),
+                     "--output-dir", str(out),
+                     "--config", write_config(tmp_path / "e.json", config)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        preds = predict_many(load_model(model), ds.inputs)
+        assert metrics["n"] == 300
+        assert metrics["rsse"] == rsse(ds.targets, preds)
+        if variant == "no_labels":
+            assert metrics["lcr"] is None
+        else:
+            assert metrics["lcr"] == lcr(ds.labels, preds)
+
+    def test_memory_is_one_block_not_the_file(self, tmp_path):
+        # 2,000 desk-task curves hold 15.3 MiB of arrays, one block 1.95 MiB.
+        # The model is fitted on 20 curves, so blocks dominate: at the peak
+        # the block in use and the block being read, about 2.5 blocks
+        desk = {"grid_size": 200, "latency": 15, "channel_count": 3,
+                "noise_std": 0.1}
+        cfg = base_config(tmp_path)
+        cfg["dataset"]["synth"] = dict(n_samples=20, **desk)
+        assert main(["train", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        query = tmp_path / "desk.txt"
+        save_dataset(query, generate_synthetic(SynthSpec(
+            n_samples=2000, seed=20120706, **desk)))
+        block = QUERY_BLOCK * (600 + 200 + 200) * 8
+        out = tmp_path / "out"
+        model = str(out / "model.json")
+        for argv in (["predict", "--model", model, "--data", str(query),
+                      "--out", str(out / "predictions.csv")],
+                     ["eval", "--model", model, "--data", str(query),
+                      "--output-dir", str(out)]):
+            code, peak = traced_peak(main, argv)
+            assert code == 0
+            assert peak < 3 * block, argv[0]
 
 
 class TestUnreadableInputs:

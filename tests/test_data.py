@@ -1,5 +1,4 @@
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +12,13 @@ from movkl import (
     SynthSpec,
     generate_synthetic,
     load_dataset,
+    load_dataset_blocks,
     save_dataset,
     stacked_channel_grid,
 )
 from movkl import data
 from movkl.data import load_feature_csv
-from conftest import writeable_through
+from conftest import traced_peak, writeable_through
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,9 @@ def reference_load_dataset(path) -> CurveDataset:
         targets[i] = reference_record(r, "target", out_grid.size, i)
         if has_labels:
             labels[i] = reference_record(r, "label", out_grid.size, i)
+            if np.any(np.minimum(np.abs(labels[i]), np.abs(labels[i] - 1.0)) > 1e-9):
+                raise DataError(f"{path}:{r.pos}: record {i}: label curves must "
+                                "be {0, 1}-valued")
     if r.pos != len(r.lines):
         raise DataError(f"{path}:{r.pos + 1}: trailing content after {n} records")
     return CurveDataset(
@@ -719,6 +722,82 @@ class TestStreamingReaderMatchesReference:
         assert str(err.value) == f"{path}:{count + 1}: trailing content after 2 records"
 
 
+def set_first_value(lines: list[str], i: int, token: str) -> None:
+    """Replace the first value of record line i with ``token``."""
+    key, _, rest = lines[i].partition("=")
+    lines[i] = key + "=" + ",".join([token] + rest.split(",")[1:])
+
+
+class TestBlockReader:
+    """load_dataset_blocks cuts load_dataset's arrays into blocks, and
+    raises its errors when the reader reaches them."""
+
+    @pytest.fixture
+    def labelled(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n_samples=23, grid_size=5,
+                                          channel_count=2, noise_std=0.1, seed=4))
+        path = tmp_path / "labelled.txt"
+        save_dataset(path, ds)
+        return path
+
+    @pytest.mark.parametrize("size", [1, 7, 22, 23, 64, None])
+    def test_blocks_are_the_dataset_in_order(self, tmp_path, labelled, size):
+        unlabelled = tmp_path / "unlabelled.txt"
+        whole = load_dataset(labelled)
+        save_dataset(unlabelled, CurveDataset(whole.inputs, whole.targets))
+        for path in (labelled, unlabelled):
+            want = load_dataset(path)
+            blocks = list(load_dataset_blocks(path, size))
+            step = size or want.n
+            assert [b.n for b in blocks] == [min(step, want.n - lo)
+                                             for lo in range(0, want.n, step)]
+            for k, block in enumerate(blocks):
+                rows = slice(k * step, (k + 1) * step)
+                assert_same_dataset(block, CurveDataset(
+                    inputs=CurveVec(want.input_grid, want.inputs.values[rows]),
+                    targets=CurveVec(want.output_grid, want.targets.values[rows]),
+                    labels=None if want.labels is None
+                    else CurveVec(want.output_grid, want.labels.values[rows]),
+                ))
+
+    @pytest.mark.parametrize("fault", ["number", "label", "trailing"])
+    def test_fault_raised_where_reached(self, labelled, fault):
+        lines = labelled.read_text().splitlines()
+        label_line = 7 + 3 * 17 + 2
+        if fault == "trailing":
+            lines.append("extra")
+        else:
+            set_first_value(lines, label_line, "0.5" if fault == "label" else "x")
+        labelled.write_text("\n".join(lines) + "\n")
+        _, message = load_outcome(load_dataset, labelled)
+        if fault != "trailing":
+            assert f":{label_line + 1}: " in message
+        assert message == load_outcome(reference_load_dataset, labelled)[1]
+        # record 17 is in the third block of 7; trailing content is found
+        # when a block after the last one is asked for
+        sizes = [7, 7, 7, 2] if fault == "trailing" else [7, 7]
+        blocks = load_dataset_blocks(labelled, 7)
+        assert [next(blocks).n for _ in sizes] == sizes
+        with pytest.raises(DataError) as err:
+            next(blocks)
+        assert str(err.value) == message
+
+    def test_label_fault_names_line_and_record(self, labelled):
+        # within 1e-9 of 0 or 1 is a label; 0.5 is not
+        lines = labelled.read_text().splitlines()
+        set_first_value(lines, 7 + 2, "1.0000000005")
+        set_first_value(lines, 7 + 5, "-5e-10")
+        labelled.write_text("\n".join(lines) + "\n")
+        assert load_dataset(labelled).labels.values[:2, 0].tolist() == [
+            1.0000000005, -5e-10]
+        set_first_value(lines, 7 + 2, "0.5")
+        labelled.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(labelled)
+        assert str(err.value) == (f"{labelled}:10: record 0: label curves must "
+                                  "be {0, 1}-valued")
+
+
 class TestUnreadableFiles:
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.txt"
@@ -787,31 +866,19 @@ class TestArraysBuiltOnce:
         with pytest.raises(DataError, match="must be {0, 1}-valued"):
             CurveDataset(inputs=zeros, targets=zeros, labels=CurveVec(g, labels))
 
-    @staticmethod
-    def traced_peak(call, *args):
-        """Bytes allocated by call(*args) at its peak, above what was
-        allocated before it."""
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = call(*args)
-            return result, tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
     def test_generate_and_load_peak_at_about_one_dataset(self, tmp_path):
         # 2,000 curves of the desk task, 15.3 MiB of arrays: generating or
         # reading them holds one block or one line of work on top
         spec = SynthSpec(n_samples=2000, grid_size=200, latency=15,
                          channel_count=3, noise_std=0.1, seed=20120706)
         generate_synthetic(SynthSpec(n_samples=2, grid_size=10))
-        ds, generate_peak = self.traced_peak(generate_synthetic, spec)
+        ds, generate_peak = traced_peak(generate_synthetic, spec)
         nbytes = sum(cv.values.nbytes for cv in (ds.inputs, ds.targets, ds.labels))
         assert nbytes == 2000 * (600 + 200 + 200) * 8
         path = tmp_path / "desk.txt"
         save_dataset(path, ds)
         del ds
-        _, load_peak = self.traced_peak(load_dataset, path)
+        _, load_peak = traced_peak(load_dataset, path)
         assert generate_peak <= 1.3 * nbytes
         assert load_peak <= 1.3 * nbytes
 
@@ -827,7 +894,7 @@ class TestArraysBuiltOnce:
         ], axis=1)
         path = tmp_path / "features.csv"
         np.savetxt(path, table, fmt="%.3f", delimiter=",")
-        ds, peak = self.traced_peak(load_feature_csv, path, channels, input_len,
+        ds, peak = traced_peak(load_feature_csv, path, channels, input_len,
                                     output_len, True)
         assert np.array_equal(ds.targets.values,
                               table[:, channels * input_len:-output_len])
@@ -837,5 +904,5 @@ class TestArraysBuiltOnce:
         ds = generate_synthetic(SynthSpec(n_samples=300, grid_size=200, latency=15,
                                           channel_count=3, noise_std=0.1, seed=1))
         nbytes = sum(cv.values.nbytes for cv in (ds.inputs, ds.targets, ds.labels))
-        _, save_peak = self.traced_peak(save_dataset, tmp_path / "desk.txt", ds)
+        _, save_peak = traced_peak(save_dataset, tmp_path / "desk.txt", ds)
         assert save_peak <= 0.3 * nbytes

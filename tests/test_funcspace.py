@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,8 @@ from movkl import (
     vec_norm_sq,
 )
 from movkl.funcspace import _BLOCK
-from conftest import random_curve, random_curve_vec, writeable_through
+from conftest import (random_curve, random_curve_vec, traced_peak,
+                      writeable_through)
 
 
 class TestGrid:
@@ -339,12 +338,7 @@ class TestSharingRule:
         values = np.zeros((10001, 600))
         values.setflags(write=False)
         part = values[1:]
-        tracemalloc.start()
-        try:
-            cv = CurveVec(g, part)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cv, peak = traced_peak(CurveVec, g, part)
         assert cv.values is part
         assert peak < part.size // 8
 

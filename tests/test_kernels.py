@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +23,7 @@ from movkl import (
 import movkl.kernels
 from movkl.kernels import _ou_precision
 from conftest import (quadrature_residual, random_curve, random_curve_vec,
-                      reference_decompose)
+                      reference_decompose, traced_peak)
 
 
 @pytest.fixture
@@ -197,12 +195,14 @@ class TestOperators:
     def test_eigenpairs_satisfy_definition(self, rng, make_op):
         # T = V diag(s) V^T W with V orthonormal under the quadrature weights,
         # on a uniform and an uneven grid; the integral operator at every
-        # rank from 1 to m, where m is the full operator
+        # rank from 1 to m, where m is the full operator, and as truncated
+        # views of the full one
         m = 9
         for grid in (Grid.uniform(0.0, 1.0, m),
                      Grid.from_points(np.sort(rng.uniform(-2.0, 2.0, m)))):
             if make_op is IntegralOperator:
                 ops = [IntegralOperator(grid, rank=q) for q in range(1, m + 1)]
+                ops += [IntegralOperator(grid).truncated(q) for q in range(1, m)]
             else:
                 ops = [make_op(grid)]
             for op in ops:
@@ -214,6 +214,20 @@ class TestOperators:
                 want = op.apply_rows(A)
                 got = op.expand(op.coords(A) * vals)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+                if make_op is IntegralOperator:
+                    assert_coords_use_weighted_basis(op, A)
+
+    @pytest.mark.parametrize("rank", [None, 20, 10])
+    def test_integral_coords_bit_for_bit_at_desk_size(self, rng, rank):
+        # the desk tasks' 200-point grid and a 65-curve block; rank 10 also
+        # as a view of the rank-20 operator's pairs
+        grid = Grid.uniform(0.0, 1.0, 200)
+        A = rng.normal(size=(65, 200))
+        ops = [IntegralOperator(grid, rank=rank)]
+        if rank == 10:
+            ops.append(IntegralOperator(grid, rank=20).truncated(10))
+        for op in ops:
+            assert_coords_use_weighted_basis(op, A)
 
     def test_integral_truncation_against_dense_eigh(self):
         # the rank-q reconstruction must miss the full operator by exactly
@@ -259,13 +273,15 @@ class TestOperators:
     def test_diagonal_mean_eigenvalue_builds_no_matrix(self, make_op):
         # the dense m x m eigenvector matrix would be 30.5 MiB here
         op = make_op(Grid.uniform(0.0, 1.0, 2000))
-        tracemalloc.start()
-        try:
-            op.mean_eigenvalue()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(op.mean_eigenvalue)
         assert peak < 2 ** 20
+
+
+def assert_coords_use_weighted_basis(op: IntegralOperator, A: np.ndarray):
+    """coords(A) is A @ (w[:, None] * V) bit for bit: the weighted basis the
+    operator keeps is the one it would form afresh from its eigenvectors."""
+    vecs = op._decompose()[1]
+    assert np.array_equal(op.coords(A), A @ (op.grid.weights[:, None] * vecs))
 
 
 def spectrum_grid(kind: str, m: int, seed: int) -> Grid:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +24,7 @@ from movkl import (
     vec_norm,
 )
 import movkl.linsolve
-from conftest import random_curve_vec
+from conftest import random_curve_vec, traced_peak
 
 OPERATOR_KINDS = ["identity", "multiplication", "integral", "integral_truncated"]
 
@@ -138,12 +136,7 @@ class TestKronSolve:
         G = GaussianKernel(1.0).gram(random_curve_vec(rng, Grid.uniform(0, 1, 20), 65))
         gram = BlockGram([G], [make_op(grid)], [1.0], grid)
         y = random_curve_vec(rng, grid, 65)
-        tracemalloc.start()
-        try:
-            _, report = pcg_solve(gram, 0.01, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, report), peak = traced_peak(pcg_solve, gram, 0.01, y)
         assert report.converged
         assert peak < 8 * y.values.nbytes
 
@@ -482,12 +475,7 @@ class TestPcgSolve:
         G = GaussianKernel(1.0).gram(random_curve_vec(rng, Grid.uniform(0, 1, 20), 5))
         gram = BlockGram([G, G], ops, [0.6, 0.8], grid)
         y = random_curve_vec(rng, grid, 5)
-        tracemalloc.start()
-        try:
-            _, report = pcg_solve(gram, 0.01, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, report), peak = traced_peak(pcg_solve, gram, 0.01, y)
         assert report.converged
         assert peak < m * m * 8 / 4
 
