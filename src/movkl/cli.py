@@ -13,7 +13,8 @@ and their outputs equal those of the whole file bit for bit.  ``predict``
 writes to ``<out>.part``, which replaces ``<out>`` once the command
 succeeds; ``eval`` keeps one RSSE term and one label-hit count per curve
 and writes its metrics at the end.  A fault anywhere in the dataset leaves
-no output behind.
+no output behind.  ``gen`` writes each block of curves as the generator
+finishes it, so it too holds a few blocks, not the dataset.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver failure.
 """
@@ -36,15 +37,14 @@ from .data import (
     CurveDataset,
     SynthSpec,
     _format_row,
+    _save_synthetic,
     generate_synthetic,
     load_dataset_blocks,
-    save_dataset,
 )
 from .errors import CapacityError, ConfigError, DataError, MovklError, SolverError
 from .evaluation import CvSpec, label_hits_by_curve, loo_cv, rsse_by_curve
 from .funcspace import CurveVec, Grid
 from .kernels import (
-    CurveStats,
     GaussianKernel,
     IdentityOperator,
     IntegralOperator,
@@ -52,6 +52,7 @@ from .kernels import (
     MultiplicationOperator,
     OvKernelTerm,
     PolynomialKernel,
+    _sq_norms,
     assemble_gram,
     block_trace_normalized,
     median_pairwise_distance,
@@ -153,7 +154,8 @@ def _dataset_blocks(config: dict, override_path=None, size: int | None = None):
 
 
 def _normalize_inputs(ds: CurveDataset) -> CurveDataset:
-    norms = np.sqrt(CurveStats(ds.inputs).sq_norms)
+    # the squared norms alone, by CurveStats' arithmetic, without its X * w
+    norms = np.sqrt(_sq_norms(ds.inputs.values, ds.input_grid.weights))
     norms = np.where(norms > 0, norms, 1.0)
     return CurveDataset(
         # the quotient is a new array that nothing else holds
@@ -292,10 +294,10 @@ def cmd_gen(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    ds = generate_synthetic(_synth_spec(config))
+    spec = _synth_spec(config)
     out = Path(args.out) if args.out else _out_dir(config, args) / "dataset.txt"
-    save_dataset(out, ds)
-    print(f"wrote {ds.n} samples to {out}")
+    _save_synthetic(out, spec)
+    print(f"wrote {spec.n_samples} samples to {out}")
     return 0
 
 

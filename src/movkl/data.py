@@ -8,12 +8,23 @@ noise.  Multi-channel inputs are concatenated into a single curve over a
 stacked grid whose quadrature weights integrate each channel segment
 separately.
 
-Generation runs in fixed blocks of samples.  Only the random draws stay
-per sample, in the order of the per-sample definition; the sinusoids,
-labels, channel filters and noise of a whole block are computed together
-with the same arithmetic, value for value, so every array is bit-identical
-to generating one curve at a time (the slow per-sample version is kept in
-the tests as the oracle).
+Generation runs in fixed blocks of samples.  The calling thread makes
+every random draw, one sample after another in the order of the
+per-sample definition: each sample's 21 uniforms, then its noise.  The
+arithmetic of a block (the sinusoids, labels, channel filters and the
+sum with the noise) runs on a pool of up to one thread per CPU
+available to the process, each block writing only its own rows, while
+the calling thread draws the next blocks.  numpy releases the
+interpreter lock in the sines and the filter convolutions, so the blocks
+overlap.  The sinusoids are evaluated once per distinct point of the
+output grid and of its copy shifted by the latency (most shifted points
+are grid points bit for bit), and the target and delayed curves are
+columns of that one evaluation.  Every value goes through the same
+arithmetic as in the per-sample definition, so the arrays are
+bit-identical to generating one curve at a time, for any number of
+threads (the slow per-sample version is kept in the tests as the
+oracle).  ``movkl gen`` writes each block to its file as it is done,
+so it holds the blocks in flight, never the whole dataset.
 
 Datasets are stored as line-oriented text: a small header (size, label
 flag and both grids) followed by one ``input=``/``target=`` (and optional
@@ -24,18 +35,22 @@ Each dataset array is built once.  The generator and the reader fill
 their ``(n, m)`` arrays in place and hand them to :class:`CurveVec`
 without a copy, the label check runs over blocks of rows, and files are
 written and read one line at a time.  Generating, saving or loading a
-dataset therefore peaks at about the size of its arrays, plus one block
-or one line of work.  :func:`load_dataset_blocks` reads a file as blocks
-of a fixed number of curves, so a caller that handles one block at a
-time holds one block's arrays however long the file is;
-:func:`load_dataset` is the same reader with one block of every record.
+dataset therefore peaks at about the size of its arrays, plus a block of
+work per generator thread or one line.  :func:`load_dataset_blocks`
+reads a file as blocks of a fixed number of curves, so a caller that
+handles one block at a time holds one block's arrays however long the
+file is; :func:`load_dataset` is the same reader with one block of every
+record.
 """
 
 from __future__ import annotations
 
+import collections
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -162,6 +177,10 @@ def stacked_channel_grid(grid_size: int, channels: int) -> Grid:
 _DRAW_LO = np.repeat([0.3, 4.0, 0.3, 0.2, 0.0], [4, 3, 4, 3, 7])
 _DRAW_SPAN = np.repeat([2.2, 10.0, 0.9, 0.5, 2.0 * np.pi], [4, 3, 4, 3, 7]) - _DRAW_LO
 _COMPONENTS = 7
+# samples per block of the generator: a worker's temporaries are a few
+# (_GEN_BLOCK, m) arrays, small enough that per-thread malloc arenas keep
+# little memory
+_GEN_BLOCK = 128
 
 
 def generate_synthetic(spec: SynthSpec) -> CurveDataset:
@@ -181,53 +200,19 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     The random stream is, in order: the channel gains and filter
     half-widths, then per sample its 21 uniform draws followed by its
     ``channel_count * grid_size`` noise draws (none when ``noise_std`` is
-    0).  Samples are computed in blocks; see the module docstring.
+    0).  The calling thread makes every draw in that order; the
+    arithmetic of each block of samples runs on a pool of up to one
+    thread per available CPU, each block into its own rows, and the
+    sinusoids are evaluated once per distinct point of the grid and its
+    shifted copy.  The arrays are bit-identical to generating one curve
+    at a time, whatever the number of threads; see the module docstring.
     """
-    rng = np.random.default_rng(spec.seed)
     n, m, channels = spec.n_samples, spec.grid_size, spec.channel_count
-    out_grid = Grid.uniform(0.0, 1.0, m)
-    t = out_grid.points
-    step = 1.0 / (m - 1)
-    shifted = t - spec.latency * step
-
-    gains = rng.uniform(2.5, 5.0, channels)
-    halfwidths = rng.integers(10, 21, channels)
-    halfwidths = np.minimum(halfwidths, (m - 1) // 2)
-
-    targets = np.empty((n, m))
-    labels = np.empty((n, m))
-    inputs = np.empty((n, channels * m))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        draws = np.empty((hi - lo, _DRAW_LO.size))
-        # each input row starts as its noise and the filtered channels are
-        # added to it; the definition adds a zero noise too, which turns
-        # -0.0 into 0.0
-        block = inputs[lo:hi]
-        block.fill(0.0)
-        for i in range(hi - lo):
-            draws[i] = rng.random(_DRAW_LO.size)
-            if spec.noise_std > 0:
-                block[i] = rng.normal(0.0, spec.noise_std, channels * m)
-        params = _DRAW_LO + _DRAW_SPAN * draws
-        freqs = params[:, :_COMPONENTS, None]
-        amps = params[:, _COMPONENTS:2 * _COMPONENTS, None]
-        phases = params[:, 2 * _COMPONENTS:, None]
-
-        target = _amplitude(freqs, amps, phases, t)
-        targets[lo:hi] = target
-        # a zero peak needs no case of its own: its curve is all zeros
-        labels[lo:hi] = target > 0.1 * target.max(axis=1, keepdims=True)
-        delayed = _amplitude(freqs, amps, phases, shifted)
-        for c in range(channels):
-            if spec.random_filters:
-                filtered = _boxcar_rows(delayed, int(halfwidths[c]))
-                filtered = gains[c] * (filtered - filtered.mean(axis=1, keepdims=True))
-            else:
-                filtered = delayed
-            block[:, c * m:(c + 1) * m] += filtered
-
-    in_grid = stacked_channel_grid(m, channels)
+    inputs, targets, labels = arrays = (
+        np.empty((n, channels * m)), np.empty((n, m)), np.empty((n, m)))
+    for _ in _synthetic_blocks(spec, arrays):
+        pass
+    in_grid, out_grid = _synthetic_grids(spec)
     return CurveDataset(
         inputs=CurveVec(in_grid, inputs, copy=False),
         targets=CurveVec(out_grid, targets, copy=False),
@@ -235,16 +220,148 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     )
 
 
+def _synthetic_grids(spec: SynthSpec) -> tuple[Grid, Grid]:
+    """The input (stacked channel) and output grids of a synthetic task."""
+    return (stacked_channel_grid(spec.grid_size, spec.channel_count),
+            Grid.uniform(0.0, 1.0, spec.grid_size))
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for the block arithmetic: one per CPU available to the
+    process, and no more than there are blocks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks))
+
+
+def _synthetic_blocks(spec: SynthSpec, arrays=None):
+    """The synthetic dataset as ``(inputs, targets, labels)`` row blocks
+    of :data:`_GEN_BLOCK` samples, in order, each yielded once complete.
+
+    With ``arrays``, the full ``(inputs, targets, labels)`` arrays, the
+    blocks are their row slices, filled in place; without, each block is
+    a fresh set of arrays, so a caller that writes each block away holds
+    only the blocks in flight: one per worker thread and one more.
+
+    This thread draws each block's uniforms and noise, in stream order,
+    and hands the rest to the pool.  The noise goes straight into the
+    block's input rows, to which the workers add the filtered channels.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n, m, channels = spec.n_samples, spec.grid_size, spec.channel_count
+    t = Grid.uniform(0.0, 1.0, m).points
+    step = 1.0 / (m - 1)
+    # the shifted grid mostly hits grid points bit for bit; each distinct
+    # point gives the same sines wherever it appears, so it is computed once
+    points, cols = np.unique(np.concatenate([t, t - spec.latency * step]),
+                             return_inverse=True)
+    gains = rng.uniform(2.5, 5.0, channels)
+    halfwidths = rng.integers(10, 21, channels)
+    halfwidths = np.minimum(halfwidths, (m - 1) // 2)
+    filters = ([(int(h), g) for h, g in zip(halfwidths, gains)]
+               if spec.random_filters else None)
+
+    def draw(lo):
+        count = min(_GEN_BLOCK, n - lo)
+        if arrays is None:
+            block = (np.empty((count, channels * m)), np.empty((count, m)),
+                     np.empty((count, m)))
+        else:
+            block = tuple(a[lo:lo + count] for a in arrays)
+        # each input row starts as its noise, or as zeros without noise,
+        # and the workers add the filtered channels to it; the definition
+        # adds a zero noise too, which turns -0.0 into 0.0
+        noise = block[0]
+        if spec.noise_std == 0:
+            noise.fill(0.0)
+        draws = np.empty((count, _DRAW_LO.size))
+        for i in range(count):
+            rng.random(out=draws[i])
+            if spec.noise_std > 0:
+                noise[i] = rng.normal(0.0, spec.noise_std, channels * m)
+        return block, _DRAW_LO + _DRAW_SPAN * draws
+
+    def finished():
+        block, done = pending.popleft()
+        done.result()
+        return block
+
+    starts = range(0, n, _GEN_BLOCK)
+    workers = _worker_count(len(starts))
+    # one block more than workers is queued, so a worker that finishes
+    # finds the next block drawn while this thread draws the one after
+    pending = collections.deque()
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for lo in starts:
+                block, params = draw(lo)
+                pending.append((block, pool.submit(
+                    _block_values, params, points, cols[:m], cols[m:], filters,
+                    *block)))
+                if len(pending) > workers:
+                    yield finished()
+            while pending:
+                yield finished()
+        finally:
+            for _, queued in pending:
+                queued.cancel()
+
+
+def _block_values(params, points, target_cols, delayed_cols, filters,
+                  inputs, targets, labels) -> None:
+    """Targets, labels and filtered channels of one block, written in place.
+
+    ``params`` holds the block's scaled draws, one row per sample.  The
+    amplitude is computed on the distinct ``points`` and its target and
+    delayed curves are their columns ``target_cols`` and
+    ``delayed_cols``.  ``inputs`` holds each sample's noise, to which the
+    channels are added; ``filters`` lists each channel's half-width and
+    gain, or is None when the channels pass the delayed curve through.
+    """
+    freqs = params[:, :_COMPONENTS, None]
+    amps = params[:, _COMPONENTS:2 * _COMPONENTS, None]
+    phases = params[:, 2 * _COMPONENTS:, None]
+    amplitude = _amplitude(freqs, amps, phases, points)
+    np.take(amplitude, target_cols, axis=1, out=targets, mode="clip")
+    # a zero peak needs no case of its own: its curve is all zeros
+    peak = targets.max(axis=1, keepdims=True)
+    peak *= 0.1
+    np.greater(targets, peak, out=labels)
+    delayed = np.take(amplitude, delayed_cols, axis=1)
+    del amplitude
+    m = targets.shape[1]
+    tmp = None if filters is None else np.empty_like(delayed)
+    for c in range(inputs.shape[1] // m):
+        channel = inputs[:, c * m:(c + 1) * m]
+        if filters is None:
+            channel += delayed
+            continue
+        halfwidth, gain = filters[c]
+        filtered = _boxcar_rows(delayed, halfwidth)
+        # gain * (filtered - mean), in place: IEEE products commute
+        np.subtract(filtered, filtered.mean(axis=1, keepdims=True), out=tmp)
+        tmp *= gain
+        channel += tmp
+
+
 def _amplitude(freqs, amps, phases, u: np.ndarray) -> np.ndarray:
     """Rectified sinusoid sums of a block, one row per sample.  The
     components are computed and added one after another, in draw order, as
-    the per-sample sum over a (7, m) array adds them; only (block, m)
-    temporaries are live at a time."""
-    total = None
+    the per-sample sum over a (7, m) array adds them, each into one of two
+    (block, u.size) buffers."""
+    total = np.empty((freqs.shape[0], u.size))
+    wave = np.empty_like(total)
     for k in range(_COMPONENTS):
-        wave = amps[:, k] * np.sin(2.0 * np.pi * freqs[:, k] * u + phases[:, k])
-        total = wave if total is None else total + wave
-    return np.maximum(total, 0.0)
+        out = wave if k else total
+        np.multiply(2.0 * np.pi * freqs[:, k], u, out=out)
+        out += phases[:, k]
+        np.sin(out, out=out)
+        out *= amps[:, k]
+        if k:
+            total += wave
+    return np.maximum(total, 0.0, out=total)
 
 
 def _boxcar_rows(rows: np.ndarray, halfwidth: int) -> np.ndarray:
@@ -284,22 +401,45 @@ def _format_row(row: np.ndarray) -> str:
 def save_dataset(path, ds: CurveDataset) -> None:
     """Write the line-oriented text format (17 significant digits), one
     line at a time."""
+    labels = None if ds.labels is None else ds.labels.values
+    _write_dataset(path, ds.n, ds.input_grid, ds.output_grid, labels is not None,
+                   [(ds.inputs.values, ds.targets.values, labels)])
+
+
+def _save_synthetic(path, spec: SynthSpec) -> None:
+    """Write ``save_dataset(path, generate_synthetic(spec))``, byte for
+    byte, each block as it is generated, so only the blocks in flight are
+    held and never the whole dataset."""
+    input_grid, output_grid = _synthetic_grids(spec)
+    blocks = _synthetic_blocks(spec)
+    try:
+        _write_dataset(path, spec.n_samples, input_grid, output_grid, True, blocks)
+    finally:
+        # a failed write stops the generator's pool before returning
+        blocks.close()
+
+
+def _write_dataset(path, n: int, input_grid: Grid, output_grid: Grid,
+                   has_labels: bool, blocks) -> None:
+    """The text format of ``n`` records given as ``(inputs, targets,
+    labels)`` row blocks, written one line at a time as the blocks come."""
     header = [
         FORMAT_TAG,
-        f"n={ds.n}",
-        f"has_labels={int(ds.labels is not None)}",
-        "input_grid_points=" + _format_row(ds.input_grid.points),
-        "input_grid_weights=" + _format_row(ds.input_grid.weights),
-        "output_grid_points=" + _format_row(ds.output_grid.points),
-        "output_grid_weights=" + _format_row(ds.output_grid.weights),
+        f"n={n}",
+        f"has_labels={int(has_labels)}",
+        "input_grid_points=" + _format_row(input_grid.points),
+        "input_grid_weights=" + _format_row(input_grid.weights),
+        "output_grid_points=" + _format_row(output_grid.points),
+        "output_grid_weights=" + _format_row(output_grid.weights),
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(header) + "\n")
-        for i in range(ds.n):
-            fh.write("input=" + _format_row(ds.inputs.values[i]) + "\n")
-            fh.write("target=" + _format_row(ds.targets.values[i]) + "\n")
-            if ds.labels is not None:
-                fh.write("label=" + _format_row(ds.labels.values[i]) + "\n")
+        for inputs, targets, labels in blocks:
+            for i in range(len(targets)):
+                fh.write("input=" + _format_row(inputs[i]) + "\n")
+                fh.write("target=" + _format_row(targets[i]) + "\n")
+                if has_labels:
+                    fh.write("label=" + _format_row(labels[i]) + "\n")
 
 
 def _unreadable(where: str, exc: OSError | UnicodeDecodeError) -> DataError:

@@ -22,7 +22,9 @@ from movkl import (
     rsse,
     save_dataset,
 )
+from movkl import data
 from movkl.cli import _normalize_inputs, main
+from movkl.kernels import CurveStats
 from movkl.learn import QUERY_BLOCK
 from conftest import traced_peak
 
@@ -205,6 +207,28 @@ class TestGen:
         assert a.read_bytes() != b.read_bytes()
 
 
+    def test_streams_blocks_not_the_dataset(self, tmp_path, monkeypatch):
+        # 2,000 desk-task curves hold 15.3 MiB of arrays, one generator
+        # block 0.98 MiB.  gen holds the blocks in flight (one per worker
+        # and one more) and the workers' temporaries, about 5.3 blocks with
+        # two workers; the count is fixed so the bound is the same on any
+        # machine
+        monkeypatch.setattr(data, "_worker_count", lambda blocks: 2)
+        spec = SynthSpec(n_samples=2000, grid_size=200, latency=15,
+                         channel_count=3, noise_std=0.1, seed=20120706)
+        cfg = base_config(tmp_path, seed=spec.seed)
+        cfg["dataset"]["synth"] = dict(n_samples=2000, grid_size=200, latency=15,
+                                       channel_count=3, noise_std=0.1)
+        out = tmp_path / "data.txt"
+        code, peak = traced_peak(main, ["gen", "--config",
+                                        write_config(tmp_path / "c.json", cfg),
+                                        "--out", str(out)])
+        assert code == 0
+        assert peak < 8 * data._GEN_BLOCK * (600 + 200 + 200) * 8
+        save_dataset(tmp_path / "saved.txt", generate_synthetic(spec))
+        assert out.read_bytes() == (tmp_path / "saved.txt").read_bytes()
+
+
 class TestTrain:
     def test_single_term_matches_library_krr(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -264,6 +288,18 @@ class TestTrain:
         X = load_model(tmp_path / "out" / "model.json").train_inputs
         norms = np.sqrt((X.values ** 2) @ X.grid.weights)
         assert np.allclose(norms, 1.0, rtol=1e-12)
+
+    def test_normalize_inputs_computes_only_the_norms(self):
+        # the quotient is one copy of the inputs; the parent's CurveStats
+        # also built X * w, a second
+        ds = generate_synthetic(SynthSpec(n_samples=2000, grid_size=200,
+                                          latency=15, channel_count=3,
+                                          noise_std=0.1, seed=20120706))
+        normalized, peak = traced_peak(_normalize_inputs, ds)
+        norms = np.sqrt(CurveStats(ds.inputs).sq_norms)
+        want = ds.inputs.values / norms[:, None]
+        assert normalized.inputs.values.tobytes() == want.tobytes()
+        assert peak < 1.5 * ds.inputs.values.nbytes
 
     def test_objective_trace_reported_non_increasing(self, tmp_path):
         cfg = base_config(tmp_path)

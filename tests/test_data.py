@@ -1,4 +1,7 @@
+import itertools
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -284,6 +287,105 @@ class TestGeneratorMatchesReference:
         spec = SynthSpec(n_samples=40, grid_size=200, latency=15,
                          channel_count=3, noise_std=0.1, seed=20120706)
         assert_same_bits(generate_synthetic(spec), reference_generate(spec))
+
+
+class TestParallelGenerator:
+    """The block arithmetic runs on a thread pool while this thread draws;
+    the arrays must not depend on how many threads there are, and the
+    pool must be gone when the call returns, by value or by exception."""
+
+    n = 4 * data._GEN_BLOCK + 17
+
+    @staticmethod
+    def force_workers(monkeypatch, count):
+        monkeypatch.setattr(data, "_worker_count", lambda blocks: count)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    @pytest.mark.parametrize("random_filters", [True, False])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, workers,
+                                                noise_std, random_filters):
+        self.force_workers(monkeypatch, workers)
+        spec = SynthSpec(n_samples=self.n, grid_size=45, latency=6,
+                         channel_count=2, noise_std=noise_std, seed=5,
+                         random_filters=random_filters)
+        assert_same_bits(generate_synthetic(spec), reference_generate(spec))
+
+    @pytest.mark.parametrize("grid_size,latency,shared", [
+        (30, 0, 30),    # every shifted point is a grid point
+        (40, 25, 0),    # no shifted point is a grid point, bit for bit
+    ])
+    def test_shared_points(self, monkeypatch, grid_size, latency, shared):
+        t = Grid.uniform(0.0, 1.0, grid_size).points
+        assert np.intersect1d(t, t - latency / (grid_size - 1)).size == shared
+        self.force_workers(monkeypatch, 2)
+        spec = SynthSpec(n_samples=self.n, grid_size=grid_size, latency=latency,
+                         channel_count=2, noise_std=0.1, seed=8)
+        assert_same_bits(generate_synthetic(spec), reference_generate(spec))
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        # the workers share only read-only inputs and write disjoint rows;
+        # frequent thread switches would expose any shared write
+        self.force_workers(monkeypatch, 8)
+        spec = SynthSpec(n_samples=self.n, grid_size=33, latency=4,
+                         channel_count=3, noise_std=0.2, seed=21)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ds = generate_synthetic(spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bits(ds, reference_generate(spec))
+
+    def test_no_thread_left_after_return(self, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        before = threading.active_count()
+        generate_synthetic(SynthSpec(n_samples=self.n, grid_size=20, seed=2))
+        assert threading.active_count() == before
+
+    def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        calls = itertools.count()
+        boxcar = data._boxcar_rows
+
+        def failing_boxcar(rows, halfwidth):
+            if next(calls) == 2:
+                raise RuntimeError("block failed")
+            return boxcar(rows, halfwidth)
+
+        monkeypatch.setattr(data, "_boxcar_rows", failing_boxcar)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            generate_synthetic(SynthSpec(n_samples=self.n, grid_size=20,
+                                         channel_count=1, seed=2))
+        assert threading.active_count() == before
+
+    def test_streamed_file_equals_saved_dataset(self, tmp_path, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        spec = SynthSpec(n_samples=self.n, grid_size=20, latency=3,
+                         channel_count=2, noise_std=0.1, seed=6)
+        data._save_synthetic(tmp_path / "streamed.txt", spec)
+        save_dataset(tmp_path / "saved.txt", generate_synthetic(spec))
+        assert ((tmp_path / "streamed.txt").read_bytes()
+                == (tmp_path / "saved.txt").read_bytes())
+
+    def test_failed_write_stops_the_pool(self, tmp_path, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        calls = itertools.count()
+        fmt = data._format_row
+
+        def failing_fmt(row):
+            # the header takes 4 rows; fail in the second block's records
+            if next(calls) == 4 + 3 * (data._GEN_BLOCK + 5):
+                raise OSError("disk full")
+            return fmt(row)
+
+        monkeypatch.setattr(data, "_format_row", failing_fmt)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="disk full"):
+            data._save_synthetic(tmp_path / "d.txt", SynthSpec(
+                n_samples=self.n, grid_size=20, seed=2))
+        assert threading.active_count() == before
 
 
 class TestGenerator:
