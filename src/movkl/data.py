@@ -50,12 +50,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 import numbers
-import os
 
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .funcspace import _BLOCK, CurveVec, Grid, as_int
+from .funcspace import _BLOCK, CurveVec, Grid, _worker_count, as_int
 
 __all__ = [
     "CurveDataset",
@@ -224,16 +223,6 @@ def _synthetic_grids(spec: SynthSpec) -> tuple[Grid, Grid]:
     """The input (stacked channel) and output grids of a synthetic task."""
     return (stacked_channel_grid(spec.grid_size, spec.channel_count),
             Grid.uniform(0.0, 1.0, spec.grid_size))
-
-
-def _worker_count(blocks: int) -> int:
-    """Threads for the block arithmetic: one per CPU available to the
-    process, and no more than there are blocks."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks))
 
 
 def _synthetic_blocks(spec: SynthSpec, arrays=None):

@@ -13,6 +13,7 @@ weights come from :meth:`Grid.uniform` or :meth:`Grid.from_points`.
 from __future__ import annotations
 
 import numbers
+import os
 
 import numpy as np
 
@@ -35,6 +36,16 @@ __all__ = [
 # overhead, small enough that a block's temporaries stay well under a MB
 # each on the desk task's 200-point grid.
 _BLOCK = 256
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for block arithmetic: one per CPU available to the process,
+    and no more than there are blocks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks))
 
 
 def _readonly(a, copy: bool = True) -> np.ndarray:

@@ -130,9 +130,15 @@ class ScalarKernel:
         """Gram matrix G[i, j] = G(xs_i, zs_j); zs defaults to xs."""
         return self.evaluate(*CurveStats(xs).pairs(zs))
 
-    def evaluate(self, ip: np.ndarray, sq_dist: np.ndarray) -> np.ndarray:
+    def evaluate(self, ip: np.ndarray, sq_dist: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Kernel values from the quadrature inner products and squared
-        distances of curve pairs, elementwise."""
+        distances of curve pairs, elementwise.
+
+        With ``out``, a float array of the arguments' shape, the values are
+        written into it and it is returned; the values are bit-identical
+        either way.  ``out`` must not be ``ip`` or ``sq_dist``.
+        """
         raise NotImplementedError
 
     def unscaled(self) -> tuple["ScalarKernel", float]:
@@ -152,8 +158,11 @@ class GaussianKernel(ScalarKernel):
             raise ValueError("bandwidth must be positive and finite")
         self.bandwidth = bandwidth
 
-    def evaluate(self, ip, sq_dist):
-        return np.exp(-sq_dist / (2.0 * self.bandwidth ** 2))
+    def evaluate(self, ip, sq_dist, out=None):
+        # dividing by the negated divisor is exact; the exponential is taken
+        # in place, unless the arguments were scalars
+        out = np.divide(sq_dist, -(2.0 * self.bandwidth ** 2), out=out)
+        return np.exp(out, out=out if isinstance(out, np.ndarray) else None)
 
     def __eq__(self, other):
         return isinstance(other, GaussianKernel) and other.bandwidth == self.bandwidth
@@ -181,12 +190,14 @@ class PolynomialKernel(ScalarKernel):
         self.degree = degree
         self.offset = offset
 
-    def evaluate(self, ip, sq_dist):
+    def evaluate(self, ip, sq_dist, out=None):
         # repeated products: numpy's power has a fast path for squares only
+        if self.degree == 1:
+            return np.add(ip, self.offset, out=out)
         b = ip + self.offset
-        out = b
-        for _ in range(self.degree - 1):
-            out = out * b
+        out = np.multiply(b, b, out=out)
+        if self.degree == 3:
+            out *= b
         return out
 
     def __eq__(self, other):
@@ -221,8 +232,10 @@ class ScaledKernel(ScalarKernel):
         self.base = base
         self.factor = factor
 
-    def evaluate(self, ip, sq_dist):
-        return self.factor * self.base.evaluate(ip, sq_dist)
+    def evaluate(self, ip, sq_dist, out=None):
+        out = self.base.evaluate(ip, sq_dist, out)
+        out *= self.factor
+        return out
 
     def unscaled(self):
         base, factor = self.base.unscaled()

@@ -14,10 +14,19 @@ dual curves (:mod:`movkl.linsolve`); a stack whose terms share one output
 operator is solved in its one exact step.  At the solution the
 stationarity identity lambda * alpha_i = y_i - f(x_i) holds, which the
 tests use as an end-to-end consistency check.
+
+Batch prediction (:func:`predict_many`) evaluates its queries in blocks of
+:data:`QUERY_BLOCK` curves on up to one thread per available CPU, the
+calling thread among them, or on the calling thread alone when there is
+one block; each block writes its own rows of the output, which is
+bit-identical whatever the number of threads.
 """
 
 from __future__ import annotations
 
+import collections
+from concurrent.futures import ThreadPoolExecutor
+import contextvars
 from dataclasses import dataclass, field
 import json
 import math
@@ -25,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
-from .funcspace import Curve, CurveVec, Grid, as_int, vec_norm
+from .funcspace import Curve, CurveVec, Grid, _worker_count, as_int, vec_norm
 from .kernels import (
     BlockGram,
     CurveStats,
@@ -55,9 +64,11 @@ MODEL_VERSION = 1
 
 # query curves per block in predict_many: a block's kernel values and output
 # rows stay in cache while every operator adds its product (desk-task
-# 24-term model, 10,000 queries, one core and one BLAS thread: about 0.07 s
-# in blocks of 256, 0.13-0.15 s in one pass; blocks of 128 to 1,024 are
-# within the noise of 256)
+# 24-term model, 10,000 queries, one BLAS thread: about 0.07 s on one core
+# in blocks of 256, 0.13-0.15 s in one pass, 0.04-0.05 s with a thread on
+# each of two cores).  The size does not follow the thread count: BLAS
+# blocks a product by its shape, so another size can change the last bits
+# of a prediction.
 QUERY_BLOCK = 256
 
 
@@ -122,7 +133,10 @@ class PredictionPlan:
         if len(self.bases) == 1:
             H = [self.bases[0].evaluate(ip, sq_dist)] * len(self.factors)
         else:
-            G = np.stack([base.evaluate(ip, sq_dist) for base in self.bases])
+            # each base kernel writes straight into its slot
+            G = np.empty((len(self.bases),) + ip.shape)
+            for base, slot in zip(self.bases, G):
+                base.evaluate(ip, sq_dist, out=slot)
             H = np.tensordot(self.coeffs, G, axes=1)
         out = None
         for H_o, (left, right) in zip(H, self.factors):
@@ -373,13 +387,52 @@ def predict_many(model: MovklModel, xs: CurveVec) -> CurveVec:
     """:func:`predict` for every curve of ``xs``, through the same plan,
     over blocks of ``QUERY_BLOCK`` curves: per block, one kernel evaluation
     per distinct base kernel and one product (or thin pair) per distinct
-    output operator.  The filled output array is wrapped without a copy and
-    checked for non-finite values like :func:`predict`'s."""
+    output operator.  The plan is built on the calling thread.  The blocks
+    are shared out among up to one thread per available CPU, the calling
+    thread and a pool of helpers, each block writing its own rows of one
+    output array; with one block (or one CPU) the calling thread runs them
+    alone and no pool is made.  A helper runs in a copy of the caller's
+    context, so numpy's error state applies there too.  Once a block
+    fails, the threads take no further blocks, and the first failure is
+    raised when every thread has stopped.  Predictions are bit-identical
+    whatever the number of threads.  The filled output array is wrapped
+    without a copy and checked for non-finite values like
+    :func:`predict`'s."""
     plan = model.prediction_plan()
     out = np.empty((xs.n, model.output_grid.size))
-    for lo in range(0, xs.n, QUERY_BLOCK):
-        rows = slice(lo, lo + QUERY_BLOCK)
-        out[rows] = plan.evaluate(*plan.stats.cross(xs.grid, xs.values[rows]))
+    blocks = collections.deque(slice(lo, lo + QUERY_BLOCK)
+                               for lo in range(0, xs.n, QUERY_BLOCK))
+    errors = []
+
+    # a block calls only methods: the module's public functions may be
+    # wrapped by a tracer that is not thread-safe
+    def drain():
+        while not errors:
+            try:
+                rows = blocks.popleft()
+            except IndexError:
+                return
+            try:
+                out[rows] = plan.evaluate(*plan.stats.cross(xs.grid,
+                                                            xs.values[rows]))
+            except BaseException as exc:  # raised below, once all have stopped
+                errors.append(exc)
+
+    # the calling thread takes blocks too, rather than wait on a pool: one
+    # thread fewer to start and to hand each block to
+    helpers = _worker_count(len(blocks)) - 1
+    if helpers:
+        # leaving the block joins the helpers, which stop once the queue is
+        # empty or a block has failed
+        with ThreadPoolExecutor(helpers) as pool:
+            # a Context is entered by one thread at a time: one copy each
+            for _ in range(helpers):
+                pool.submit(contextvars.copy_context().run, drain)
+            drain()
+    else:
+        drain()
+    if errors:
+        raise errors[0]
     return CurveVec(model.output_grid, out, copy=False)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from movkl import Curve, CurveVec, Grid
+from movkl import Curve, CurveVec, GaussianKernel, Grid, ScaledKernel
 
 
 @pytest.fixture
@@ -58,3 +58,17 @@ def traced_peak(call, *args):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def plain_kernel_values(kernel, ip, sq_dist):
+    """A scalar kernel's values by its plain formulas, each step a fresh
+    array: the bits that an evaluation into a buffer must reproduce."""
+    if isinstance(kernel, ScaledKernel):
+        return kernel.factor * plain_kernel_values(kernel.base, ip, sq_dist)
+    if isinstance(kernel, GaussianKernel):
+        return np.exp(-sq_dist / (2.0 * kernel.bandwidth ** 2))
+    b = ip + kernel.offset
+    out = b
+    for _ in range(kernel.degree - 1):
+        out = out * b
+    return out

@@ -15,6 +15,7 @@ from movkl import (
     MultiplicationOperator,
     OvKernelTerm,
     PolynomialKernel,
+    ScaledKernel,
     assemble_gram,
     l2_inner,
     median_pairwise_distance,
@@ -22,8 +23,8 @@ from movkl import (
 )
 import movkl.kernels
 from movkl.kernels import _ou_precision
-from conftest import (quadrature_residual, random_curve, random_curve_vec,
-                      reference_decompose, traced_peak)
+from conftest import (plain_kernel_values, quadrature_residual, random_curve,
+                      random_curve_vec, reference_decompose, traced_peak)
 
 
 @pytest.fixture
@@ -155,6 +156,29 @@ class TestScalarKernels:
                 diff = xs[i] - xs[j]
                 dists.append(np.sqrt(l2_inner(diff, diff)))
         assert med == pytest.approx(np.median(dists), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["gaussian", 1, 2, 3]), param=st.floats(0.05, 5.0),
+           factors=st.lists(st.floats(0.05, 20.0), max_size=2),
+           shape=st.sampled_from([(1,), (7,), (5, 3), (65, 40)]),
+           seed=st.integers(0, 2 ** 16))
+    def test_evaluate_into_buffer_is_bit_identical(self, kind, param, factors,
+                                                   shape, seed):
+        rng = np.random.default_rng(seed)
+        ip = rng.normal(scale=3.0, size=shape)
+        sq = rng.uniform(0.0, 40.0, size=shape)
+        kernel = (GaussianKernel(param) if kind == "gaussian"
+                  else PolynomialKernel(kind, param))
+        for f in factors:
+            kernel = ScaledKernel(kernel, f)
+        args = ip.tobytes() + sq.tobytes()
+        want = kernel.evaluate(ip, sq)
+        # a slot of a larger array, as a prediction block fills them
+        buf = np.full((2,) + shape, np.nan)[1]
+        assert kernel.evaluate(ip, sq, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert want.tobytes() == plain_kernel_values(kernel, ip, sq).tobytes()
+        assert ip.tobytes() + sq.tobytes() == args
 
 
 class TestOperators:

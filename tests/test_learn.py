@@ -1,6 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+import itertools
 import json
 import math
+import sys
 import tempfile
+import threading
+import time
+import warnings
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -42,7 +48,7 @@ from movkl import (
     vec_norm,
     weight_update,
 )
-from conftest import random_curve, random_curve_vec
+from conftest import plain_kernel_values, random_curve, random_curve_vec
 
 TIGHT = SolveConfig(outer_tol=1e-11, outer_max_iter=2000)
 
@@ -936,6 +942,205 @@ class TestPredictionPlan:
             thin = isinstance(op, IntegralOperator) and op.rank is not None
             assert (right is not None) == thin
             assert left.shape == (n, op.rank if thin else m_out)
+
+
+def stacked_predict_many(model, Z):
+    """Serial block prediction through the model's plan, with every base
+    kernel's values stacked by np.stack: the same arithmetic as the
+    threaded, preallocated path, so the bits must agree."""
+    plan = model.prediction_plan()
+    rows = []
+    for lo in range(0, Z.n, movkl.learn.QUERY_BLOCK):
+        ip, sq = plan.stats.cross(Z.grid, Z.values[lo:lo + movkl.learn.QUERY_BLOCK])
+        G = np.stack([plain_kernel_values(b, ip, sq) for b in plan.bases])
+        H = (np.tensordot(plan.coeffs, G, axes=1) if len(plan.bases) > 1
+             else [G[0]] * len(plan.factors))
+        block = None
+        for H_o, (left, right) in zip(H, plan.factors):
+            part = H_o.T @ left
+            if right is not None:
+                part = part @ right
+            block = part if block is None else block + part
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+def pooled_model(rng, mixed):
+    """A one-base model, or a mixed one: a Gaussian and polynomials of
+    degree 1-3, each scaled, under the identity, multiplication and a
+    truncated integral operator."""
+    X, Y = small_problem(rng, n=7, m_in=6, m_out=9)
+    g = Y.grid
+    kernels = [GaussianKernel(1.3)]
+    if mixed:
+        kernels += [PolynomialKernel(d, 0.5) for d in (1, 2, 3)]
+    ops = [IdentityOperator(g), MultiplicationOperator(g),
+           IntegralOperator(g, rank=3)]
+    count = len(kernels) * len(ops)
+    d = rng.uniform(0.05, 1.0, count)
+    d /= np.linalg.norm(d)
+    terms = [OvKernelTerm(ScaledKernel(k, f), op, dk)
+             for (k, op), f, dk in zip(itertools.product(kernels, ops),
+                                       rng.uniform(0.2, 3.0, count), d)]
+    return MovklModel(alpha=Y, weights=d, stack=KernelStack(terms),
+                      train_inputs=X, lam=0.1, objective_trace=[])
+
+
+class TestPredictManyPool:
+    """predict_many shares its query blocks between the calling thread and
+    a pool of helpers: the bits must not depend on the thread count, the
+    caller's numpy error state must hold in the helpers, and no thread may
+    outlive the call."""
+
+    n = 3 * movkl.learn.QUERY_BLOCK + 17
+
+    @staticmethod
+    def force_workers(monkeypatch, count):
+        monkeypatch.setattr(movkl.learn, "_worker_count", lambda blocks: count)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_bit_identical_for_any_worker_count(self, rng, monkeypatch, mixed):
+        model = pooled_model(rng, mixed)
+        Z = random_curve_vec(rng, model.input_grid, self.n)
+        want = stacked_predict_many(model, Z)
+        assert len(model.prediction_plan().bases) == (4 if mixed else 1)
+        for workers in (1, 2, 3):
+            self.force_workers(monkeypatch, workers)
+            got = predict_many(model, Z).values
+            assert got.tobytes() == want.tobytes()
+
+    def test_more_workers_than_cores_with_fast_switching(self, rng, monkeypatch):
+        # the blocks share only the read-only plan and write disjoint rows;
+        # frequent thread switches would expose any shared write
+        self.force_workers(monkeypatch, 8)
+        monkeypatch.setattr(movkl.learn, "QUERY_BLOCK", 16)
+        model = pooled_model(rng, mixed=True)
+        Z = random_curve_vec(rng, model.input_grid, self.n)
+        want = stacked_predict_many(model, Z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = predict_many(model, Z).values
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def share_blocks(monkeypatch):
+        """Make the calling thread's blocks wait (up to 10 s) until a helper
+        thread has begun one, so that both run blocks; returns the numpy
+        error states the blocks saw, keyed by whether the caller ran them."""
+        seen = {True: [], False: []}
+        helper_began = threading.Event()
+        evaluate = movkl.learn.PredictionPlan.evaluate
+
+        def sharing(plan, ip, sq_dist):
+            caller = threading.current_thread() is threading.main_thread()
+            if caller:
+                helper_began.wait(10.0)
+            else:
+                helper_began.set()
+            seen[caller].append(np.geterr())
+            return evaluate(plan, ip, sq_dist)
+
+        monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", sharing)
+        return seen
+
+    def test_callers_error_state_holds_in_helpers(self, rng, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        seen = self.share_blocks(monkeypatch)
+        model = plan_model(rng)
+        Z = random_curve_vec(rng, model.input_grid, self.n)
+        with np.errstate(all="ignore", over="raise", invalid="warn"):
+            want = np.geterr()
+            predict_many(model, Z)
+        assert seen[True] and seen[False]
+        assert all(state == want for state in seen[True] + seen[False])
+
+    def overflowing(self, rng):
+        # a cubic kernel on huge query curves overflows, in every block
+        X, Y = small_problem(rng)
+        model = MovklModel(
+            alpha=Y, weights=np.ones(1),
+            stack=KernelStack.uniform([(PolynomialKernel(3),
+                                        IdentityOperator(Y.grid))]),
+            train_inputs=X, lam=0.1, objective_trace=[])
+        return model, random_curve_vec(rng, X.grid, self.n) * 1e120
+
+    def test_callers_raise_state_holds_in_helpers(self, rng, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        self.share_blocks(monkeypatch)
+        model, Z = self.overflowing(rng)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                predict_many(model, Z)
+
+    def test_callers_ignore_state_holds_in_helpers(self, rng, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        self.share_blocks(monkeypatch)
+        model, Z = self.overflowing(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="finite"):
+                    predict_many(model, Z)
+
+    def test_no_thread_left_after_return(self, rng, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        model = plan_model(rng)
+        Z = random_curve_vec(rng, model.input_grid, self.n)
+        before = threading.active_count()
+        predict_many(model, Z)
+        assert threading.active_count() == before
+
+    def test_error_in_a_block_propagates_and_stops_the_rest(self, rng,
+                                                           monkeypatch):
+        # 8 blocks on the caller and one helper: the helper's first block
+        # raises, and a block the caller has begun waits until the helper
+        # has stopped; after them no block may start
+        self.force_workers(monkeypatch, 2)
+        monkeypatch.setattr(movkl.learn, "QUERY_BLOCK", 1)
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, *args):
+                future = super().submit(*args)
+                submitted.append(future)
+                return future
+
+        monkeypatch.setattr(movkl.learn, "ThreadPoolExecutor", Recording)
+        evaluate = movkl.learn.PredictionPlan.evaluate
+        calls = []
+
+        def failing(plan, ip, sq_dist):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if not calls[-1]:
+                raise RuntimeError("block failed")
+            deadline = time.monotonic() + 10.0
+            while not submitted[0].done() and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            return evaluate(plan, ip, sq_dist)
+
+        monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", failing)
+        model = plan_model(rng)
+        Z = random_curve_vec(rng, model.input_grid, 8)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            predict_many(model, Z)
+        assert threading.active_count() == before
+        # the helper's block, and at most the caller's one it had begun
+        assert len(submitted) == 1
+        assert calls.count(False) == 1 and calls.count(True) <= 1
+
+    def test_one_block_runs_inline(self, rng, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("no pool for a single block")
+
+        monkeypatch.setattr(movkl.learn, "ThreadPoolExecutor", no_pool)
+        model = plan_model(rng)
+        Z = random_curve_vec(rng, model.input_grid, movkl.learn.QUERY_BLOCK)
+        got = predict_many(model, Z).values
+        assert got.tobytes() == stacked_predict_many(model, Z).tobytes()
 
 
 class TestModelArchive:
