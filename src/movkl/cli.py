@@ -8,13 +8,14 @@ bench output aside).
 
 ``predict`` and ``eval`` take their dataset in blocks of
 :data:`movkl.learn.QUERY_BLOCK` curves, each one :func:`predict_many`
-block, so they hold one block's arrays however many curves the file has,
-and their outputs equal those of the whole file bit for bit.  ``predict``
-writes to ``<out>.part``, which replaces ``<out>`` once the command
-succeeds; ``eval`` keeps one RSSE term and one label-hit count per curve
-and writes its metrics at the end.  A fault anywhere in the dataset leaves
-no output behind.  ``gen`` writes each block of curves as the generator
-finishes it, so it too holds a few blocks, not the dataset.
+block on the calling thread alone, so they hold one block's arrays however
+many curves the file has, and their outputs equal those of the whole file
+bit for bit.  ``predict`` writes to ``<out>.part``, which replaces
+``<out>`` once the command succeeds; ``eval`` keeps one RSSE term and one
+label-hit count per curve and writes its metrics at the end.  A fault
+anywhere in the dataset leaves no output behind.  ``gen`` writes each
+block of curves as the thread engine (:func:`movkl.funcspace._in_order`)
+finishes it, so it holds a few blocks, not the dataset.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver failure.
 """

@@ -8,23 +8,15 @@ noise.  Multi-channel inputs are concatenated into a single curve over a
 stacked grid whose quadrature weights integrate each channel segment
 separately.
 
-Generation runs in fixed blocks of samples.  The calling thread makes
-every random draw, one sample after another in the order of the
-per-sample definition: each sample's 21 uniforms, then its noise.  The
-arithmetic of a block (the sinusoids, labels, channel filters and the
-sum with the noise) runs on a pool of up to one thread per CPU
-available to the process, each block writing only its own rows, while
-the calling thread draws the next blocks.  numpy releases the
-interpreter lock in the sines and the filter convolutions, so the blocks
-overlap.  The sinusoids are evaluated once per distinct point of the
-output grid and of its copy shifted by the latency (most shifted points
-are grid points bit for bit), and the target and delayed curves are
-columns of that one evaluation.  Every value goes through the same
-arithmetic as in the per-sample definition, so the arrays are
-bit-identical to generating one curve at a time, for any number of
-threads (the slow per-sample version is kept in the tests as the
-oracle).  ``movkl gen`` writes each block to its file as it is done,
-so it holds the blocks in flight, never the whole dataset.
+Generation runs in blocks of samples on the package's thread engine,
+:func:`movkl.funcspace._in_order`, which keeps every random draw on the
+calling thread, in the order of the per-sample definition.  The sinusoids
+are evaluated once per distinct point of the output grid and of its copy
+shifted by the latency, and the target and delayed curves are columns of
+that one evaluation.  The arrays are bit-identical to generating one curve
+at a time, for any number of threads (the slow per-sample version is kept
+in the tests as the oracle).  ``movkl gen`` writes each block to its file
+as it is done, so it holds the blocks in flight, never the whole dataset.
 
 Datasets are stored as line-oriented text: a small header (size, label
 flag and both grids) followed by one ``input=``/``target=`` (and optional
@@ -36,7 +28,7 @@ their ``(n, m)`` arrays in place and hand them to :class:`CurveVec`
 without a copy, the label check runs over blocks of rows, and files are
 written and read one line at a time.  Generating, saving or loading a
 dataset therefore peaks at about the size of its arrays, plus a block of
-work per generator thread or one line.  :func:`load_dataset_blocks`
+work per thread or one line.  :func:`load_dataset_blocks`
 reads a file as blocks of a fixed number of curves, so a caller that
 handles one block at a time holds one block's arrays however long the
 file is; :func:`load_dataset` is the same reader with one block of every
@@ -45,16 +37,16 @@ record.
 
 from __future__ import annotations
 
-import collections
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass
+import functools
 import math
 import numbers
 
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .funcspace import _BLOCK, CurveVec, Grid, _worker_count, as_int
+from .funcspace import _BLOCK, CurveVec, Grid, _in_order, as_int
 
 __all__ = [
     "CurveDataset",
@@ -176,7 +168,7 @@ def stacked_channel_grid(grid_size: int, channels: int) -> Grid:
 _DRAW_LO = np.repeat([0.3, 4.0, 0.3, 0.2, 0.0], [4, 3, 4, 3, 7])
 _DRAW_SPAN = np.repeat([2.2, 10.0, 0.9, 0.5, 2.0 * np.pi], [4, 3, 4, 3, 7]) - _DRAW_LO
 _COMPONENTS = 7
-# samples per block of the generator: a worker's temporaries are a few
+# samples per block of the generator: a block's temporaries are a few
 # (_GEN_BLOCK, m) arrays, small enough that per-thread malloc arenas keep
 # little memory
 _GEN_BLOCK = 128
@@ -199,12 +191,7 @@ def generate_synthetic(spec: SynthSpec) -> CurveDataset:
     The random stream is, in order: the channel gains and filter
     half-widths, then per sample its 21 uniform draws followed by its
     ``channel_count * grid_size`` noise draws (none when ``noise_std`` is
-    0).  The calling thread makes every draw in that order; the
-    arithmetic of each block of samples runs on a pool of up to one
-    thread per available CPU, each block into its own rows, and the
-    sinusoids are evaluated once per distinct point of the grid and its
-    shifted copy.  The arrays are bit-identical to generating one curve
-    at a time, whatever the number of threads; see the module docstring.
+    0).  Blocks of samples run on :func:`movkl.funcspace._in_order`.
     """
     n, m, channels = spec.n_samples, spec.grid_size, spec.channel_count
     inputs, targets, labels = arrays = (
@@ -227,17 +214,12 @@ def _synthetic_grids(spec: SynthSpec) -> tuple[Grid, Grid]:
 
 def _synthetic_blocks(spec: SynthSpec, arrays=None):
     """The synthetic dataset as ``(inputs, targets, labels)`` row blocks
-    of :data:`_GEN_BLOCK` samples, in order, each yielded once complete.
-
-    With ``arrays``, the full ``(inputs, targets, labels)`` arrays, the
-    blocks are their row slices, filled in place; without, each block is
-    a fresh set of arrays, so a caller that writes each block away holds
-    only the blocks in flight: one per worker thread and one more.
-
-    This thread draws each block's uniforms and noise, in stream order,
-    and hands the rest to the pool.  The noise goes straight into the
-    block's input rows, to which the workers add the filtered channels.
-    """
+    of :data:`_GEN_BLOCK` samples, in order, as :func:`_in_order` yields
+    them.  With ``arrays``, the full ``(inputs, targets, labels)`` arrays,
+    the blocks are their row slices, filled in place; without, each block
+    is a fresh set of arrays, so a caller that writes each block away
+    holds only the blocks in flight.  Taking a block's task draws its
+    uniforms and noise, the noise straight into its input rows."""
     rng = np.random.default_rng(spec.seed)
     n, m, channels = spec.n_samples, spec.grid_size, spec.channel_count
     t = Grid.uniform(0.0, 1.0, m).points
@@ -252,55 +234,31 @@ def _synthetic_blocks(spec: SynthSpec, arrays=None):
     filters = ([(int(h), g) for h, g in zip(halfwidths, gains)]
                if spec.random_filters else None)
 
-    def draw(lo):
-        count = min(_GEN_BLOCK, n - lo)
-        if arrays is None:
-            block = (np.empty((count, channels * m)), np.empty((count, m)),
-                     np.empty((count, m)))
-        else:
-            block = tuple(a[lo:lo + count] for a in arrays)
-        # each input row starts as its noise, or as zeros without noise,
-        # and the workers add the filtered channels to it; the definition
-        # adds a zero noise too, which turns -0.0 into 0.0
-        noise = block[0]
-        if spec.noise_std == 0:
-            noise.fill(0.0)
-        draws = np.empty((count, _DRAW_LO.size))
-        for i in range(count):
-            rng.random(out=draws[i])
-            if spec.noise_std > 0:
-                noise[i] = rng.normal(0.0, spec.noise_std, channels * m)
-        return block, _DRAW_LO + _DRAW_SPAN * draws
+    def tasks():
+        for lo in range(0, n, _GEN_BLOCK):
+            count = min(_GEN_BLOCK, n - lo)
+            block = (tuple(a[lo:lo + count] for a in arrays) if arrays else
+                     tuple(np.empty((count, w)) for w in (channels * m, m, m)))
+            # each input row starts as its noise, or as zeros without noise,
+            # and the task adds the filtered channels to it; the definition
+            # adds a zero noise too, which turns -0.0 into 0.0
+            noise = block[0]
+            if spec.noise_std == 0:
+                noise.fill(0.0)
+            draws = np.empty((count, _DRAW_LO.size))
+            for i in range(count):
+                rng.random(out=draws[i])
+                if spec.noise_std > 0:
+                    noise[i] = rng.normal(0.0, spec.noise_std, channels * m)
+            yield functools.partial(_block_values, _DRAW_LO + _DRAW_SPAN * draws,
+                                    points, cols[:m], cols[m:], filters, *block)
 
-    def finished():
-        block, done = pending.popleft()
-        done.result()
-        return block
-
-    starts = range(0, n, _GEN_BLOCK)
-    workers = _worker_count(len(starts))
-    # one block more than workers is queued, so a worker that finishes
-    # finds the next block drawn while this thread draws the one after
-    pending = collections.deque()
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for lo in starts:
-                block, params = draw(lo)
-                pending.append((block, pool.submit(
-                    _block_values, params, points, cols[:m], cols[m:], filters,
-                    *block)))
-                if len(pending) > workers:
-                    yield finished()
-            while pending:
-                yield finished()
-        finally:
-            for _, queued in pending:
-                queued.cancel()
+    return _in_order(tasks(), len(range(0, n, _GEN_BLOCK)))
 
 
 def _block_values(params, points, target_cols, delayed_cols, filters,
-                  inputs, targets, labels) -> None:
-    """Targets, labels and filtered channels of one block, written in place.
+                  inputs, targets, labels) -> tuple:
+    """The block ``(inputs, targets, labels)``, its values written in place.
 
     ``params`` holds the block's scaled draws, one row per sample.  The
     amplitude is computed on the distinct ``points`` and its target and
@@ -333,6 +291,7 @@ def _block_values(params, points, target_cols, delayed_cols, filters,
         np.subtract(filtered, filtered.mean(axis=1, keepdims=True), out=tmp)
         tmp *= gain
         channel += tmp
+    return inputs, targets, labels
 
 
 def _amplitude(freqs, amps, phases, u: np.ndarray) -> np.ndarray:
@@ -400,12 +359,9 @@ def _save_synthetic(path, spec: SynthSpec) -> None:
     byte, each block as it is generated, so only the blocks in flight are
     held and never the whole dataset."""
     input_grid, output_grid = _synthetic_grids(spec)
-    blocks = _synthetic_blocks(spec)
-    try:
+    # a failed write stops the generator's helpers before returning
+    with contextlib.closing(_synthetic_blocks(spec)) as blocks:
         _write_dataset(path, spec.n_samples, input_grid, output_grid, True, blocks)
-    finally:
-        # a failed write stops the generator's pool before returning
-        blocks.close()
 
 
 def _write_dataset(path, n: int, input_grid: Grid, output_grid: Grid,

@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from .data import _off_binary
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
 from .funcspace import CurveVec, as_int
 from .kernels import CurveStats, assemble_gram
@@ -70,6 +71,14 @@ class CvCandidate:
     valid: bool
 
 
+def _check_scored(truth: CurveVec, pred: CurveVec, what: str, curves: str):
+    if truth.grid != pred.grid:
+        raise DimensionError(f"{what} and prediction live on different grids")
+    if truth.n != pred.n:
+        raise DimensionError(
+            f"{truth.n} {curves} scored against {pred.n} predictions")
+
+
 def rsse(truth: CurveVec, pred: CurveVec) -> float:
     """Integrated residual sum of squares sum_i int (y_i - yhat_i)^2 dt."""
     return float(np.sum(rsse_by_curve(truth, pred)))
@@ -78,12 +87,7 @@ def rsse(truth: CurveVec, pred: CurveVec) -> float:
 def rsse_by_curve(truth: CurveVec, pred: CurveVec) -> np.ndarray:
     """Each curve's integrated squared residual int (y_i - yhat_i)^2 dt,
     (n,); :func:`rsse` is their sum."""
-    if truth.grid != pred.grid:
-        raise DimensionError("truth and prediction live on different grids")
-    if truth.n != pred.n:
-        raise DimensionError(
-            f"{truth.n} truth curves scored against {pred.n} predictions"
-        )
+    _check_scored(truth, pred, "truth", "truth curves")
     diff = truth.values - pred.values
     return (diff * diff) @ truth.grid.weights
 
@@ -99,18 +103,12 @@ def label_hits_by_curve(truth_labels: CurveVec, pred: CurveVec,
     """Each curve's count of label samples that thresholding ``pred``
     recovers, (n,) integers; :func:`lcr` is their sum as a percentage of
     all samples."""
-    if truth_labels.grid != pred.grid:
-        raise DimensionError("labels and prediction live on different grids")
-    if truth_labels.n != pred.n:
-        raise DimensionError(
-            f"{truth_labels.n} label curves scored against {pred.n} predictions"
-        )
+    _check_scored(truth_labels, pred, "labels", "label curves")
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
     labels = truth_labels.values
-    off_binary = np.minimum(np.abs(labels), np.abs(labels - 1.0))
-    if np.any(off_binary > 1e-9):
-        bad = np.argwhere(off_binary > 1e-9)[0]
+    if _off_binary(labels):
+        bad = np.argwhere(np.minimum(abs(labels), abs(labels - 1)) > 1e-9)[0]
         raise DataError(
             f"label curve {bad[0]} has non-binary value at sample {bad[1]}"
         )

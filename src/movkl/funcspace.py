@@ -12,8 +12,12 @@ weights come from :meth:`Grid.uniform` or :meth:`Grid.from_points`.
 
 from __future__ import annotations
 
+import collections
+import contextvars
+import itertools
 import numbers
 import os
+import threading
 
 import numpy as np
 
@@ -46,6 +50,80 @@ def _worker_count(blocks: int) -> int:
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, blocks))
+
+
+def _in_order(tasks, count: int):
+    """Run ``count`` zero-argument ``tasks``; yield their results in order.
+
+    The package's one thread engine, for the synthetic generator and batch
+    prediction.  It runs on at most ``_worker_count(count)`` threads: the
+    caller plus helpers, up to one per further available CPU, each helper
+    in its own copy of the caller's context, so numpy's error state holds
+    in every task.  The caller takes the tasks from the iterator, so what
+    the iterator does between them (the generator's random draws) stays on
+    it in order, at most helpers + 1 tasks ahead of the next result; while
+    that result is not ready, it runs a queued task itself.  After a task
+    fails no queued task starts, and its error is raised in place of the
+    next result.  On return, error or ``close()`` every helper is joined;
+    one thread starts none.  Tasks that write only their own memory give
+    the same results for any thread count.
+    """
+    helpers = _worker_count(count) - 1
+    cond = threading.Condition()
+    queue = collections.deque()  # (index, task) taken and not begun
+    done = {}                    # results not yet yielded, by index
+    stop = []                    # the first error, or None once returned
+
+    def run(index, task):
+        try:
+            done[index] = task()
+        except BaseException as exc:
+            stop.append(exc)
+        with cond:
+            cond.notify_all()
+
+    def serve():
+        while True:
+            with cond:
+                cond.wait_for(lambda: queue or stop)
+                if stop:
+                    return
+                item = queue.popleft()
+            run(*item)
+
+    def take(k):
+        items = list(itertools.islice(numbered, k))
+        with cond:
+            queue.extend(items)
+            cond.notify_all()
+        return len(items)
+
+    numbered = enumerate(tasks)
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(serve,), daemon=True)
+               for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    try:
+        taken, index = take(helpers + 2), 0
+        while index < taken:
+            with cond:
+                cond.wait_for(lambda: stop or index in done or queue)
+                if stop:
+                    raise stop[0]
+                item = None if index in done else queue.popleft()
+            if item is None:
+                yield done.pop(index)
+                index += 1
+                taken += take(1)
+            else:
+                run(*item)
+    finally:
+        with cond:
+            stop.append(None)
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def _readonly(a, copy: bool = True) -> np.ndarray:

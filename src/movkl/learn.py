@@ -16,25 +16,20 @@ stationarity identity lambda * alpha_i = y_i - f(x_i) holds, which the
 tests use as an end-to-end consistency check.
 
 Batch prediction (:func:`predict_many`) evaluates its queries in blocks of
-:data:`QUERY_BLOCK` curves on up to one thread per available CPU, the
-calling thread among them, or on the calling thread alone when there is
-one block; each block writes its own rows of the output, which is
-bit-identical whatever the number of threads.
+:data:`QUERY_BLOCK` curves on :func:`movkl.funcspace._in_order`.
 """
 
 from __future__ import annotations
 
-import collections
-from concurrent.futures import ThreadPoolExecutor
-import contextvars
 from dataclasses import dataclass, field
+import functools
 import json
 import math
 
 import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
-from .funcspace import Curve, CurveVec, Grid, _worker_count, as_int, vec_norm
+from .funcspace import Curve, CurveVec, Grid, _in_order, as_int, vec_norm
 from .kernels import (
     BlockGram,
     CurveStats,
@@ -375,9 +370,8 @@ def predict(model: MovklModel, x_new: Curve) -> Curve:
     """
     plan = model.prediction_plan()
     values = plan.evaluate(*plan.stats.cross(x_new.grid, x_new.values))
-    # a finite sum proves every value finite; only a sum that is not (some
-    # value is not, or the sum overflows) needs the elementwise scan
-    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
+    # no reduction over the values, which a finite prediction can overflow
+    if not np.isfinite(values).all():
         raise ValueError("curve values must be finite (no NaN/Inf)")
     values.setflags(write=False)
     return Curve._wrap(model.output_grid, values)
@@ -387,52 +381,23 @@ def predict_many(model: MovklModel, xs: CurveVec) -> CurveVec:
     """:func:`predict` for every curve of ``xs``, through the same plan,
     over blocks of ``QUERY_BLOCK`` curves: per block, one kernel evaluation
     per distinct base kernel and one product (or thin pair) per distinct
-    output operator.  The plan is built on the calling thread.  The blocks
-    are shared out among up to one thread per available CPU, the calling
-    thread and a pool of helpers, each block writing its own rows of one
-    output array; with one block (or one CPU) the calling thread runs them
-    alone and no pool is made.  A helper runs in a copy of the caller's
-    context, so numpy's error state applies there too.  Once a block
-    fails, the threads take no further blocks, and the first failure is
-    raised when every thread has stopped.  Predictions are bit-identical
-    whatever the number of threads.  The filled output array is wrapped
-    without a copy and checked for non-finite values like
-    :func:`predict`'s."""
+    output operator.  The plan is built on the calling thread; the blocks
+    run on :func:`movkl.funcspace._in_order`, each writing its own rows of
+    one output array, so predictions are bit-identical whatever the number
+    of threads.  The filled array is wrapped without a copy and checked for
+    non-finite values like :func:`predict`'s."""
     plan = model.prediction_plan()
     out = np.empty((xs.n, model.output_grid.size))
-    blocks = collections.deque(slice(lo, lo + QUERY_BLOCK)
-                               for lo in range(0, xs.n, QUERY_BLOCK))
-    errors = []
 
     # a block calls only methods: the module's public functions may be
     # wrapped by a tracer that is not thread-safe
-    def drain():
-        while not errors:
-            try:
-                rows = blocks.popleft()
-            except IndexError:
-                return
-            try:
-                out[rows] = plan.evaluate(*plan.stats.cross(xs.grid,
-                                                            xs.values[rows]))
-            except BaseException as exc:  # raised below, once all have stopped
-                errors.append(exc)
+    def block(rows):
+        out[rows] = plan.evaluate(*plan.stats.cross(xs.grid, xs.values[rows]))
 
-    # the calling thread takes blocks too, rather than wait on a pool: one
-    # thread fewer to start and to hand each block to
-    helpers = _worker_count(len(blocks)) - 1
-    if helpers:
-        # leaving the block joins the helpers, which stop once the queue is
-        # empty or a block has failed
-        with ThreadPoolExecutor(helpers) as pool:
-            # a Context is entered by one thread at a time: one copy each
-            for _ in range(helpers):
-                pool.submit(contextvars.copy_context().run, drain)
-            drain()
-    else:
-        drain()
-    if errors:
-        raise errors[0]
+    starts = range(0, xs.n, QUERY_BLOCK)
+    for _ in _in_order((functools.partial(block, slice(lo, lo + QUERY_BLOCK))
+                        for lo in starts), len(starts)):
+        pass
     return CurveVec(model.output_grid, out, copy=False)
 
 

@@ -1,14 +1,29 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import movkl.funcspace
 from movkl import Curve, CurveVec, GaussianKernel, Grid, ScaledKernel
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves more threads running than it found."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, "a test left a thread running"
+
+
+def force_workers(monkeypatch, count: int) -> None:
+    """Run the thread engine on ``count`` threads, whatever the CPU count."""
+    monkeypatch.setattr(movkl.funcspace, "_worker_count", lambda tasks: count)
 
 
 def random_curve(rng, grid: Grid) -> Curve:

@@ -26,7 +26,7 @@ from movkl import data
 from movkl.cli import _normalize_inputs, main
 from movkl.kernels import CurveStats
 from movkl.learn import QUERY_BLOCK
-from conftest import traced_peak
+from conftest import force_workers, traced_peak
 
 
 def write_config(path, doc):
@@ -209,11 +209,11 @@ class TestGen:
 
     def test_streams_blocks_not_the_dataset(self, tmp_path, monkeypatch):
         # 2,000 desk-task curves hold 15.3 MiB of arrays, one generator
-        # block 0.98 MiB.  gen holds the blocks in flight (one per worker
-        # and one more) and the workers' temporaries, about 5.3 blocks with
-        # two workers; the count is fixed so the bound is the same on any
-        # machine
-        monkeypatch.setattr(data, "_worker_count", lambda blocks: 2)
+        # block 0.98 MiB.  gen holds the blocks in flight (helpers + 2, and
+        # the one being written) and the tasks' temporaries, about 5.4
+        # blocks with two threads; the count is fixed so the bound is the
+        # same on any machine
+        force_workers(monkeypatch, 2)
         spec = SynthSpec(n_samples=2000, grid_size=200, latency=15,
                          channel_count=3, noise_std=0.1, seed=20120706)
         cfg = base_config(tmp_path, seed=spec.seed)

@@ -21,7 +21,7 @@ from movkl import (
 )
 from movkl import data
 from movkl.data import load_feature_csv
-from conftest import traced_peak, writeable_through
+from conftest import force_workers, traced_peak, writeable_through
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +290,19 @@ class TestGeneratorMatchesReference:
 
 
 class TestParallelGenerator:
-    """The block arithmetic runs on a thread pool while this thread draws;
-    the arrays must not depend on how many threads there are, and the
-    pool must be gone when the call returns, by value or by exception."""
+    """The block arithmetic runs on the thread engine while this thread
+    draws; the arrays must not depend on how many threads there are, and
+    the helpers must be gone when the call returns, by value or by
+    exception."""
 
     n = 4 * data._GEN_BLOCK + 17
-
-    @staticmethod
-    def force_workers(monkeypatch, count):
-        monkeypatch.setattr(data, "_worker_count", lambda blocks: count)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
     @pytest.mark.parametrize("random_filters", [True, False])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, workers,
                                                 noise_std, random_filters):
-        self.force_workers(monkeypatch, workers)
+        force_workers(monkeypatch, workers)
         spec = SynthSpec(n_samples=self.n, grid_size=45, latency=6,
                          channel_count=2, noise_std=noise_std, seed=5,
                          random_filters=random_filters)
@@ -318,7 +315,7 @@ class TestParallelGenerator:
     def test_shared_points(self, monkeypatch, grid_size, latency, shared):
         t = Grid.uniform(0.0, 1.0, grid_size).points
         assert np.intersect1d(t, t - latency / (grid_size - 1)).size == shared
-        self.force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         spec = SynthSpec(n_samples=self.n, grid_size=grid_size, latency=latency,
                          channel_count=2, noise_std=0.1, seed=8)
         assert_same_bits(generate_synthetic(spec), reference_generate(spec))
@@ -326,7 +323,7 @@ class TestParallelGenerator:
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
         # the workers share only read-only inputs and write disjoint rows;
         # frequent thread switches would expose any shared write
-        self.force_workers(monkeypatch, 8)
+        force_workers(monkeypatch, 8)
         spec = SynthSpec(n_samples=self.n, grid_size=33, latency=4,
                          channel_count=3, noise_std=0.2, seed=21)
         interval = sys.getswitchinterval()
@@ -338,13 +335,13 @@ class TestParallelGenerator:
         assert_same_bits(ds, reference_generate(spec))
 
     def test_no_thread_left_after_return(self, monkeypatch):
-        self.force_workers(monkeypatch, 3)
+        force_workers(monkeypatch, 3)
         before = threading.active_count()
         generate_synthetic(SynthSpec(n_samples=self.n, grid_size=20, seed=2))
         assert threading.active_count() == before
 
     def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
-        self.force_workers(monkeypatch, 3)
+        force_workers(monkeypatch, 3)
         calls = itertools.count()
         boxcar = data._boxcar_rows
 
@@ -361,7 +358,7 @@ class TestParallelGenerator:
         assert threading.active_count() == before
 
     def test_streamed_file_equals_saved_dataset(self, tmp_path, monkeypatch):
-        self.force_workers(monkeypatch, 3)
+        force_workers(monkeypatch, 3)
         spec = SynthSpec(n_samples=self.n, grid_size=20, latency=3,
                          channel_count=2, noise_std=0.1, seed=6)
         data._save_synthetic(tmp_path / "streamed.txt", spec)
@@ -370,7 +367,7 @@ class TestParallelGenerator:
                 == (tmp_path / "saved.txt").read_bytes())
 
     def test_failed_write_stops_the_pool(self, tmp_path, monkeypatch):
-        self.force_workers(monkeypatch, 3)
+        force_workers(monkeypatch, 3)
         calls = itertools.count()
         fmt = data._format_row
 

@@ -101,6 +101,15 @@ class TestLcr:
         with pytest.raises(DataError):
             lcr(bad, pred)
 
+    def test_non_binary_label_is_located(self, gout):
+        values = np.zeros((3, 11))
+        values[1, 4:] = 1.0
+        values[1, 7] = 1.0 + 1e-8
+        values[2, 2] = 0.5
+        with pytest.raises(DataError, match="label curve 1 has non-binary "
+                                            "value at sample 7$"):
+            lcr(CurveVec(gout, values), CurveVec(gout, values))
+
 
 def tiny_task(rng, n=6):
     # smooth targets driven by the input curves so that a moderate ridge

@@ -1,3 +1,7 @@
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,9 +15,9 @@ from movkl import (
     vec_inner,
     vec_norm_sq,
 )
-from movkl.funcspace import _BLOCK
-from conftest import (random_curve, random_curve_vec, traced_peak,
-                      writeable_through)
+from movkl.funcspace import _BLOCK, _in_order
+from conftest import (force_workers, random_curve, random_curve_vec,
+                      traced_peak, writeable_through)
 
 
 class TestGrid:
@@ -364,3 +368,138 @@ class TestSharingRule:
         cv = CurveVec.from_curves(curves)
         assert cv.values.base is None and not cv.values.flags.writeable
         assert not any(np.shares_memory(cv.values, c.values) for c in curves)
+
+
+def on_caller() -> bool:
+    return threading.current_thread() is threading.main_thread()
+
+
+def meeting(task, n: int) -> list:
+    """``n`` copies of ``task`` that make both threads of a two-thread
+    engine run one: a copy on the calling thread waits (up to 10 s) until
+    a helper has begun one.  Each returns whether it ran on the caller,
+    with ``task()``."""
+    helper_began = threading.Event()
+
+    def met():
+        if on_caller():
+            helper_began.wait(10.0)
+        else:
+            helper_began.set()
+        return on_caller(), task()
+
+    return [met] * n
+
+
+class TestInOrder:
+    """The one thread engine, _in_order: results in task order, tasks taken
+    on the calling thread, the caller's numpy error state in every task,
+    and no thread left and no queued task begun once it stops."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_order(self, monkeypatch, workers):
+        # later tasks finish first
+        force_workers(monkeypatch, workers)
+        tasks = [lambda i=i: time.sleep(1e-3 * (8 - i)) or i for i in range(8)]
+        assert list(_in_order(tasks, 8)) == list(range(8))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tasks_taken_on_the_caller_in_order(self, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        taken = []
+
+        def tasks():
+            for i in range(12):
+                taken.append((i, on_caller()))
+                yield lambda i=i: i
+
+        for i, result in enumerate(_in_order(tasks(), 12)):
+            assert result == i
+            # at most helpers + 1 tasks taken ahead of the next result
+            assert len(taken) <= i + 1 + workers
+        assert taken == [(i, True) for i in range(12)]
+
+    def test_caller_runs_queued_tasks_rather_than_wait(self, monkeypatch):
+        # a helper's task waits for a task on the caller: a caller that
+        # only waited for the helper's result would time out
+        force_workers(monkeypatch, 2)
+        caller_ran = threading.Event()
+        waited = []
+
+        def task():
+            if on_caller():
+                caller_ran.set()
+            elif not waited:
+                waited.append(caller_ran.wait(10.0))
+
+        start = time.monotonic()
+        list(_in_order([task] * 6, 6))
+        assert caller_ran.is_set() and all(waited)
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("over,outcome", [
+        ("raise", "FloatingPointError"), ("ignore", "none")])
+    def test_callers_error_state_holds_in_helpers(self, monkeypatch, over,
+                                                  outcome):
+        force_workers(monkeypatch, 2)
+
+        def overflow():
+            try:
+                np.array([1e300]) * 1e300
+            except (FloatingPointError, RuntimeWarning) as exc:
+                return type(exc).__name__, np.geterr()
+            return "none", np.geterr()
+
+        # warning filters are process-wide: a helper in numpy's default
+        # state would warn, and the warning would raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore", over=over, invalid="warn"):
+                want = np.geterr()
+                seen = list(_in_order(meeting(overflow, 4), 4))
+        assert {caller for caller, _ in seen} == {True, False}
+        assert all(got == (outcome, want) for _, got in seen)
+
+    def test_no_thread_left_after_return_error_or_close(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        before = threading.active_count()
+        assert list(_in_order([lambda: 1] * 9, 9)) == [1] * 9
+        assert threading.active_count() == before
+
+        def fail():
+            raise RuntimeError("task failed")
+
+        with pytest.raises(RuntimeError, match="task failed"):
+            list(_in_order([lambda: 1] * 4 + [fail] * 5, 9))
+        assert threading.active_count() == before
+
+        stream = _in_order([lambda: 1] * 9, 9)
+        assert next(stream) == 1
+        assert threading.active_count() == before + 2
+        stream.close()
+        assert threading.active_count() == before
+
+    def test_no_queued_task_starts_after_a_failure(self, monkeypatch):
+        # 8 tasks on the caller and one helper: the helper's first task
+        # raises, and a task the caller has begun waits until the helper
+        # has raised; after them no task may start
+        force_workers(monkeypatch, 2)
+        helper_failed = threading.Event()
+        began = []
+
+        def task():
+            began.append(on_caller())
+            if not on_caller():
+                helper_failed.set()
+                raise RuntimeError("task failed")
+            helper_failed.wait(10.0)
+            # time for the helper to record the failure
+            time.sleep(0.05)
+
+        with pytest.raises(RuntimeError, match="task failed"):
+            list(_in_order([task] * 8, 8))
+        assert began.count(False) == 1 and began.count(True) <= 1
+
+    def test_one_task_starts_no_thread(self):
+        before = threading.active_count()
+        assert list(_in_order([threading.active_count], 1)) == [before]

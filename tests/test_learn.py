@@ -1,4 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
 import itertools
 import json
 import math
@@ -48,7 +47,8 @@ from movkl import (
     vec_norm,
     weight_update,
 )
-from conftest import plain_kernel_values, random_curve, random_curve_vec
+from conftest import (force_workers, plain_kernel_values, random_curve,
+                      random_curve_vec)
 
 TIGHT = SolveConfig(outer_tol=1e-11, outer_max_iter=2000)
 
@@ -548,10 +548,12 @@ class TestPredict:
                            stack=KernelStack.uniform([(GaussianKernel(1.0),
                                                        IdentityOperator(gout))]),
                            train_inputs=X, lam=0.1, objective_trace=[])
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pred = predict(model, X[0])
-            assert math.isinf(pred.values.sum())
         assert np.all(pred.values == 2e307)
+        with np.errstate(over="ignore"):
+            assert math.isinf(pred.values.sum())
 
     def test_outputs_are_read_only(self, rng):
         model = plan_model(rng)
@@ -987,16 +989,12 @@ def pooled_model(rng, mixed):
 
 
 class TestPredictManyPool:
-    """predict_many shares its query blocks between the calling thread and
-    a pool of helpers: the bits must not depend on the thread count, the
-    caller's numpy error state must hold in the helpers, and no thread may
-    outlive the call."""
+    """predict_many runs its query blocks on the thread engine, whose
+    contract test_funcspace tests: the bits must not depend on the thread
+    count, the caller's numpy error state must hold in the helpers, and no
+    thread may outlive the call."""
 
     n = 3 * movkl.learn.QUERY_BLOCK + 17
-
-    @staticmethod
-    def force_workers(monkeypatch, count):
-        monkeypatch.setattr(movkl.learn, "_worker_count", lambda blocks: count)
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_bit_identical_for_any_worker_count(self, rng, monkeypatch, mixed):
@@ -1005,14 +1003,14 @@ class TestPredictManyPool:
         want = stacked_predict_many(model, Z)
         assert len(model.prediction_plan().bases) == (4 if mixed else 1)
         for workers in (1, 2, 3):
-            self.force_workers(monkeypatch, workers)
+            force_workers(monkeypatch, workers)
             got = predict_many(model, Z).values
             assert got.tobytes() == want.tobytes()
 
     def test_more_workers_than_cores_with_fast_switching(self, rng, monkeypatch):
         # the blocks share only the read-only plan and write disjoint rows;
         # frequent thread switches would expose any shared write
-        self.force_workers(monkeypatch, 8)
+        force_workers(monkeypatch, 8)
         monkeypatch.setattr(movkl.learn, "QUERY_BLOCK", 16)
         model = pooled_model(rng, mixed=True)
         Z = random_curve_vec(rng, model.input_grid, self.n)
@@ -1047,7 +1045,7 @@ class TestPredictManyPool:
         return seen
 
     def test_callers_error_state_holds_in_helpers(self, rng, monkeypatch):
-        self.force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         seen = self.share_blocks(monkeypatch)
         model = plan_model(rng)
         Z = random_curve_vec(rng, model.input_grid, self.n)
@@ -1068,7 +1066,7 @@ class TestPredictManyPool:
         return model, random_curve_vec(rng, X.grid, self.n) * 1e120
 
     def test_callers_raise_state_holds_in_helpers(self, rng, monkeypatch):
-        self.force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         self.share_blocks(monkeypatch)
         model, Z = self.overflowing(rng)
         with np.errstate(over="raise"):
@@ -1076,7 +1074,7 @@ class TestPredictManyPool:
                 predict_many(model, Z)
 
     def test_callers_ignore_state_holds_in_helpers(self, rng, monkeypatch):
-        self.force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         self.share_blocks(monkeypatch)
         model, Z = self.overflowing(rng)
         with warnings.catch_warnings():
@@ -1086,7 +1084,7 @@ class TestPredictManyPool:
                     predict_many(model, Z)
 
     def test_no_thread_left_after_return(self, rng, monkeypatch):
-        self.force_workers(monkeypatch, 3)
+        force_workers(monkeypatch, 3)
         model = plan_model(rng)
         Z = random_curve_vec(rng, model.input_grid, self.n)
         before = threading.active_count()
@@ -1097,28 +1095,21 @@ class TestPredictManyPool:
                                                            monkeypatch):
         # 8 blocks on the caller and one helper: the helper's first block
         # raises, and a block the caller has begun waits until the helper
-        # has stopped; after them no block may start
-        self.force_workers(monkeypatch, 2)
+        # has raised; after them no block may start
+        force_workers(monkeypatch, 2)
         monkeypatch.setattr(movkl.learn, "QUERY_BLOCK", 1)
-        submitted = []
-
-        class Recording(ThreadPoolExecutor):
-            def submit(self, *args):
-                future = super().submit(*args)
-                submitted.append(future)
-                return future
-
-        monkeypatch.setattr(movkl.learn, "ThreadPoolExecutor", Recording)
         evaluate = movkl.learn.PredictionPlan.evaluate
+        helper_failed = threading.Event()
         calls = []
 
         def failing(plan, ip, sq_dist):
             calls.append(threading.current_thread() is threading.main_thread())
             if not calls[-1]:
+                helper_failed.set()
                 raise RuntimeError("block failed")
-            deadline = time.monotonic() + 10.0
-            while not submitted[0].done() and time.monotonic() < deadline:
-                time.sleep(1e-3)
+            helper_failed.wait(10.0)
+            # time for the engine to record the helper's failure
+            time.sleep(0.05)
             return evaluate(plan, ip, sq_dist)
 
         monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", failing)
@@ -1129,17 +1120,24 @@ class TestPredictManyPool:
             predict_many(model, Z)
         assert threading.active_count() == before
         # the helper's block, and at most the caller's one it had begun
-        assert len(submitted) == 1
         assert calls.count(False) == 1 and calls.count(True) <= 1
 
     def test_one_block_runs_inline(self, rng, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("no pool for a single block")
+        # one block is evaluated on the calling thread, with no other thread
+        before = threading.active_count()
+        evaluate = movkl.learn.PredictionPlan.evaluate
+        seen = []
 
-        monkeypatch.setattr(movkl.learn, "ThreadPoolExecutor", no_pool)
+        def recording(plan, ip, sq_dist):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         threading.active_count()))
+            return evaluate(plan, ip, sq_dist)
+
+        monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", recording)
         model = plan_model(rng)
         Z = random_curve_vec(rng, model.input_grid, movkl.learn.QUERY_BLOCK)
         got = predict_many(model, Z).values
+        assert seen == [(True, before)]
         assert got.tobytes() == stacked_predict_many(model, Z).tobytes()
 
 
