@@ -1,10 +1,9 @@
-"""Command-line front end: gen, train, predict, eval, cv and bench.
+"""Command-line front end: gen, train, predict, eval and cv.
 
 Runs are driven by a versioned JSON config document (schema below) plus a
 few long-form flags; explicit flags win over config values.  Reports are
 written as JSON and CSV with deterministic formatting, so identical
-configs and seeds produce byte-identical outputs (wall-clock fields in
-bench output aside).
+configs and seeds produce byte-identical outputs.
 
 ``predict`` and ``eval`` take their dataset in blocks of
 :data:`movkl.learn.QUERY_BLOCK` curves, each one :func:`predict_many`
@@ -29,7 +28,6 @@ import logging
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +42,12 @@ from .data import (
 )
 from .errors import CapacityError, ConfigError, DataError, MovklError, SolverError
 from .evaluation import CvSpec, label_hits_by_curve, loo_cv, rsse_by_curve
-from .funcspace import CurveVec, Grid
+from .funcspace import CurveVec
 from .kernels import (
     GaussianKernel,
-    IdentityOperator,
-    IntegralOperator,
     KernelStack,
-    MultiplicationOperator,
-    OvKernelTerm,
     PolynomialKernel,
     _sq_norms,
-    assemble_gram,
     block_trace_normalized,
     median_pairwise_distance,
     operator_from_config,
@@ -68,7 +61,7 @@ from .learn import (
     predict_many,
     save_model,
 )
-from .linsolve import SolveConfig, dense_solve, pcg_solve
+from .linsolve import SolveConfig
 
 CONFIG_VERSION = 1
 
@@ -79,7 +72,7 @@ DEFAULT_OPERATORS = ["identity", "multiplication", "integral"]
 # key whitelist per config section; unknown keys are rejected outright
 _SCHEMA = {
     "": {"version", "seed", "output_dir", "label", "normalize_inputs",
-         "dataset", "kernels", "fit", "cv", "eval", "bench"},
+         "dataset", "kernels", "fit", "cv", "eval"},
     "dataset": {"path", "synth"},
     "dataset.synth": {"n_samples", "grid_size", "latency", "channel_count",
                       "noise_std", "random_filters"},
@@ -91,7 +84,6 @@ _SCHEMA = {
     "fit.solver": {"outer_tol", "outer_max_iter"},
     "cv": {"lambda_grid", "rank_grid"},
     "eval": {"lcr_threshold"},
-    "bench": {"instances"},
 }
 
 
@@ -152,6 +144,18 @@ def _dataset_blocks(config: dict, override_path=None, size: int | None = None):
     if config.get("normalize_inputs", False):
         blocks = map(_normalize_inputs, blocks)
     return blocks
+
+
+def _check_grids(ds: CurveDataset, model, source, outputs: bool) -> None:
+    """Raise DataError unless a block's input grid, and its output grid when
+    ``outputs`` is set, are the model's; ``source`` names the dataset."""
+    sides = [("input", ds.input_grid, model.input_grid)]
+    if outputs:
+        sides.append(("output", ds.output_grid, model.output_grid))
+    for side, got, want in sides:
+        if got != want:
+            raise DataError(f"{source}: {side} grid of {got.size} points is not "
+                            f"the model's {side} grid of {want.size} points")
 
 
 def _normalize_inputs(ds: CurveDataset) -> CurveDataset:
@@ -259,17 +263,9 @@ def _fit_config(config: dict, lam=None) -> FitConfig:
             raise ConfigError("config needs fit.lambda")
     # only the keys the config sets; the dataclasses hold the defaults
     stopping = {k: section[k] for k in ("mkl_tol", "mkl_max_iter") if k in section}
-    solve = _solve_config(config)
     try:
+        solve = SolveConfig(**section.get("solver", {}))
         return FitConfig(lam=float(lam), r=_fit_r(config), solve=solve, **stopping)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fit config: {exc}")
-
-
-def _solve_config(config: dict) -> SolveConfig:
-    """The stopping rule of conjugate-gradient solves, from fit.solver."""
-    try:
-        return SolveConfig(**config.get("fit", {}).get("solver", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config: {exc}")
 
@@ -341,6 +337,7 @@ def cmd_predict(args) -> int:
     if not (args.data or config.get("dataset")):
         raise ConfigError("predict needs --data or a dataset section")
     blocks = _dataset_blocks(config, args.data, QUERY_BLOCK)
+    source = args.data or config["dataset"].get("path", "dataset.synth")
     out = Path(args.out) if args.out else _out_dir(config, args) / "predictions.csv"
     # rows go to a sibling file that replaces the output only once every
     # block is read and predicted
@@ -351,6 +348,7 @@ def cmd_predict(args) -> int:
             fh.write("# output_grid_points=" + _format_row(model.output_grid.points)
                      + "\n")
             for ds in blocks:
+                _check_grids(ds, model, source, outputs=False)
                 for row in predict_many(model, ds.inputs).values:
                     fh.write(_format_row(row) + "\n")
                 n += ds.n
@@ -369,7 +367,10 @@ def cmd_eval(args) -> int:
     # one RSSE term and one label-hit count per curve, reduced at the end
     # as rsse() and lcr() reduce them
     sq_errors, hits, n, samples = [], [], 0, 0
-    for ds in _dataset_blocks(config, args.data, QUERY_BLOCK):
+    blocks = _dataset_blocks(config, args.data, QUERY_BLOCK)
+    source = args.data or config["dataset"].get("path", "dataset.synth")
+    for ds in blocks:
+        _check_grids(ds, model, source, outputs=True)
         preds = predict_many(model, ds.inputs)
         sq_errors.append(rsse_by_curve(ds.targets, preds))
         if ds.labels is not None:
@@ -434,79 +435,6 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _random_instance(rng):
-    n = int(rng.integers(2, 7))
-    m = int(rng.integers(4, 11))
-    M = int(rng.integers(1, 4))
-    if rng.random() < 0.5:
-        out_grid = Grid.uniform(0.0, 1.0, m)
-    else:
-        out_grid = Grid.from_points(np.sort(rng.uniform(0.0, 1.0, m)))
-    in_grid = Grid.uniform(0.0, 1.0, m + 1)
-    ops = [IdentityOperator(out_grid), MultiplicationOperator(out_grid),
-           IntegralOperator(out_grid),
-           IntegralOperator(out_grid, rank=int(rng.integers(1, m)))]
-    pairs = []
-    for k in range(M):
-        if rng.random() < 0.5:
-            scalar = GaussianKernel(float(rng.uniform(0.5, 2.0)))
-        else:
-            scalar = PolynomialKernel(int(rng.integers(1, 4)), 1.0)
-        pairs.append((scalar, ops[int(rng.integers(0, len(ops)))]))
-    d = rng.uniform(0.2, 1.0, M)
-    d = d / np.sum(d ** 2) ** 0.5
-    stack = KernelStack(
-        [OvKernelTerm(s, op, w) for (s, op), w in zip(pairs, d)],
-    )
-    X = CurveVec(in_grid, rng.normal(size=(n, m + 1)))
-    Y = CurveVec(out_grid, rng.normal(size=(n, m)))
-    ridge = float(10.0 ** rng.uniform(-3, 0))
-    return stack, X, Y, ridge, n, m, M
-
-
-def cmd_bench(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    instances = config.get("bench", {}).get("instances", 10)
-    solve_cfg = _solve_config(config)
-    rng = np.random.default_rng(config.get("seed", 0))
-    rows = []
-    for idx in range(instances):
-        stack, X, Y, ridge, n, m, M = _random_instance(rng)
-        gram = assemble_gram(stack, X)
-        # e.g. "identity;integral:3", the rank of a truncated operator after ":"
-        ops = ";".join(":".join(str(v) for v in op.to_config().values() if v)
-                       for op, _ in gram.merged_groups)
-        t0 = time.perf_counter()
-        ref, ref_report = dense_solve(gram, ridge, Y)
-        t_dense = time.perf_counter() - t0
-        ref_norm = np.sqrt(np.sum((ref.values ** 2) @ gram.grid.weights))
-        rows.append([idx, n, m, M, "dense", ref_report.iterations,
-                     ref_report.final_residual, int(ref_report.converged),
-                     0.0, t_dense, ops])
-        t0 = time.perf_counter()
-        sol, report = pcg_solve(gram, ridge, Y, solve_cfg)
-        seconds = time.perf_counter() - t0
-        err = np.sqrt(np.sum(((sol.values - ref.values) ** 2) @ gram.grid.weights))
-        rows.append([idx, n, m, M, "pcg", report.iterations,
-                     report.final_residual, int(report.converged),
-                     err / ref_norm if ref_norm > 0 else err, seconds, ops])
-    out_dir = _out_dir(config, args)
-    with open(out_dir / "bench.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "n", "m", "M", "solver", "iterations",
-                         "rel_residual", "converged", "rel_err_vs_dense",
-                         "seconds", "operators"])
-        for row in rows:
-            writer.writerow(row)
-    worst = max(r[8] for r in rows)
-    failed = [f"{r[0]}/{r[4]}" for r in rows if not r[7]]
-    print(f"benchmarked {instances} instances; worst deviation from dense "
-          f"{worst:.3e}; not converged: {', '.join(failed) or 'none'}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -555,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="dataset file (overrides config)")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("bench", help="compare the solvers on random instances")
-    common(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,13 +1,17 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from movkl import (
     CurveDataset,
+    CurveVec,
     DataError,
     GaussianKernel,
+    Grid,
     IdentityOperator,
     OvKernelTerm,
     FitConfig,
@@ -22,7 +26,7 @@ from movkl import (
     rsse,
     save_dataset,
 )
-from movkl import data
+from movkl import cli, data
 from movkl.cli import _normalize_inputs, main
 from movkl.kernels import CurveStats
 from movkl.learn import QUERY_BLOCK
@@ -57,6 +61,37 @@ class TestConfigValidation:
         cfg["bogus"] = 1
         rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
+
+    def test_bench_key_rejected(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["bench"] = {"instances": 4}
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        assert "unknown key 'bench' in config root" in capsys.readouterr().err
+
+    def test_bench_is_not_a_command(self, tmp_path):
+        cfg_path = write_config(tmp_path / "c.json", base_config(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", cfg_path])
+        assert exc.value.code == 2
+
+    def test_readme_schema_example_matches_schema(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Config schema (version 1)", 1)[1]
+        block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//.*", "", block))
+        cli._check_keys(doc, "")
+
+        def dotted(node, section):
+            for key, value in node.items():
+                sub = f"{section}.{key}" if section else key
+                yield sub
+                if sub in cli._SCHEMA:
+                    yield from dotted(value, sub)
+
+        schema = {f"{sec}.{key}" if sec else key
+                  for sec, keys in cli._SCHEMA.items() for key in keys}
+        assert set(dotted(doc, "")) == schema
 
     def test_unknown_nested_key_rejected(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -426,6 +461,35 @@ class TestPredictEval:
         rc = main(["eval", "--model", str(out / "model.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("name,side", [("predict", "input"), ("eval", "input"),
+                                           ("eval", "output")])
+    def test_dataset_on_other_grid_is_data_error(self, tmp_path, capsys, name, side):
+        cfg_path, data, out = self.setup_run(tmp_path)
+        other = tmp_path / "other.txt"
+        if side == "input":
+            # the task on a 10-point grid, against the model's 12 points
+            cfg = base_config(tmp_path)
+            cfg["dataset"]["synth"]["grid_size"] = 10
+            assert main(["gen", "--config", write_config(tmp_path / "g.json", cfg),
+                         "--out", str(other)]) == 0
+            sizes = "input grid of 10 points is not the model's input grid of 12"
+        else:
+            # the model's inputs, with targets on a 9-point grid
+            ds = load_dataset(data)
+            targets = ds.targets.values[:, :9]
+            save_dataset(other, CurveDataset(
+                ds.inputs, CurveVec(Grid.uniform(0.0, 1.0, 9), targets)))
+            sizes = "output grid of 9 points is not the model's output grid of 12"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        argv = [name, "--model", str(out / "model.json"), "--data", str(other),
+                "--output-dir", str(out)]
+        if name == "predict":
+            argv += ["--out", str(out / "predictions.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"data error: {other}: {sizes} points\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_eval_corrupt_dataset_is_data_error(self, tmp_path):
         cfg_path, data, out = self.setup_run(tmp_path)
         bad = tmp_path / "bad.txt"
@@ -636,52 +700,3 @@ class TestCv:
         cfg = base_config(tmp_path)
         cfg_path = write_config(tmp_path / "c.json", cfg)
         assert main(["cv", "--config", cfg_path]) == 2
-
-
-class TestBench:
-    def test_bench_table(self, tmp_path):
-        cfg = base_config(tmp_path)
-        cfg["bench"] = {"instances": 4}
-        cfg_path = write_config(tmp_path / "c.json", cfg)
-        rc = main(["bench", "--config", cfg_path])
-        assert rc == 0
-        with open(tmp_path / "out" / "bench.csv") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        assert header[:5] == ["instance", "n", "m", "M", "solver"]
-        solvers = {row[4] for row in body}
-        assert solvers == {"dense", "pcg"}
-        err_col = header.index("rel_err_vs_dense")
-        conv_col = header.index("converged")
-        for row in body:
-            assert row[conv_col] == "1"
-            assert float(row[err_col]) <= 1e-6
-
-    def test_bench_names_operators_and_covers_truncation(self, tmp_path):
-        # CG sees truncated integral operators, kept at rank q
-        cfg = base_config(tmp_path)
-        cfg["bench"] = {"instances": 40}
-        assert main(["bench", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
-        with open(tmp_path / "out" / "bench.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert {row["operators"] for row in rows if row["solver"] == "dense"} >= {
-            "identity", "multiplication", "integral"}
-        assert any("integral:" in row["operators"]
-                   for row in rows if row["solver"] == "pcg")
-        assert all(float(row["rel_err_vs_dense"]) <= 1e-7 for row in rows)
-
-    def test_bench_flags_unconverged_rows(self, tmp_path, capsys):
-        # fit.solver caps CG at one step, too few for the first seed-4
-        # instance: it mixes three operators, so the preconditioner is not
-        # exact
-        cfg = base_config(tmp_path)
-        cfg["seed"] = 4
-        cfg["bench"] = {"instances": 1}
-        cfg["fit"]["solver"] = {"outer_max_iter": 1}
-        cfg_path = write_config(tmp_path / "c.json", cfg)
-        assert main(["bench", "--config", cfg_path]) == 0
-        assert "not converged: 0/pcg" in capsys.readouterr().out
-        with open(tmp_path / "out" / "bench.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        flags = {row["solver"]: row["converged"] for row in rows}
-        assert flags == {"dense": "1", "pcg": "0"}

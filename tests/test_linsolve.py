@@ -273,6 +273,10 @@ class TestPcgSolve:
     @example(m=11, n=5, uneven=True,
              terms=[("integral_r3", 0.2), ("integral_r3", 0.3), ("multiplication", 0.25),
                     ("multiplication", 0.1), ("identity", 0.1)], ridge=0.01, seed=5)
+    # a rank-1 truncated integral operator beside a rank-3 one
+    @example(m=40, n=5, uneven=True,
+             terms=[("identity", 0.3), ("integral_r1", 0.9), ("integral_r3", 0.4)],
+             ridge=0.05, seed=8)
     def test_matches_dense(self, m, n, uneven, terms, ridge, seed):
         gram, y = mixed_system(m, n, terms, seed, uneven)
         cfg = SolveConfig(outer_tol=1e-12, outer_max_iter=200)
