@@ -42,7 +42,7 @@ from .data import (
 )
 from .errors import CapacityError, ConfigError, DataError, MovklError, SolverError
 from .evaluation import CvSpec, label_hits_by_curve, loo_cv, rsse_by_curve
-from .funcspace import CurveVec
+from .funcspace import CurveVec, as_real
 from .kernels import (
     GaussianKernel,
     KernelStack,
@@ -56,6 +56,7 @@ from .kernels import (
 from .learn import (
     QUERY_BLOCK,
     FitConfig,
+    _write_json,
     load_model,
     movkl_fit,
     predict_many,
@@ -227,7 +228,8 @@ def build_stack(config: dict, ds: CurveDataset, rank_override=None) -> KernelSta
         if scale <= 0:
             scale = 1.0
         try:
-            scalars = [GaussianKernel(f * scale) for f in factors]
+            scalars = [GaussianKernel(as_real("bandwidth factor", f) * scale)
+                       for f in factors]
             scalars += [PolynomialKernel(d, offset) for d in degrees]
             operators = [operator_from_config({"kind": kind, "rank": rank}, grid)
                          for kind in op_kinds]
@@ -245,13 +247,18 @@ def build_stack(config: dict, ds: CurveDataset, rank_override=None) -> KernelSta
     return KernelStack.uniform(pairs, norm_exponent=_fit_r(config))
 
 
+def _number(key: str, value) -> float:
+    # what float() reads, numeric strings included, but not true or false
+    return as_real(key, float(value) if isinstance(value, str) else value)
+
+
 def _fit_r(config: dict) -> float:
     r = config.get("fit", {}).get("r", 2.0)
     if r == "inf":
         return math.inf
     try:
-        return float(r)
-    except (TypeError, ValueError):
+        return _number("fit.r", r)
+    except ValueError:
         raise ConfigError(f"fit.r must be a number or 'inf', got {r!r}")
 
 
@@ -265,7 +272,8 @@ def _fit_config(config: dict, lam=None) -> FitConfig:
     stopping = {k: section[k] for k in ("mkl_tol", "mkl_max_iter") if k in section}
     try:
         solve = SolveConfig(**section.get("solver", {}))
-        return FitConfig(lam=float(lam), r=_fit_r(config), solve=solve, **stopping)
+        return FitConfig(lam=_number("fit.lambda", lam), r=_fit_r(config), solve=solve,
+                         **stopping)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fit config: {exc}")
 
@@ -275,12 +283,6 @@ def _out_dir(config: dict, args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_json(path: Path, doc) -> None:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,11 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else {"version": 1}
     model = load_model(args.model)
-    threshold = config.get("eval", {}).get("lcr_threshold", 0.5)
+    try:
+        threshold = _number("eval.lcr_threshold",
+                            config.get("eval", {}).get("lcr_threshold", 0.5))
+    except ValueError as exc:
+        raise ConfigError(f"bad eval config: {exc}")
     # one RSSE term and one label-hit count per curve, reduced at the end
     # as rsse() and lcr() reduce them
     sq_errors, hits, n, samples = [], [], 0, 0
@@ -408,7 +414,7 @@ def cmd_cv(args) -> int:
         raise ConfigError("config needs cv.lambda_grid")
     try:
         spec = CvSpec(
-            lambda_grid=[float(v) for v in section["lambda_grid"]],
+            lambda_grid=[_number("cv.lambda_grid", v) for v in section["lambda_grid"]],
             rank_grid=section.get("rank_grid", [None]),
         )
     except (TypeError, ValueError) as exc:

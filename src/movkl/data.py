@@ -41,12 +41,11 @@ import contextlib
 from dataclasses import dataclass
 import functools
 import math
-import numbers
 
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .funcspace import _BLOCK, CurveVec, Grid, _in_order, as_int
+from .funcspace import _BLOCK, CurveVec, Grid, _in_order, as_int, as_real
 
 __all__ = [
     "CurveDataset",
@@ -141,12 +140,9 @@ class SynthSpec:
             raise ValueError("latency must lie in [0, grid_size)")
         self.channel_count = as_int("channel_count", self.channel_count)
         self.seed = as_int("seed", self.seed, minimum=0)
-        noise = self.noise_std
-        if (isinstance(noise, bool) or not isinstance(noise, numbers.Real)
-                or not math.isfinite(noise)):
-            raise ValueError(f"noise std must be a finite number, got {noise!r}")
-        if noise < 0:
-            raise ValueError("noise std must be nonnegative")
+        if not 0 <= as_real("noise std", self.noise_std) < math.inf:
+            raise ValueError("noise std must be nonnegative and finite, "
+                             f"got {self.noise_std!r}")
 
 
 def stacked_channel_grid(grid_size: int, channels: int) -> Grid:

@@ -22,14 +22,14 @@ its pairs from that one's solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
 
 from .data import _off_binary
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
-from .funcspace import CurveVec, as_int
+from .funcspace import CurveVec, as_int, as_real
 from .kernels import CurveStats, assemble_gram
 from .learn import FitConfig, movkl_fit, predict, weights_fixed
 from .linsolve import gram_eigh, product_basis
@@ -55,7 +55,8 @@ class CvSpec:
     def __post_init__(self):
         if not self.lambda_grid:
             raise ValueError("lambda grid must be non-empty")
-        if not all(0 < lam < math.inf for lam in self.lambda_grid):
+        if not all(0 < as_real("lambda candidate", lam) < math.inf
+                   for lam in self.lambda_grid):
             raise ValueError("lambda candidates must be positive and finite")
         self.rank_grid = [None if q is None else as_int("rank candidate", q)
                           for q in self.rank_grid]
@@ -159,17 +160,10 @@ def loo_cv(stack_builder, inputs: CurveVec, targets: CurveVec, spec: CvSpec,
         candidates += [CvCandidate(lam, rank, total, total is not None)
                        for lam, total in zip(lams, scores)]
 
-    best = None
-    for cand in candidates:
-        if not cand.valid:
-            continue
-        if best is None or cand.cv_rsse < best.cv_rsse:
-            best = cand
-        elif cand.cv_rsse == best.cv_rsse:
-            if (cand.lam, _rank_key(cand.rank)) < (best.lam, _rank_key(best.rank)):
-                best = cand
-    if best is None:
+    valid = [cand for cand in candidates if cand.valid]
+    if not valid:
         raise SolverError("every cross-validation candidate failed")
+    best = min(valid, key=lambda c: (c.cv_rsse, c.lam, _rank_key(c.rank)))
     return best.lam, best.rank, candidates
 
 
@@ -265,10 +259,7 @@ def _refit_scores(stack, inputs: CurveVec, targets: CurveVec, lams,
     n = inputs.n
     scores = []
     for lam in lams:
-        fold_cfg = FitConfig(
-            lam=lam, r=cfg.r, mkl_tol=cfg.mkl_tol,
-            mkl_max_iter=cfg.mkl_max_iter, solve=cfg.solve,
-        )
+        fold_cfg = replace(cfg, lam=lam)
         total = 0.0
         for i in range(n):
             keep = [j for j in range(n) if j != i]

@@ -171,6 +171,18 @@ def as_int(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def as_real(name: str, value) -> float:
+    """Validate a real setting such as a ridge value, tolerance or bandwidth.
+
+    An integer or float, returned as a float; booleans (JSON's ``true``
+    would otherwise read as 1), strings and other types raise
+    ``ValueError``.  Range and finiteness checks stay with the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class Grid:
     """Sampling locations and quadrature weights over a 1-d domain.
 

@@ -50,7 +50,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import DimensionError
-from .funcspace import Curve, CurveVec, Grid, as_int
+from .funcspace import Curve, CurveVec, Grid, as_int, as_real
 
 __all__ = [
     "ScalarKernel",
@@ -153,7 +153,7 @@ class GaussianKernel(ScalarKernel):
     """G(x, z) = exp(-||x - z||^2 / (2 sigma^2)) with the quadrature norm."""
 
     def __init__(self, bandwidth: float):
-        bandwidth = float(bandwidth)
+        bandwidth = as_real("bandwidth", bandwidth)
         if not 0 < bandwidth < math.inf:
             raise ValueError("bandwidth must be positive and finite")
         self.bandwidth = bandwidth
@@ -181,8 +181,8 @@ class PolynomialKernel(ScalarKernel):
     """G(x, z) = (<x, z> + offset)^degree with the quadrature inner product."""
 
     def __init__(self, degree: int, offset: float = 1.0):
-        degree = int(degree)
-        offset = float(offset)
+        degree = as_int("degree", degree)
+        offset = as_real("offset", offset)
         if degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
         if not 0 <= offset < math.inf:
@@ -226,7 +226,7 @@ class ScaledKernel(ScalarKernel):
     """
 
     def __init__(self, base: ScalarKernel, factor: float):
-        factor = float(factor)
+        factor = as_real("scale factor", factor)
         if not 0 < factor < math.inf:
             raise ValueError("scale factor must be positive and finite")
         self.base = base
@@ -660,7 +660,7 @@ class KernelStack:
     """Weighted collection of kernel terms sharing one output grid."""
 
     def __init__(self, terms, norm_exponent: float = 2.0):
-        terms = list(terms)
+        terms = tuple(terms)
         if not terms:
             raise ValueError("a kernel stack needs at least one term")
         grid = terms[0].operator.grid

@@ -29,7 +29,8 @@ import math
 import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
-from .funcspace import Curve, CurveVec, Grid, _in_order, as_int, vec_norm
+from .funcspace import (Curve, CurveVec, Grid, _in_order, _readonly, as_int,
+                        as_real, vec_norm)
 from .kernels import (
     BlockGram,
     CurveStats,
@@ -79,11 +80,11 @@ class FitConfig:
 
     def __post_init__(self):
         # written so that NaN fails every test; r = inf stays valid
-        if not 0 < self.lam < math.inf:
+        if not 0 < as_real("lambda", self.lam) < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if not self.r >= 1:
+        if not as_real("norm exponent", self.r) >= 1:
             raise ValueError("norm exponent must be >= 1")
-        if not 0 < self.mkl_tol < math.inf:
+        if not 0 < as_real("mkl_tol", self.mkl_tol) < math.inf:
             raise ValueError("mkl_tol must be positive and finite")
         self.mkl_max_iter = as_int("mkl_max_iter", self.mkl_max_iter)
 
@@ -106,25 +107,22 @@ class PredictionPlan:
     for a truncated integral operator L_o = alpha W V_q Lambda_q (n x q) and
     R_o = V_q^T (q x m), evaluated as (H_o^T L_o) R_o; any other operator
     keeps T_o alpha whole (R_o is None).  With a single base kernel, c_o is
-    folded into L_o and H_o is G_b itself.  ``alpha``, ``stack`` and
-    ``weight_bytes`` record what the plan was built from, so the model can
-    tell when it is stale.
+    folded into L_o and H_o is G_b itself.  ``output_size`` is m, the size
+    of the zero prediction when every weight is zero.
     """
 
-    alpha: CurveVec
-    stack: KernelStack
-    weight_bytes: bytes
     stats: CurveStats
     bases: list
     coeffs: np.ndarray
     factors: list
+    output_size: int
 
     def evaluate(self, ip: np.ndarray, sq_dist: np.ndarray) -> np.ndarray:
         """Predicted values, a fresh array, from the training-by-query pair
         statistics of :meth:`CurveStats.pairs` or :meth:`CurveStats.cross`:
         (m,) for one query curve, (p, m) for p."""
         if not self.bases:
-            return np.zeros(ip.shape[1:] + (self.stack.output_grid.size,))
+            return np.zeros(ip.shape[1:] + (self.output_size,))
         if len(self.bases) == 1:
             H = [self.bases[0].evaluate(ip, sq_dist)] * len(self.factors)
         else:
@@ -153,7 +151,7 @@ def _position(distinct: list, key) -> int:
     return distinct.index(key)
 
 
-def _build_plan(model: "MovklModel", weight_bytes: bytes) -> PredictionPlan:
+def _build_plan(model: "MovklModel") -> PredictionPlan:
     ops, bases, uses = [], [], []
     for term, d_k in zip(model.stack.terms, model.weights):
         if d_k != 0.0:
@@ -166,17 +164,19 @@ def _build_plan(model: "MovklModel", weight_bytes: bytes) -> PredictionPlan:
     factors = [op.factored_rows(model.alpha.values) for op in ops]
     if len(bases) == 1:
         factors = [(c * left, right) for c, (left, right) in zip(coeffs[:, 0], factors)]
-    return PredictionPlan(model.alpha, model.stack, weight_bytes,
-                          model.train_stats(), bases, coeffs, factors)
+    return PredictionPlan(CurveStats(model.train_inputs), bases, coeffs, factors,
+                          model.output_grid.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MovklModel:
     """Fitted state: dual curves, kernel weights and training inputs.
 
     Each solve of the fit leaves its iteration count, route and final
     relative residual ||(K + lambda*I) alpha - y|| / ||y|| in
     ``solver_iterations``, ``solver_routes`` and ``solver_residuals``.
+    A model is immutable, and keeps ``weights`` as a read-only copy;
+    ``dataclasses.replace`` makes a changed one, with a plan of its own.
     """
 
     alpha: CurveVec
@@ -189,30 +189,15 @@ class MovklModel:
     solver_iterations: list[int] = field(default_factory=list)
     solver_routes: list[str] = field(default_factory=list)
     solver_residuals: list[float] = field(default_factory=list)
-    _train_stats: CurveStats | None = field(default=None, init=False, repr=False)
-    _plan: PredictionPlan | None = field(default=None, init=False, repr=False)
 
-    def train_stats(self) -> CurveStats:
-        """Statistics of ``train_inputs``, cached per object, never archived."""
-        if self._train_stats is None or self._train_stats.curves is not self.train_inputs:
-            self._train_stats = CurveStats(self.train_inputs)
-        return self._train_stats
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _readonly(self.weights))
 
     def prediction_plan(self) -> PredictionPlan:
-        """The :class:`PredictionPlan`, cached per object and never archived.
-
-        It is rebuilt when ``alpha``, ``stack`` or ``train_inputs`` has been
-        replaced, or the values in ``weights`` have changed since it was
-        built; arrays inside a CurveVec are read-only.
-        """
-        weight_bytes = np.asarray(self.weights, dtype=float).tobytes()
-        plan = self._plan
-        if (plan is None or plan.alpha is not self.alpha
-                or plan.stack is not self.stack
-                or plan.stats.curves is not self.train_inputs
-                or plan.weight_bytes != weight_bytes):
-            self._plan = plan = _build_plan(self, weight_bytes)
-        return plan
+        """The :class:`PredictionPlan`, built on first use; never archived."""
+        if "_plan" not in vars(self):
+            object.__setattr__(self, "_plan", _build_plan(self))
+        return self._plan
 
     @property
     def input_grid(self) -> Grid:
@@ -361,11 +346,10 @@ def predict(model: MovklModel, x_new: Curve) -> Curve:
     once against the training curves, its values are combined per distinct
     output operator o, and each operator adds one product, a thin pair of
     products for a truncated integral operator.  A model with one base
-    kernel combines nothing.  The plan is built on the
-    first call and rebuilt after ``alpha``, ``stack`` or ``train_inputs`` is
-    replaced or ``weights`` changes.  The fresh output is wrapped without a
-    copy or a second validation pass.  A query on another input grid raises
-    ``DimensionError``, and a non-finite prediction (a polynomial kernel
+    kernel combines nothing.  The plan is built on the model's first
+    prediction and kept, as the model cannot change.  The fresh output is
+    wrapped without a copy or a second validation pass.  A query on another
+    input grid raises ``DimensionError``, and a non-finite prediction (a polynomial kernel
     that overflows, say) raises ``ValueError``.
     """
     plan = model.prediction_plan()
@@ -449,20 +433,15 @@ def model_from_doc(doc: dict) -> MovklModel:
     out_grid = _grid_from_doc(doc["output_grid"])
     r = doc["norm_exponent"]
     r = math.inf if r == "inf" else float(r)
-    terms = []
-    for item in doc["terms"]:
-        terms.append(
-            OvKernelTerm(
-                scalar_kernel_from_config(item["scalar"]),
-                operator_from_config(item["operator"], out_grid),
-                float(item["weight"]),
-            )
-        )
-    stack = KernelStack(terms, norm_exponent=r)
+    stack = KernelStack([
+        OvKernelTerm(scalar_kernel_from_config(item["scalar"]),
+                     operator_from_config(item["operator"], out_grid),
+                     float(item["weight"]))
+        for item in doc["terms"]], norm_exponent=r)
     return MovklModel(
         # np.array of a JSON list is a new array that nothing else holds
         alpha=CurveVec(out_grid, np.array(doc["alpha"], dtype=float), copy=False),
-        weights=np.array([t.weight for t in terms]),
+        weights=stack.weights,
         stack=stack,
         train_inputs=CurveVec(in_grid, np.array(doc["train_inputs"], dtype=float),
                               copy=False),
@@ -475,11 +454,16 @@ def model_from_doc(doc: dict) -> MovklModel:
     )
 
 
-def save_model(path, model: MovklModel) -> None:
-    """Write the versioned JSON archive; values round-trip bit-exactly."""
-    text = json.dumps(model_to_doc(model), sort_keys=True, separators=(",", ":"))
+def _write_json(path, doc) -> None:
+    """Sorted, compact JSON and a final newline: equal documents, equal bytes."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def save_model(path, model: MovklModel) -> None:
+    """Write the versioned JSON archive; values round-trip bit-exactly."""
+    _write_json(path, model_to_doc(model))
 
 
 def load_model(path) -> MovklModel:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, DimensionError
-from .funcspace import CurveVec, as_int
+from .funcspace import CurveVec, as_int, as_real
 from .kernels import BlockGram, IntegralOperator, MultiplicationOperator
 
 __all__ = [
@@ -56,7 +56,7 @@ class SolveConfig:
 
     def __post_init__(self):
         # written so that NaN fails the test
-        if not 0 < self.outer_tol < math.inf:
+        if not 0 < as_real("outer_tol", self.outer_tol) < math.inf:
             raise ValueError("outer_tol must be positive and finite")
         self.outer_max_iter = as_int("outer_max_iter", self.outer_max_iter)
 

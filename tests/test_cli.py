@@ -193,6 +193,49 @@ class TestConfigValidation:
         rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("kernels", [
+        {"menu": {"polynomial_degrees": [2.5]}},
+        {"terms": [{"scalar": {"kind": "polynomial", "degree": 2.5},
+                    "operator": {"kind": "identity"}}]},
+    ])
+    def test_fractional_degree_rejected(self, tmp_path, kernels):
+        cfg = base_config(tmp_path, kernels=kernels)
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "fit.lambda", True),
+        ("train", "fit.r", True),
+        ("train", "fit.mkl_tol", True),
+        ("train", "fit.solver.outer_tol", True),
+        ("train", "kernels", {"terms": [{"scalar": {"kind": "gaussian",
+                                                    "bandwidth": True},
+                                         "operator": {"kind": "identity"}}]}),
+        ("train", "kernels", {"terms": [{"scalar": {
+            "kind": "scaled", "factor": True,
+            "base": {"kind": "gaussian", "bandwidth": 1.0}},
+            "operator": {"kind": "identity"}}]}),
+        ("train", "kernels", {"menu": {"polynomial_offset": True}}),
+        ("train", "kernels", {"menu": {"gaussian_bandwidth_factors": [True]}}),
+        ("cv", "cv.lambda_grid", [True]),
+        ("eval", "eval.lcr_threshold", True),
+    ])
+    def test_json_boolean_is_not_a_number(self, tmp_path, command, key, value):
+        cfg_path, data, out = trained_run(tmp_path)
+        cfg = json.loads(Path(cfg_path).read_text())
+        *sections, name = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+        args = [command, "--config", write_config(tmp_path / "bool.json", cfg),
+                "--data", str(data), "--output-dir", str(tmp_path / "bool")]
+        if command == "eval":
+            args += ["--model", str(out / "model.json")]
+        assert main(args) == 2
+        assert not (tmp_path / "bool").exists()
+
 
 class TestGen:
     @pytest.mark.parametrize("key,bad", [

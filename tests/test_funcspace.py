@@ -8,8 +8,15 @@ import pytest
 from movkl import (
     Curve,
     CurveVec,
+    CvSpec,
     DimensionError,
+    FitConfig,
+    GaussianKernel,
     Grid,
+    PolynomialKernel,
+    ScaledKernel,
+    SolveConfig,
+    SynthSpec,
     l2_inner,
     l2_norm_sq,
     vec_inner,
@@ -503,3 +510,28 @@ class TestInOrder:
     def test_one_task_starts_no_thread(self):
         before = threading.active_count()
         assert list(_in_order([threading.active_count], 1)) == [before]
+
+
+# every real setting, each built from one value; JSON's true and false would
+# otherwise pass as 1 and 0
+REAL_SETTINGS = {
+    "lambda": lambda v: FitConfig(lam=v),
+    "norm exponent": lambda v: FitConfig(r=v),
+    "mkl_tol": lambda v: FitConfig(mkl_tol=v),
+    "outer_tol": lambda v: SolveConfig(outer_tol=v),
+    "lambda candidate": lambda v: CvSpec(lambda_grid=[0.1, v]),
+    "bandwidth": GaussianKernel,
+    "scale factor": lambda v: ScaledKernel(GaussianKernel(1.0), v),
+    "offset": lambda v: PolynomialKernel(2, v),
+    "noise std": lambda v: SynthSpec(n_samples=2, grid_size=10, noise_std=v),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_SETTINGS))
+def test_real_settings_reject_booleans(name):
+    build = REAL_SETTINGS[name]
+    build(1)
+    build(np.float64(1.5))
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            build(flag)

@@ -106,6 +106,14 @@ class TestScalarKernels:
         with pytest.raises(ValueError):
             PolynomialKernel(2, -1.0)
 
+    @pytest.mark.parametrize("degree", [2.5, True, "2"])
+    def test_polynomial_degree_must_be_an_integer(self, degree):
+        # int() would truncate 2.5 to 2 and read true as 1
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            PolynomialKernel(degree)
+        kernel = PolynomialKernel(2.0)
+        assert kernel.degree == 2 and type(kernel.degree) is int
+
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_polynomial_matches_power(self, rng, degree):
         ip = rng.normal(scale=3.0, size=(7, 9))

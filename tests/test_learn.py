@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -697,20 +698,9 @@ class TestSharedPredictionPath:
             doc = json.loads(path.read_text())
             loaded = load_model(path)
         assert set(doc) == ARCHIVE_KEYS
-        assert loaded._train_stats is None
+        assert "_plan" not in vars(loaded)
         assert np.array_equal(predict_many(loaded, Z).values, got)
         assert np.array_equal(predict(loaded, Z[0]).values, predict(model, Z[0]).values)
-
-    def test_training_statistics_follow_train_inputs(self, rng):
-        X, Y = small_problem(rng)
-        model = krr_fit(OvKernelTerm(GaussianKernel(1.0), IdentityOperator(Y.grid)),
-                        X, Y, FitConfig(lam=0.1))
-        stats = model.train_stats()
-        assert model.train_stats() is stats
-        model.train_inputs = CurveVec(X.grid, X.values + 1.0)
-        assert model.train_stats() is not stats
-        assert np.array_equal(model.train_stats().weighted,
-                              (X.values + 1.0) * X.grid.weights)
 
 
 def plan_model(rng, weights=(0.3, 0.5, 0.2)):
@@ -734,35 +724,28 @@ def rebuilt_copy(model):
                       lam=model.lam, objective_trace=[])
 
 
-def replace_alpha(model):
-    model.alpha = model.alpha * 2.0
-
-
-def replace_stack(model):
-    model.stack = KernelStack(
+# a changed value of each field the plan is built from
+CHANGED = {
+    "alpha": lambda model: model.alpha * 2.0,
+    "stack": lambda model: KernelStack(
         [OvKernelTerm(t.scalar, IdentityOperator(t.operator.grid), t.weight)
-         for t in model.stack.terms])
-
-
-def replace_train_inputs(model):
-    model.train_inputs = model.train_inputs * 0.5
-
-
-def change_weights_in_place(model):
-    model.weights[1] = 0.0
+         for t in model.stack.terms]),
+    "train_inputs": lambda model: model.train_inputs * 0.5,
+    "weights": lambda model: model.weights * [1.0, 0.0, 1.0],
+}
 
 
 class TestPredictionPlan:
     def test_second_predict_reuses_plan(self, rng):
         model = plan_model(rng)
-        assert model._plan is None
+        assert "_plan" not in vars(model)
         q = random_curve(rng, model.input_grid)
         first = predict(model, q)
-        plan = model._plan
-        assert plan is not None
+        plan = vars(model)["_plan"]
+        assert isinstance(plan, movkl.learn.PredictionPlan)
         assert np.array_equal(predict(model, q).values, first.values)
         predict_many(model, random_curve_vec(rng, model.input_grid, 3))
-        assert model._plan is plan
+        assert vars(model)["_plan"] is plan
         assert model.prediction_plan() is plan
         # two base kernels, each evaluated once; three operators, each with
         # its coefficient row (the Gaussian's 2.0 scale folded in) and the
@@ -774,21 +757,47 @@ class TestPredictionPlan:
         left, right = plan.factors[1]
         assert left.shape == (5, 2) and right.shape == (2, model.output_grid.size)
 
-    @pytest.mark.parametrize("change", [replace_alpha, replace_stack,
-                                        replace_train_inputs,
-                                        change_weights_in_place])
-    def test_plan_rebuilt_after_change(self, rng, change):
+    def test_fields_cannot_change(self, rng):
+        model = plan_model(rng)
+        predict(model, random_curve(rng, model.input_grid))
+        for name in ("alpha", "stack", "train_inputs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, CHANGED[name](model))
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights[1] = 0.0
+
+    def test_weights_are_a_read_only_copy(self, rng):
+        weights = np.array([0.3, 0.5, 0.2])
+        model = dataclasses.replace(plan_model(rng), weights=weights)
+        weights[1] = 0.0
+        assert model.weights[1] == 0.5
+
+    def test_stack_terms_cannot_change_in_place(self, rng):
+        # a term swapped into the stack of a model that has predicted would
+        # leave its plan stale
+        model = plan_model(rng)
+        q = random_curve(rng, model.input_grid)
+        predict(model, q)
+        term = OvKernelTerm(GaussianKernel(3.0), IdentityOperator(model.output_grid),
+                            0.3)
+        with pytest.raises(TypeError):
+            model.stack.terms[0] = term
+        assert np.array_equal(predict(model, q).values,
+                              predict(rebuilt_copy(model), q).values)
+
+    @pytest.mark.parametrize("name", list(CHANGED))
+    def test_replaced_model_builds_its_own_plan(self, rng, name):
         model = plan_model(rng)
         Z = random_curve_vec(rng, model.input_grid, 4)
         before = predict_many(model, Z).values
-        plan = model._plan
-        change(model)
-        after = predict_many(model, Z).values
-        assert model._plan is not plan
+        changed = dataclasses.replace(model, **{name: CHANGED[name](model)})
+        assert "_plan" not in vars(changed)
+        after = predict_many(changed, Z).values
         assert not np.array_equal(after, before)
-        assert np.array_equal(after, predict_many(rebuilt_copy(model), Z).values)
-        assert np.array_equal(predict(model, Z[1]).values,
-                              predict(rebuilt_copy(model), Z[1]).values)
+        assert np.array_equal(after, predict_many(rebuilt_copy(changed), Z).values)
+        assert np.array_equal(predict(changed, Z[1]).values,
+                              predict(rebuilt_copy(changed), Z[1]).values)
+        assert np.array_equal(predict_many(model, Z).values, before)
 
     def test_loaded_model_has_no_plan(self, rng, tmp_path):
         model = plan_model(rng)
@@ -798,7 +807,7 @@ class TestPredictionPlan:
         save_model(path, model)
         assert set(json.loads(path.read_text())) == ARCHIVE_KEYS
         loaded = load_model(path)
-        assert loaded._plan is None and loaded._train_stats is None
+        assert "_plan" not in vars(loaded)
         assert np.array_equal(predict(loaded, q).values, want)
 
     def test_unhashable_kernels_and_operators_fold(self, rng):
