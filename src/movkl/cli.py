@@ -364,12 +364,14 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else {"version": 1}
-    model = load_model(args.model)
     try:
         threshold = _number("eval.lcr_threshold",
                             config.get("eval", {}).get("lcr_threshold", 0.5))
     except ValueError as exc:
         raise ConfigError(f"bad eval config: {exc}")
+    if not math.isfinite(threshold):
+        raise ConfigError("bad eval config: eval.lcr_threshold must be finite")
+    model = load_model(args.model)
     # one RSSE term and one label-hit count per curve, reduced at the end
     # as rsse() and lcr() reduce them
     sq_errors, hits, n, samples = [], [], 0, 0

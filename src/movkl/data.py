@@ -99,7 +99,9 @@ class CurveDataset:
 
     def blocks(self, size: int):
         """The dataset as blocks of ``size`` curves (the last may hold
-        fewer), over read-only views of its arrays, not copies."""
+        fewer), over read-only views of its arrays, not copies.  ``size``
+        is a positive integer, or ``ValueError`` is raised."""
+        size = as_int("block size", size)
         for lo in range(0, self.n, size):
             rows = slice(lo, lo + size)
             yield CurveDataset(
@@ -466,7 +468,9 @@ def load_dataset(path) -> CurveDataset:
 def load_dataset_blocks(path, size: int | None = None):
     """The records of a dataset file as :class:`CurveDataset` blocks of
     ``size`` curves (the last may hold fewer), read and checked as they
-    are reached; ``size=None`` gives one block of every record.
+    are reached; ``size=None`` gives one block of every record.  Any other
+    ``size`` that is not a positive integer raises ``ValueError`` before
+    the file is opened.
 
     The checks and messages are :func:`load_dataset`'s: line numbers and
     record indices count over the whole file, and trailing content is
@@ -474,6 +478,8 @@ def load_dataset_blocks(path, size: int | None = None):
     raised when the reader reaches it, so the blocks before it have been
     yielded by then.
     """
+    if size is not None:
+        size = as_int("block size", size)
     with _open(path, "rb") as fh:
         try:
             yield from _read_blocks(_Reader(path, fh), size)

@@ -62,11 +62,15 @@ def _in_order(tasks, count: int):
     in every task.  The caller takes the tasks from the iterator, so what
     the iterator does between them (the generator's random draws) stays on
     it in order, at most helpers + 1 tasks ahead of the next result; while
-    that result is not ready, it runs a queued task itself.  After a task
-    fails no queued task starts, and its error is raised in place of the
-    next result.  On return, error or ``close()`` every helper is joined;
-    one thread starts none.  Tasks that write only their own memory give
-    the same results for any thread count.
+    that result is not ready, it runs a queued task itself.  The generator
+    passes one task per block, so the caller can wait behind a slow helper's
+    block; batch prediction passes one drain task per thread instead, each
+    taking row slices from one shared list until none is left, so no thread
+    waits while a block is untaken.  After a task fails no queued task
+    starts, and its error is raised in place of the next result.  On
+    return, error or ``close()`` every helper is joined; one thread starts
+    none.  Tasks that write only their own memory give the same results
+    for any thread count.
     """
     helpers = _worker_count(count) - 1
     cond = threading.Condition()
@@ -365,6 +369,16 @@ class CurveVec:
                 raise DimensionError("all curves in a vector must share one grid")
         # np.stack builds a new array that nothing else holds
         return cls(grid, np.stack([c.values for c in curves]), copy=False)
+
+    @classmethod
+    def _wrap(cls, grid: Grid, values: np.ndarray) -> "CurveVec":
+        """A curve vector over ``values`` as they are, neither copied nor
+        checked: the caller vouches for a read-only, finite float64 (n, m)
+        array, as for :meth:`Curve._wrap`."""
+        vec = object.__new__(cls)
+        vec.grid = grid
+        vec.values = values
+        return vec
 
     @classmethod
     def zero(cls, grid: Grid, n: int) -> "CurveVec":

@@ -16,21 +16,24 @@ stationarity identity lambda * alpha_i = y_i - f(x_i) holds, which the
 tests use as an end-to-end consistency check.
 
 Batch prediction (:func:`predict_many`) evaluates its queries in blocks of
-:data:`QUERY_BLOCK` curves on :func:`movkl.funcspace._in_order`.
+:data:`QUERY_BLOCK` curves, each written in place into its rows of one
+output array.  The blocks' row slices are one shared list, which one drain
+task per thread of :func:`movkl.funcspace._in_order` empties.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
-import functools
+import itertools
 import json
 import math
 
 import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
-from .funcspace import (Curve, CurveVec, Grid, _in_order, _readonly, as_int,
-                        as_real, vec_norm)
+from .funcspace import (Curve, CurveVec, Grid, _in_order, _readonly,
+                        _worker_count, as_int, as_real, vec_norm)
 from .kernels import (
     BlockGram,
     CurveStats,
@@ -117,12 +120,24 @@ class PredictionPlan:
     factors: list
     output_size: int
 
-    def evaluate(self, ip: np.ndarray, sq_dist: np.ndarray) -> np.ndarray:
-        """Predicted values, a fresh array, from the training-by-query pair
-        statistics of :meth:`CurveStats.pairs` or :meth:`CurveStats.cross`:
-        (m,) for one query curve, (p, m) for p."""
+    def evaluate(self, ip: np.ndarray, sq_dist: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Predicted values from the training-by-query pair statistics of
+        :meth:`CurveStats.pairs` or :meth:`CurveStats.cross`: (m,) for one
+        query curve, (p, m) for p.
+
+        With ``out``, a float64 array of that shape (in :func:`predict_many`,
+        a block's rows of the one output array), the values are written
+        into it and it is returned, as for ``ScalarKernel.evaluate``; the
+        values are bit-identical either way, zeros when no term is live.
+        The first operator's product is written straight into ``out`` and
+        each later one is added to it.
+        """
         if not self.bases:
-            return np.zeros(ip.shape[1:] + (self.output_size,))
+            if out is None:
+                return np.zeros(ip.shape[1:] + (self.output_size,))
+            out[...] = 0.0
+            return out
         if len(self.bases) == 1:
             H = [self.bases[0].evaluate(ip, sq_dist)] * len(self.factors)
         else:
@@ -131,15 +146,13 @@ class PredictionPlan:
             for base, slot in zip(self.bases, G):
                 base.evaluate(ip, sq_dist, out=slot)
             H = np.tensordot(self.coeffs, G, axes=1)
-        out = None
-        for H_o, (left, right) in zip(H, self.factors):
-            part = H_o.T @ left
-            if right is not None:
-                part = part @ right
-            if out is None:
-                out = part
+        for o, (H_o, (left, right)) in enumerate(zip(H, self.factors)):
+            # H_o^T (T_o alpha), or (H_o^T L_o) R_o for a thin pair
+            a, b = (H_o.T, left) if right is None else (H_o.T @ left, right)
+            if o == 0:
+                out = np.matmul(a, b, out=out)
             else:
-                out += part
+                out += a @ b
         return out
 
 
@@ -365,24 +378,43 @@ def predict_many(model: MovklModel, xs: CurveVec) -> CurveVec:
     """:func:`predict` for every curve of ``xs``, through the same plan,
     over blocks of ``QUERY_BLOCK`` curves: per block, one kernel evaluation
     per distinct base kernel and one product (or thin pair) per distinct
-    output operator.  The plan is built on the calling thread; the blocks
-    run on :func:`movkl.funcspace._in_order`, each writing its own rows of
-    one output array, so predictions are bit-identical whatever the number
-    of threads.  The filled array is wrapped without a copy and checked for
-    non-finite values like :func:`predict`'s."""
+    output operator, written in place into the block's rows of one output
+    array.  The plan is built on the calling thread.  The blocks' row slices
+    are one shared list: :func:`movkl.funcspace._in_order` runs one drain
+    task per worker, and each takes the next slice not yet taken until none
+    is left, so a slow thread holds up no block but its own.  Every block
+    is computed alone into its own rows, so predictions are bit-identical
+    whatever the number of threads.  Each block checks its rows for
+    non-finite values, raising :func:`predict`'s ``ValueError``; a failing
+    task empties the list first, so no block starts after a failure.  The
+    filled array is wrapped read-only without a copy or a second scan."""
     plan = model.prediction_plan()
     out = np.empty((xs.n, model.output_grid.size))
+    pending = collections.deque(slice(lo, lo + QUERY_BLOCK)
+                                for lo in range(0, xs.n, QUERY_BLOCK))
 
     # a block calls only methods: the module's public functions may be
     # wrapped by a tracer that is not thread-safe
-    def block(rows):
-        out[rows] = plan.evaluate(*plan.stats.cross(xs.grid, xs.values[rows]))
+    def drain():
+        try:
+            while True:
+                try:
+                    rows = pending.popleft()
+                except IndexError:  # every block is taken
+                    return
+                block = plan.evaluate(*plan.stats.cross(xs.grid, xs.values[rows]),
+                                      out=out[rows])
+                if not np.isfinite(block).all():
+                    raise ValueError("curve values must be finite (no NaN/Inf)")
+        except BaseException:
+            pending.clear()
+            raise
 
-    starts = range(0, xs.n, QUERY_BLOCK)
-    for _ in _in_order((functools.partial(block, slice(lo, lo + QUERY_BLOCK))
-                        for lo in starts), len(starts)):
+    workers = _worker_count(len(pending))
+    for _ in _in_order(itertools.repeat(drain, workers), workers):
         pass
-    return CurveVec(model.output_grid, out, copy=False)
+    out.setflags(write=False)
+    return CurveVec._wrap(model.output_grid, out)
 
 
 # ---------------------------------------------------------------------------

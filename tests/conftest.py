@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import movkl.funcspace
+import movkl.learn
 from movkl import Curve, CurveVec, GaussianKernel, Grid, ScaledKernel
 
 
@@ -22,8 +23,10 @@ def no_thread_left():
 
 
 def force_workers(monkeypatch, count: int) -> None:
-    """Run the thread engine on ``count`` threads, whatever the CPU count."""
+    """Run the thread engine on ``count`` threads, whatever the CPU count;
+    batch prediction starts as many drain tasks."""
     monkeypatch.setattr(movkl.funcspace, "_worker_count", lambda tasks: count)
+    monkeypatch.setattr(movkl.learn, "_worker_count", lambda tasks: count)
 
 
 def random_curve(rng, grid: Grid) -> Curve:

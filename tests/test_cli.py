@@ -236,6 +236,25 @@ class TestConfigValidation:
         assert main(args) == 2
         assert not (tmp_path / "bool").exists()
 
+    @pytest.mark.parametrize("data_name", ["data.txt", "absent.txt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lcr_threshold_rejected(self, tmp_path, capsys, value,
+                                               data_name):
+        # JSON NaN and Infinity are a config error before any data is read:
+        # a labelled dataset, or none at all, gives exit 2 and no output
+        cfg_path, data, out = trained_run(tmp_path)
+        cfg = json.loads(Path(cfg_path).read_text())
+        cfg["eval"] = {"lcr_threshold": value}
+        capsys.readouterr()
+        rc = main(["eval", "--config", write_config(tmp_path / "nan.json", cfg),
+                   "--model", str(out / "model.json"),
+                   "--data", str(tmp_path / data_name),
+                   "--output-dir", str(tmp_path / "nan")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: bad eval config: eval.lcr_threshold must be finite\n")
+        assert not (tmp_path / "nan").exists()
+
 
 class TestGen:
     @pytest.mark.parametrize("key,bad", [

@@ -859,6 +859,22 @@ class TestBlockReader:
                     else CurveVec(want.output_grid, want.labels.values[rows]),
                 ))
 
+    @pytest.mark.parametrize("size", [-1, 0, 2.5])
+    def test_block_size_must_be_a_positive_integer(self, tmp_path, size):
+        # on a valid 5-record file; not a false trailing-content fault, an
+        # empty iteration or range()'s own error
+        ds = generate_synthetic(SynthSpec(n_samples=5, grid_size=5,
+                                          channel_count=1, seed=4))
+        path = tmp_path / "five.txt"
+        save_dataset(path, ds)
+        message = "block size must be (an integer|at least 1)"
+        with pytest.raises(ValueError, match=message) as err:
+            list(load_dataset_blocks(path, size))
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match=message) as err:
+            list(ds.blocks(size))
+        assert type(err.value) is ValueError
+
     @pytest.mark.parametrize("fault", ["number", "label", "trailing"])
     def test_fault_raised_where_reached(self, labelled, fault):
         lines = labelled.read_text().splitlines()

@@ -847,6 +847,22 @@ class TestPredictionPlan:
         assert np.all(predict(model, Z[0]).values == 0.0)
         assert np.all(predict_many(model, Z).values == 0.0)
 
+    @pytest.mark.parametrize("kind", ["zero weights", "one base", "mixed"])
+    def test_evaluate_into_out(self, rng, kind):
+        # out is filled and returned with the fresh array's bits; a plan with
+        # no live term must still write its zeros
+        model = (plan_model(rng, weights=(0.0, 0.0, 0.0)) if kind == "zero weights"
+                 else pooled_model(rng, mixed=kind == "mixed"))
+        plan = model.prediction_plan()
+        assert len(plan.bases) == {"zero weights": 0, "one base": 1, "mixed": 4}[kind]
+        Z = random_curve_vec(rng, model.input_grid, 6)
+        for values in (Z.values, Z.values[2]):
+            ip, sq = plan.stats.cross(Z.grid, values)
+            want = plan.evaluate(ip, sq)
+            buf = np.full(want.shape, np.nan)
+            assert plan.evaluate(ip, sq, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("block", [2, movkl.learn.QUERY_BLOCK])
     def test_folding_matches_per_term_oracle(self, monkeypatch, block):
         # one base kernel under every operator kind, bare and scaled, with
@@ -1017,10 +1033,19 @@ class TestPredictManyPool:
             assert got.tobytes() == want.tobytes()
 
     def test_more_workers_than_cores_with_fast_switching(self, rng, monkeypatch):
-        # the blocks share only the read-only plan and write disjoint rows;
-        # frequent thread switches would expose any shared write
+        # 8 threads take 50 blocks of 16 rows from one shared list under
+        # frequent thread switches: a lost or doubled take leaves a row
+        # slice evaluated other than once, and a shared write changes bits
         force_workers(monkeypatch, 8)
         monkeypatch.setattr(movkl.learn, "QUERY_BLOCK", 16)
+        evaluate = movkl.learn.PredictionPlan.evaluate
+        taken = []
+
+        def recording(plan, ip, sq_dist, out=None):
+            taken.append(out.ctypes.data)
+            return evaluate(plan, ip, sq_dist, out)
+
+        monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", recording)
         model = pooled_model(rng, mixed=True)
         Z = random_curve_vec(rng, model.input_grid, self.n)
         want = stacked_predict_many(model, Z)
@@ -1030,6 +1055,42 @@ class TestPredictManyPool:
             got = predict_many(model, Z).values
         finally:
             sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+        first_rows = sorted((address - got.ctypes.data) // got.strides[0]
+                            for address in taken)
+        assert first_rows == list(range(0, self.n, 16))
+
+    def test_stalled_helper_does_not_hold_the_caller(self, rng, monkeypatch):
+        # 2 threads over 6 blocks of 4 rows: the helper's first block waits
+        # (up to 10 s) until the caller has evaluated every other block,
+        # which the caller can do only if no window of blocks stops it
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(movkl.learn, "QUERY_BLOCK", 4)
+        blocks = 6
+        evaluate = movkl.learn.PredictionPlan.evaluate
+        helper_began, others_done = threading.Event(), threading.Event()
+        caller_blocks, waits = [], []
+
+        def stalling(plan, ip, sq_dist, out=None):
+            if threading.current_thread() is threading.main_thread():
+                helper_began.wait(10.0)
+                values = evaluate(plan, ip, sq_dist, out)
+                caller_blocks.append(ip.shape[1])
+                if len(caller_blocks) == blocks - 1:
+                    others_done.set()
+                return values
+            if not helper_began.is_set():
+                helper_began.set()
+                waits.append(others_done.wait(10.0))
+            return evaluate(plan, ip, sq_dist, out)
+
+        monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", stalling)
+        model = pooled_model(rng, mixed=True)
+        Z = random_curve_vec(rng, model.input_grid, blocks * 4)
+        want = stacked_predict_many(model, Z)
+        got = predict_many(model, Z).values
+        assert waits == [True]
+        assert caller_blocks == [4] * (blocks - 1)
         assert got.tobytes() == want.tobytes()
 
     @staticmethod
@@ -1041,14 +1102,14 @@ class TestPredictManyPool:
         helper_began = threading.Event()
         evaluate = movkl.learn.PredictionPlan.evaluate
 
-        def sharing(plan, ip, sq_dist):
+        def sharing(plan, ip, sq_dist, out=None):
             caller = threading.current_thread() is threading.main_thread()
             if caller:
                 helper_began.wait(10.0)
             else:
                 helper_began.set()
             seen[caller].append(np.geterr())
-            return evaluate(plan, ip, sq_dist)
+            return evaluate(plan, ip, sq_dist, out)
 
         monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", sharing)
         return seen
@@ -1111,7 +1172,7 @@ class TestPredictManyPool:
         helper_failed = threading.Event()
         calls = []
 
-        def failing(plan, ip, sq_dist):
+        def failing(plan, ip, sq_dist, out=None):
             calls.append(threading.current_thread() is threading.main_thread())
             if not calls[-1]:
                 helper_failed.set()
@@ -1119,7 +1180,7 @@ class TestPredictManyPool:
             helper_failed.wait(10.0)
             # time for the engine to record the helper's failure
             time.sleep(0.05)
-            return evaluate(plan, ip, sq_dist)
+            return evaluate(plan, ip, sq_dist, out)
 
         monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", failing)
         model = plan_model(rng)
@@ -1137,10 +1198,10 @@ class TestPredictManyPool:
         evaluate = movkl.learn.PredictionPlan.evaluate
         seen = []
 
-        def recording(plan, ip, sq_dist):
+        def recording(plan, ip, sq_dist, out=None):
             seen.append((threading.current_thread() is threading.main_thread(),
                          threading.active_count()))
-            return evaluate(plan, ip, sq_dist)
+            return evaluate(plan, ip, sq_dist, out)
 
         monkeypatch.setattr(movkl.learn.PredictionPlan, "evaluate", recording)
         model = plan_model(rng)
