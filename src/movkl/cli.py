@@ -17,6 +17,8 @@ block of curves as the thread engine (:func:`movkl.funcspace._in_order`)
 finishes it, so it holds a few blocks, not the dataset.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver failure.
+A fit that fails prints, after its error, the objective and relative
+duality gap of each round it finished.
 """
 
 from __future__ import annotations
@@ -323,6 +325,7 @@ def cmd_train(args) -> int:
         "solver_iterations": model.solver_iterations,
         "solver_routes": model.solver_routes,
         "solver_residuals": model.solver_residuals,
+        "duality_gaps": model.duality_gaps,
         "model_file": model_path.name,
     }
     _write_json(out_dir / "fit_report.json", report)
@@ -508,6 +511,11 @@ def main(argv=None) -> int:
         return 3
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        # the rounds a failed fit finished (movkl_fit's partial trace)
+        for k, (obj, gap) in enumerate(zip(getattr(exc, "trace", []),
+                                           getattr(exc, "gaps", [])), 1):
+            print(f"round {k}: objective {obj:.6g}, relative gap {gap:.3e}",
+                  file=sys.stderr)
         return 4
     except MovklError as exc:
         print(f"error: {exc}", file=sys.stderr)

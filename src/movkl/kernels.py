@@ -759,8 +759,9 @@ class BlockGram:
         self._groups = group_by_operator(
             (self.operators[k], self.weights[k] * self.scalar_grams[k]) for k in live
         )
-        # the indices of the terms on each distinct operator
-        self._members = group_by_operator((self.operators[k], [k]) for k in live)
+        # the indices of the terms on each distinct operator, zero weights too
+        self._members = group_by_operator(
+            (op, [k]) for k, op in enumerate(self.operators))
 
     @property
     def n_terms(self) -> int:
@@ -800,8 +801,8 @@ class BlockGram:
 
     def quad_forms(self, A: np.ndarray) -> np.ndarray:
         """Unweighted quadratic forms <(G_k kron T_k) a, a> of every term, in
-        the quadrature pairing; zero for the terms of zero weight, which the
-        block Gram leaves out.
+        the quadrature pairing, the terms of zero weight included: the
+        duality gap of :func:`movkl.learn.movkl_fit` needs them all.
 
         Term k's form is the Frobenius product <G_k, M_o> with
         M_o = (A W)(T_o A)^T, one n x n matrix per distinct operator o:

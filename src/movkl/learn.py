@@ -6,9 +6,14 @@ kernel fit alternates that solve with a closed-form update of the kernel
 weights under the constraint sum_k d_k^r <= 1, tracking the primal
 objective
 
-    sum_k ||f_k||^2 / (2 d_k) + ||y - f(x)||^2 / (2 lambda)
+    P = sum_k ||f_k||^2 / (2 d_k) + ||y - f(x)||^2 / (2 lambda)
 
-whose value is non-increasing across iterations.  Every solve is
+whose value is non-increasing across iterations.  It stops once the
+relative duality gap (P - D(alpha)) / P is at most ``mkl_tol``, for the
+dual D(alpha) = <alpha, y> - (lambda/2) ||alpha||^2 - ||q||_{r*} / 2 of
+Kloft et al. (JMLR 12, 2011), q_k = <(G_k kron T_k) alpha, alpha> and
+r* = r / (r - 1); the gap has no units, so the stop does not depend on
+the scale of the targets.  Every solve is
 preconditioned conjugate gradients, warm-started from the previous round's
 dual curves (:mod:`movkl.linsolve`); a stack whose terms share one output
 operator is solved in its one exact step.  At the solution the
@@ -33,7 +38,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateModelError, DimensionError, SolverError
 from .funcspace import (Curve, CurveVec, Grid, _in_order, _readonly,
-                        _worker_count, as_int, as_real, vec_norm)
+                        _worker_count, as_int, as_real)
 from .kernels import (
     BlockGram,
     CurveStats,
@@ -73,7 +78,11 @@ QUERY_BLOCK = 256
 
 @dataclass
 class FitConfig:
-    """Regularization, norm exponent and stopping control for fits."""
+    """Regularization, norm exponent and stopping control for fits.
+
+    A learned-weight fit stops once its relative duality gap is at most
+    ``mkl_tol``, or after ``mkl_max_iter`` rounds.
+    """
 
     lam: float = 1e-2
     r: float = 2.0
@@ -188,6 +197,8 @@ class MovklModel:
     Each solve of the fit leaves its iteration count, route and final
     relative residual ||(K + lambda*I) alpha - y|| / ||y|| in
     ``solver_iterations``, ``solver_routes`` and ``solver_residuals``.
+    ``duality_gaps`` holds each round's relative duality gap, one per
+    round of a learned-weight fit and none when the weights are fixed.
     A model is immutable, and keeps ``weights`` as a read-only copy;
     ``dataclasses.replace`` makes a changed one, with a plan of its own.
     """
@@ -202,6 +213,7 @@ class MovklModel:
     solver_iterations: list[int] = field(default_factory=list)
     solver_routes: list[str] = field(default_factory=list)
     solver_residuals: list[float] = field(default_factory=list)
+    duality_gaps: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))
@@ -265,6 +277,27 @@ def _objective(gram: BlockGram, alpha_values, residual, lam):
     return smooth + fit, quads
 
 
+def _dual_norm(q: np.ndarray, r: float) -> float:
+    """||q||_{r*} of non-negative forms q for r* = r / (r - 1), max q when
+    r = 1; taken relative to max q, so that no power overflows."""
+    top = float(np.max(q))
+    if top == 0.0 or r == 1.0:
+        return top
+    rs = r / (r - 1.0)
+    return top * float(np.sum((q / top) ** rs)) ** (1.0 / rs)
+
+
+def _duality_gap(gram: BlockGram, quads, residual, lam, r) -> float:
+    # P - D(alpha) with y = K a + lambda a + R, in the two terms that are
+    # each >= 0: (||q||_{r*} - <d, q>) / 2 by Hoelder's inequality, as
+    # ||d||_r <= 1, and ||R||^2 / (2 lambda).  Near the optimum d nearly
+    # attains ||q||_{r*}, and rounding alone can take the first below zero
+    q = np.maximum(quads, 0.0)
+    holder = max(_dual_norm(q, r) - float(np.dot(gram.weights, q)), 0.0)
+    misfit = float(np.sum((residual * residual) @ gram.grid.weights))
+    return 0.5 * holder + misfit / (2.0 * lam)
+
+
 def weights_fixed(n_terms: int, r: float) -> bool:
     """Whether a fit keeps its uniform starting weights 1/M: with one term
     or r = inf the weight update cannot change them."""
@@ -286,14 +319,17 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     Gram, solves (K + lambda*I) alpha = y by
     :func:`movkl.linsolve.pcg_solve` (from zero in the first round, then
     warm-started from the previous alpha; one exact step when every term
-    shares one operator), raises ``SolverError`` when a solve misses
-    ``outer_tol`` within ``outer_max_iter`` steps, and stops
-    once the dual curves move less than ``mkl_tol`` in the quadrature norm.
-    With a finite norm exponent and several terms the weights are then
-    refreshed from the component norms; otherwise they cannot change and
-    the first solve is final.  The weights are never refreshed after the
-    last allowed round, so the returned alpha always solves the system of
-    the returned weights.
+    shares one operator), and raises ``SolverError`` when a solve misses
+    ``outer_tol`` within ``outer_max_iter`` steps; the error's ``trace``
+    and ``gaps`` hold the finished rounds' objectives and relative gaps.
+    With a finite norm exponent and several terms, each round measures
+    its relative duality gap (P - D(alpha)) / P from the term forms q, the
+    round's weights and the solver's true residual, and stops once it is
+    at most ``mkl_tol``; otherwise the weights are refreshed from the
+    component norms.  With one term or r = inf the weights cannot change
+    and the first solve is final.  The weights are never refreshed after
+    the last allowed round, so the returned alpha always solves the
+    system of the returned weights.
     """
     _check_fit_args(inputs, targets)
     M = len(stack)
@@ -305,6 +341,7 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
     solver_iters: list[int] = []
     routes: list[str] = []
     residuals: list[float] = []
+    gaps: list[float] = []
     outer = 0
     for outer in range(1, cfg.mkl_max_iter + 1):
         gram = base.with_weights(d)
@@ -316,16 +353,19 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
                 f"(residual {report.final_residual:.3e} after "
                 f"{report.iterations} iterations)"
             )
-            err.trace = trace
+            err.trace, err.gaps = trace, gaps
             raise err
         solver_iters.append(report.iterations)
         routes.append(report.solver_kind)
         residuals.append(float(report.final_residual))
         obj, quads = _objective(gram, alpha_new.values, report.residual, cfg.lam)
         trace.append(obj)
-        change = vec_norm(alpha_new - alpha)
         alpha = alpha_new
-        if change < cfg.mkl_tol or fixed_weights or outer == cfg.mkl_max_iter:
+        if fixed_weights:
+            break
+        gap = _duality_gap(gram, quads, report.residual, cfg.lam, cfg.r)
+        gaps.append(gap / obj if gap > 0.0 else 0.0)
+        if gaps[-1] <= cfg.mkl_tol or outer == cfg.mkl_max_iter:
             break
         fnorms = d ** 2 * np.maximum(quads, 0.0)
         d = weight_update(fnorms, cfg.r)
@@ -340,6 +380,7 @@ def movkl_fit(stack: KernelStack, inputs: CurveVec, targets: CurveVec,
         solver_iterations=solver_iters,
         solver_routes=routes,
         solver_residuals=residuals,
+        duality_gaps=gaps,
     )
 
 
@@ -453,6 +494,7 @@ def model_to_doc(model: MovklModel) -> dict:
         "solver_iterations": [int(v) for v in model.solver_iterations],
         "solver_routes": list(model.solver_routes),
         "solver_residuals": [float(v) for v in model.solver_residuals],
+        "duality_gaps": [float(v) for v in model.duality_gaps],
     }
 
 
@@ -483,6 +525,7 @@ def model_from_doc(doc: dict) -> MovklModel:
         solver_iterations=[int(v) for v in doc.get("solver_iterations", [])],
         solver_routes=[str(v) for v in doc.get("solver_routes", [])],
         solver_residuals=[float(v) for v in doc.get("solver_residuals", [])],
+        duality_gaps=[float(v) for v in doc.get("duality_gaps", [])],
     )
 
 

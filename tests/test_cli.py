@@ -448,6 +448,33 @@ class TestTrain:
         assert main(["train", "--config", cfg_path]) == 4
         assert "after 1 iterations" in capsys.readouterr().err
 
+    def test_solver_failure_prints_finished_rounds(self, tmp_path, capsys):
+        # cap the solver at the steps of the first round, which a later
+        # round of this fit exceeds: the finished rounds are printed
+        cfg = base_config(tmp_path)
+        cfg["kernels"] = {"menu": {"gaussian_bandwidth_factors": [1.0],
+                                   "polynomial_degrees": [1],
+                                   "operators": ["multiplication", "integral"],
+                                   "integral_rank": 4}}
+        assert main(["train", "--config",
+                     write_config(tmp_path / "c.json", cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
+        steps = report["solver_iterations"]
+        failing = next(k for k, v in enumerate(steps) if v > steps[0])
+        capsys.readouterr()
+
+        cfg["fit"]["solver"] = {"outer_max_iter": steps[0]}
+        assert main(["train", "--config",
+                     write_config(tmp_path / "c.json", cfg)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("solver error: ")
+        assert f"after {steps[0]} iterations" in err[0]
+        assert err[1:] == [
+            f"round {k}: objective {obj:.6g}, relative gap {gap:.3e}"
+            for k, obj, gap in zip(range(1, failing + 1),
+                                   report["objective_trace"],
+                                   report["duality_gaps"])]
+
 
 def trained_run(tmp_path, lam=0.1):
     """Generate a dataset and train on it; the config path, the dataset

@@ -710,7 +710,7 @@ class TestFactoredProducts:
              terms=[("identity", 0.0, 0.3), ("multiplication", 0.0, 0.0),
                     ("integral", 0.0, 0.4), ("integral", 1.0, 0.2),
                     ("integral", 0.2, 0.5), ("integral", 0.2, 0.1)], seed=3)
-    # every weight zero: nothing is applied
+    # every weight zero: nothing is applied, and every form is still taken
     @example(m=5, n=2, uneven=False, terms=[("identity", 0.0, 0.0)], seed=4)
     def test_match_densified(self, m, n, uneven, terms, seed):
         rng = np.random.default_rng(seed)
@@ -735,10 +735,8 @@ class TestFactoredProducts:
 
         quads = gram.quad_forms(alpha)
         assert quads.shape == (len(terms),)
-        for k, (G, op, (_, _, d)) in enumerate(zip(grams, ops, terms)):
-            if d == 0.0:
-                assert quads[k] == 0.0
-                continue
+        # a term of weight zero is formed like any other
+        for k, (G, op) in enumerate(zip(grams, ops)):
             oracle, magnitude = term_quad_oracle(G, op, alpha)
             assert quads[k] == pytest.approx(oracle, rel=1e-10,
                                              abs=1e-12 * magnitude)
@@ -759,11 +757,15 @@ class TestQuadForms:
         assert np.all(gram.quad_forms(np.zeros((3, gout.size))) == 0.0)
 
     def test_zero_weight(self, rng):
+        # the weight does not enter the unweighted form: a term of weight
+        # zero keeps its form
         gram, gout = self.setup_gram(rng)
         gram0 = gram.with_weights([0.0, 0.5])
-        quads = gram0.quad_forms(random_curve_vec(rng, gout, 3).values)
-        assert quads[0] == 0.0
+        alpha = random_curve_vec(rng, gout, 3).values
+        quads = gram0.quad_forms(alpha)
+        assert quads[0] > 0.0
         assert quads[1] > 0.0
+        assert np.array_equal(quads, gram.quad_forms(alpha))
 
     def test_densified_quadratic_form_oracle(self, rng):
         gram, gout = self.setup_gram(rng)

@@ -8,6 +8,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -201,6 +202,8 @@ class TestMovklFit:
         mk = movkl_fit(stack, X, Y, cfg)
         kr = krr_fit(term, X, Y, cfg)
         assert np.allclose(mk.weights, [1.0])
+        # fixed weights: one solve and no duality gap
+        assert mk.outer_iterations == 1 and mk.duality_gaps == []
         assert np.allclose(mk.alpha.values, kr.alpha.values, atol=1e-10)
         q = random_curve(rng, X.grid)
         assert np.allclose(predict(mk, q).values, predict(kr, q).values,
@@ -326,6 +329,7 @@ class TestMovklFit:
         assert np.allclose(model.weights, 1.0 / 3.0)
         # the weights cannot move, so the first solve is final
         assert model.outer_iterations == 1
+        assert model.duality_gaps == []
 
     def test_iteration_cap_returns_consistent_model(self, rng):
         # stopped at mkl_max_iter before mkl_tol is met, alpha must still
@@ -395,6 +399,122 @@ class TestObjective:
             for G, op, d in zip(gram.scalar_grams, gram.operators, gram.weights))
         dense_obj = 0.5 * smooth + float(xi @ (w_flat * xi)) / (2.0 * lam)
         assert obj == pytest.approx(dense_obj, rel=1e-10)
+
+
+def primal_and_dual(stack, X, Y, d, alpha, lam, r):
+    """P and D(alpha) from their definitions on the densified terms, and
+    the sum of the magnitudes that P - D cancels, the scale of its
+    rounding."""
+    w = np.tile(Y.grid.weights, Y.n)
+    a, y = alpha.ravel(), Y.values.ravel()
+    mats = [np.kron(t.scalar.gram(X), t.operator.matrix()) for t in stack.terms]
+    q = np.maximum([float((M @ a) @ (w * a)) for M in mats], 0.0)
+    xi = y - sum(dk * M for dk, M in zip(d, mats)) @ a
+    primal = 0.5 * float(np.dot(d, q)) + float(xi @ (w * xi)) / (2.0 * lam)
+    dual_norm = float(np.linalg.norm(q, ord=math.inf if r == 1 else r / (r - 1)))
+    fit, ridge = float(a @ (w * y)), 0.5 * lam * float(a @ (w * a))
+    dual = fit - ridge - 0.5 * dual_norm
+    return primal, dual, abs(fit) + ridge + 0.5 * dual_norm + primal
+
+
+def recorded_fit(stack, X, Y, cfg):
+    """movkl_fit with each round's weights and alpha recorded."""
+    exact = movkl.learn.pcg_solve
+    rounds = []
+
+    def recording(gram, ridge, y, solve, warm):
+        alpha, report = exact(gram, ridge, y, solve, warm=warm)
+        rounds.append((gram.weights, alpha.values))
+        return alpha, report
+
+    with mock.patch.object(movkl.learn, "pcg_solve", recording):
+        model = movkl_fit(stack, X, Y, cfg)
+    return model, rounds
+
+
+def mixed_stack(rng, n=10, m_in=10, m_out=12):
+    """A learned-weight l2 problem: three kernels under the identity,
+    multiplication and a rank-4 integral operator, block-trace normalized."""
+    gin, gout = Grid.uniform(0, 1, m_in), Grid.uniform(0, 1, m_out)
+    X = CurveVec(gin, rng.normal(size=(n, m_in)))
+    Y = CurveVec(gout, rng.normal(size=(n, m_out)))
+    ops = [IdentityOperator(gout), MultiplicationOperator(gout),
+           IntegralOperator(gout, rank=4)]
+    kernels = [GaussianKernel(0.5), GaussianKernel(2.0), PolynomialKernel(2)]
+    stack = KernelStack.uniform([(block_trace_normalized(k, op, X), op)
+                                 for op in ops for k in kernels])
+    return stack, X, Y
+
+
+class TestDualityGap:
+    def test_stop_does_not_depend_on_target_scale(self):
+        # the relative gap has no units: targets scaled by powers of two
+        # stop after the same rounds with the same weights
+        stack, X, Y = mixed_stack(np.random.default_rng(5))
+        cfg = FitConfig(lam=1e-2, r=2.0)
+        models = [movkl_fit(stack, X, Y * 2.0 ** e, cfg) for e in (-14, 0, 14)]
+        rounds = [model.outer_iterations for model in models]
+        assert rounds[0] == rounds[1] == rounds[2] < cfg.mkl_max_iter
+        for model in models:
+            np.testing.assert_allclose(model.weights, models[1].weights,
+                                       rtol=1e-12, atol=0.0)
+            assert model.duality_gaps[-1] <= cfg.mkl_tol
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        n=st.integers(2, 6),
+        m=st.integers(3, 8),
+        terms=st.lists(
+            st.tuples(st.sampled_from(["identity", "multiplication", "integral"]),
+                      st.floats(0.0, 1.0),
+                      st.sampled_from(["gaussian 0.5", "gaussian 2", "poly 1",
+                                       "poly 2"])),
+            min_size=2, max_size=4),
+        r=st.sampled_from([1.0, 4.0 / 3.0, 2.0, 3.0]),
+        log_lam=st.floats(-4.0, 0.0),
+    )
+    def test_gap_is_primal_minus_dual(self, seed, n, m, terms, r, log_lam):
+        rng = np.random.default_rng(seed)
+        X, Y = small_problem(rng, n=n, m_in=m + 1, m_out=m)
+        kernels = {"gaussian 0.5": GaussianKernel(0.5),
+                   "gaussian 2": GaussianKernel(2.0),
+                   "poly 1": PolynomialKernel(1), "poly 2": PolynomialKernel(2)}
+        ops = {"identity": IdentityOperator, "multiplication": MultiplicationOperator}
+        # the integral operator truncated to a rank from 1 to m - 1
+        stack = KernelStack.uniform(
+            [(kernels[k], ops[kind](Y.grid) if kind in ops else
+              IntegralOperator(Y.grid, rank=1 + round(frac * (m - 2))))
+             for kind, frac, k in terms], norm_exponent=r)
+        lam = 10.0 ** log_lam
+        cfg = tight_cfg(lam, r=r, mkl_tol=1e-4, mkl_max_iter=40)
+        model, rounds = recorded_fit(stack, X, Y, cfg)
+
+        assert len(model.duality_gaps) == model.outer_iterations == len(rounds)
+        for gap, (d, alpha) in zip(model.duality_gaps, rounds):
+            primal, dual, magnitude = primal_and_dual(stack, X, Y, d, alpha, lam, r)
+            assert gap >= 0.0
+            assert gap * primal == pytest.approx(primal - dual, abs=1e-10 * magnitude)
+        if model.outer_iterations < cfg.mkl_max_iter:
+            assert model.duality_gaps[-1] <= cfg.mkl_tol
+
+    def test_gap_sees_zero_weight_terms(self, rng):
+        # a term of weight zero adds its form to the dual norm: the round
+        # is not optimal while that term's form exceeds the others'
+        X, Y = small_problem(rng, n=5)
+        stack = KernelStack([
+            OvKernelTerm(GaussianKernel(1.0), IdentityOperator(Y.grid), 0.0),
+            OvKernelTerm(PolynomialKernel(2), IntegralOperator(Y.grid, rank=2), 1.0)])
+        lam = 0.1
+        gram = assemble_gram(stack, X)
+        alpha, report = pcg_solve(gram, lam, Y, TIGHT)
+        quads = gram.quad_forms(alpha.values)
+        assert quads[0] > 0.0
+        gap = movkl.learn._duality_gap(gram, quads, report.residual, lam, 2.0)
+        primal, dual, magnitude = primal_and_dual(stack, X, Y, stack.weights,
+                                                  alpha.values, lam, 2.0)
+        assert gap == pytest.approx(primal - dual, abs=1e-10 * magnitude)
+        assert gap > 0.25 * quads[0]
 
 
 class TestSolveRouting:
@@ -481,9 +601,11 @@ class TestSolveRouting:
         with pytest.raises(SolverError, match="did not converge") as err:
             movkl_fit(stack, X, Y, tight_cfg(0.1, mkl_tol=1e-6))
         assert "after 1 iterations" in str(err.value)
-        # the objectives of the two finished rounds, non-increasing
+        # the objectives of the two finished rounds, non-increasing, and
+        # their relative gaps
         trace = err.value.trace
         assert len(trace) == 2 and trace[1] <= trace[0]
+        assert len(err.value.gaps) == 2 and all(g > 0.0 for g in err.value.gaps)
 
     def test_unconverged_one_operator_solve_raises(self, rng):
         # a one-operator stack takes the same route: a solve that misses
@@ -636,7 +758,7 @@ TERM = st.tuples(
 ARCHIVE_KEYS = {
     "format", "version", "lambda", "norm_exponent", "input_grid", "output_grid",
     "terms", "alpha", "train_inputs", "objective_trace", "outer_iterations",
-    "solver_iterations", "solver_routes", "solver_residuals",
+    "solver_iterations", "solver_routes", "solver_residuals", "duality_gaps",
 }
 
 
@@ -1234,6 +1356,8 @@ class TestModelArchive:
         assert len(model.solver_residuals) == model.outer_iterations
         assert all(0.0 <= v <= TIGHT.outer_tol for v in model.solver_residuals)
         assert loaded.solver_residuals == model.solver_residuals
+        assert len(model.duality_gaps) == model.outer_iterations > 1
+        assert loaded.duality_gaps == model.duality_gaps
 
         q = random_curve(rng, X.grid)
         assert np.array_equal(predict(loaded, q).values,
@@ -1243,6 +1367,22 @@ class TestModelArchive:
         path2 = tmp_path / "model2.json"
         save_model(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_archive_without_gaps_loads(self, rng, tmp_path):
+        # archives written before the gap was recorded have no key for it
+        X, Y = small_problem(rng)
+        stack = KernelStack.uniform(
+            [(GaussianKernel(1.0), IdentityOperator(Y.grid)),
+             (PolynomialKernel(2), MultiplicationOperator(Y.grid))])
+        model = movkl_fit(stack, X, Y, tight_cfg(0.1))
+        doc = movkl.learn.model_to_doc(model)
+        assert doc["duality_gaps"] == model.duality_gaps != []
+        del doc["duality_gaps"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.duality_gaps == []
+        assert loaded.objective_trace == model.objective_trace
 
     def test_saved_bytes_match_json_dump_writer(self, rng, tmp_path):
         model = plan_model(rng)
