@@ -42,7 +42,7 @@ from .data import (
     generate_synthetic,
     load_dataset_blocks,
 )
-from .errors import CapacityError, ConfigError, DataError, MovklError, SolverError
+from .errors import ConfigError, DataError, MovklError, SolverError
 from .evaluation import CvSpec, label_hits_by_curve, loo_cv, rsse_by_curve
 from .funcspace import CurveVec, as_real
 from .kernels import (
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapacityError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -38,6 +38,11 @@ m x m matrix is built.  Every direction outside V maps to zero.  Each
 operator also gives its mean eigenvalue, the scale of trace normalization
 and of the operators folded into the preconditioner of
 :func:`movkl.linsolve.pcg_solve`.
+
+Kernels, operators, terms and stacks are immutable values: frozen
+dataclasses whose fields are their parameters.  Kernels and operators with
+equal fields are equal and hash alike; ``dataclasses.replace`` makes a
+changed one, with caches of its own.
 """
 
 from __future__ import annotations
@@ -149,14 +154,17 @@ class ScalarKernel:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class GaussianKernel(ScalarKernel):
     """G(x, z) = exp(-||x - z||^2 / (2 sigma^2)) with the quadrature norm."""
 
-    def __init__(self, bandwidth: float):
-        bandwidth = as_real("bandwidth", bandwidth)
+    bandwidth: float
+
+    def __post_init__(self):
+        bandwidth = as_real("bandwidth", self.bandwidth)
         if not 0 < bandwidth < math.inf:
             raise ValueError("bandwidth must be positive and finite")
-        self.bandwidth = bandwidth
+        object.__setattr__(self, "bandwidth", bandwidth)
 
     def evaluate(self, ip, sq_dist, out=None):
         # dividing by the negated divisor is exact; the exponential is taken
@@ -164,31 +172,26 @@ class GaussianKernel(ScalarKernel):
         out = np.divide(sq_dist, -(2.0 * self.bandwidth ** 2), out=out)
         return np.exp(out, out=out if isinstance(out, np.ndarray) else None)
 
-    def __eq__(self, other):
-        return isinstance(other, GaussianKernel) and other.bandwidth == self.bandwidth
-
-    def __hash__(self):
-        return hash(("gaussian", self.bandwidth))
-
-    def __repr__(self):
-        return f"GaussianKernel(bandwidth={self.bandwidth:g})"
-
     def to_config(self) -> dict:
         return {"kind": "gaussian", "bandwidth": self.bandwidth}
 
 
+@dataclass(frozen=True)
 class PolynomialKernel(ScalarKernel):
     """G(x, z) = (<x, z> + offset)^degree with the quadrature inner product."""
 
-    def __init__(self, degree: int, offset: float = 1.0):
-        degree = as_int("degree", degree)
-        offset = as_real("offset", offset)
+    degree: int
+    offset: float = 1.0
+
+    def __post_init__(self):
+        degree = as_int("degree", self.degree)
+        offset = as_real("offset", self.offset)
         if degree not in (1, 2, 3):
             raise ValueError("degree must be 1, 2 or 3")
         if not 0 <= offset < math.inf:
             raise ValueError("offset must be nonnegative and finite")
-        self.degree = degree
-        self.offset = offset
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "offset", offset)
 
     def evaluate(self, ip, sq_dist, out=None):
         # repeated products: numpy's power has a fast path for squares only
@@ -200,23 +203,11 @@ class PolynomialKernel(ScalarKernel):
             out *= b
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialKernel)
-            and other.degree == self.degree
-            and other.offset == self.offset
-        )
-
-    def __hash__(self):
-        return hash(("polynomial", self.degree, self.offset))
-
-    def __repr__(self):
-        return f"PolynomialKernel(degree={self.degree}, offset={self.offset:g})"
-
     def to_config(self) -> dict:
         return {"kind": "polynomial", "degree": self.degree, "offset": self.offset}
 
 
+@dataclass(frozen=True)
 class ScaledKernel(ScalarKernel):
     """A scalar kernel multiplied by a fixed positive factor.
 
@@ -225,12 +216,14 @@ class ScaledKernel(ScalarKernel):
     training Gram), which keeps evenly weighted sums meaningful.
     """
 
-    def __init__(self, base: ScalarKernel, factor: float):
-        factor = as_real("scale factor", factor)
+    base: ScalarKernel
+    factor: float
+
+    def __post_init__(self):
+        factor = as_real("scale factor", self.factor)
         if not 0 < factor < math.inf:
             raise ValueError("scale factor must be positive and finite")
-        self.base = base
-        self.factor = factor
+        object.__setattr__(self, "factor", factor)
 
     def evaluate(self, ip, sq_dist, out=None):
         out = self.base.evaluate(ip, sq_dist, out)
@@ -240,19 +233,6 @@ class ScaledKernel(ScalarKernel):
     def unscaled(self):
         base, factor = self.base.unscaled()
         return base, self.factor * factor
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScaledKernel)
-            and other.factor == self.factor
-            and other.base == self.base
-        )
-
-    def __hash__(self):
-        return hash(("scaled", self.factor, self.base))
-
-    def __repr__(self):
-        return f"ScaledKernel({self.base!r}, factor={self.factor:g})"
 
     def to_config(self) -> dict:
         return {"kind": "scaled", "factor": self.factor,
@@ -305,11 +285,11 @@ def scalar_kernel_from_config(cfg: dict) -> ScalarKernel:
 # output operators
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class OutputOperator:
     """Structured self-adjoint PSD linear map on curves over one grid."""
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
+    grid: Grid
 
     def apply(self, a: Curve) -> Curve:
         if a.grid != self.grid:
@@ -373,6 +353,7 @@ class OutputOperator:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class IdentityOperator(OutputOperator):
     """T a = a."""
 
@@ -389,26 +370,18 @@ class IdentityOperator(OutputOperator):
     def matrix(self):
         return np.eye(self.grid.size)
 
-    def __eq__(self, other):
-        return isinstance(other, IdentityOperator) and other.grid == self.grid
-
-    def __hash__(self):
-        return hash(("identity", self.grid))
-
-    def __repr__(self):
-        return f"IdentityOperator(m={self.grid.size})"
-
     def to_config(self):
         return {"kind": "identity"}
 
 
+@dataclass(frozen=True)
 class MultiplicationOperator(OutputOperator):
     """(T a)(t) = exp(-t^2) a(t), diagonal in the coordinate basis."""
 
-    def __init__(self, grid: Grid):
-        super().__init__(grid)
-        self.diag = np.exp(-grid.points ** 2)
-        self.diag.setflags(write=False)
+    def __post_init__(self):
+        diag = np.exp(-self.grid.points ** 2)
+        diag.setflags(write=False)
+        object.__setattr__(self, "diag", diag)
 
     def apply_rows(self, A: np.ndarray) -> np.ndarray:
         return A * self.diag[None, :]
@@ -418,15 +391,6 @@ class MultiplicationOperator(OutputOperator):
 
     def matrix(self):
         return np.diag(self.diag)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiplicationOperator) and other.grid == self.grid
-
-    def __hash__(self):
-        return hash(("multiplication", self.grid))
-
-    def __repr__(self):
-        return f"MultiplicationOperator(m={self.grid.size})"
 
     def to_config(self):
         return {"kind": "multiplication"}
@@ -481,6 +445,7 @@ def _ou_quadratic_forms(points: np.ndarray, X: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("jk,jk->k", X, y) - np.einsum("jk,jk->k", X, X)
 
 
+@dataclass(frozen=True)
 class IntegralOperator(OutputOperator):
     """(T a)(t) = integral of exp(-|t - s|) a(s) ds over the grid domain.
 
@@ -507,21 +472,19 @@ class IntegralOperator(OutputOperator):
     only for :meth:`matrix` and the full-rank :meth:`apply_rows`.
     """
 
-    def __init__(self, grid: Grid, rank: int | None = None):
-        super().__init__(grid)
-        m = grid.size
+    rank: int | None = None
+    # caches, not fields: the dense kernel matrix and the retained
+    # eigenpairs, set on first use; _weighted is W V, the basis that
+    # coords() multiplies by
+    _tmat = _eigvals = _eigvecs = _weighted = None
+
+    def __post_init__(self):
+        rank, m = self.rank, self.grid.size
         if rank is not None:
             rank = as_int("rank", rank)
             if rank > m:
                 raise ValueError(f"rank must be in [1, {m}]")
-            if rank == m:
-                rank = None
-        self.rank = rank
-        self._tmat: np.ndarray | None = None
-        self._eigvals: np.ndarray | None = None
-        self._eigvecs: np.ndarray | None = None
-        # W V, the basis that coords() multiplies by, kept beside V
-        self._weighted: np.ndarray | None = None
+            object.__setattr__(self, "rank", None if rank == m else rank)
 
     def _kernel_matrix(self) -> np.ndarray:
         """Operator matrix in coordinates, (T a)_j = sum_l w_l
@@ -530,7 +493,7 @@ class IntegralOperator(OutputOperator):
         if self._tmat is None:
             t = self.grid.points
             kernel = np.exp(-np.abs(t[:, None] - t[None, :]))
-            self._tmat = kernel * self.grid.weights[None, :]
+            object.__setattr__(self, "_tmat", kernel * self.grid.weights[None, :])
         return self._tmat
 
     def _decompose(self):
@@ -558,15 +521,19 @@ class IntegralOperator(OutputOperator):
             vals = _ou_quadratic_forms(t, vecs * sw[:, None])
             # only the retained pairs are kept: m x q, not m x m
             keep = np.argsort(-vals, kind="stable")[:q]
-            self._eigvals = vals[keep]
             # quadrature-orthonormal: v^T W v = 1; dividing in place is
             # several times faster than a new array here
-            self._eigvecs = vecs[:, keep]
-            self._eigvecs /= sw[:, None]
-            self._weighted = w[:, None] * self._eigvecs
-            for a in (self._eigvals, self._eigvecs, self._weighted):
-                a.setflags(write=False)
+            vecs = vecs[:, keep]
+            vecs /= sw[:, None]
+            self._keep(vals[keep], vecs, w[:, None] * vecs)
         return self._eigvals, self._eigvecs
+
+    def _keep(self, vals, vecs, weighted):
+        """Hold the retained eigenpairs and W V, read-only."""
+        for name, a in zip(("_eigvals", "_eigvecs", "_weighted"),
+                           (vals, vecs, weighted)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def retained(self) -> int:
@@ -579,8 +546,7 @@ class IntegralOperator(OutputOperator):
             return super().truncated(q)
         vals, vecs = self._decompose()
         out = IntegralOperator(self.grid, rank=q)
-        out._eigvals, out._eigvecs = vals[:q], vecs[:, :q]
-        out._weighted = self._weighted[:, :q]
+        out._keep(vals[:q], vecs[:, :q], self._weighted[:, :q])
         return out
 
     def apply_rows(self, A: np.ndarray) -> np.ndarray:
@@ -611,19 +577,6 @@ class IntegralOperator(OutputOperator):
         vals, vecs = self._decompose()
         return (vecs * vals[None, :]) @ (vecs.T * self.grid.weights[None, :])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntegralOperator)
-            and other.grid == self.grid
-            and other.rank == self.rank
-        )
-
-    def __hash__(self):
-        return hash(("integral", self.grid, self.rank))
-
-    def __repr__(self):
-        return f"IntegralOperator(m={self.grid.size}, rank={self.rank})"
-
     def to_config(self):
         return {"kind": "integral", "rank": self.rank}
 
@@ -652,30 +605,37 @@ class OvKernelTerm:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("term weight must be nonnegative")
+        weight = as_real("term weight", self.weight)
+        if not 0 <= weight < math.inf:
+            raise ValueError("term weight must be nonnegative and finite")
+        object.__setattr__(self, "weight", weight)
 
 
+@dataclass(frozen=True, eq=False)
 class KernelStack:
-    """Weighted collection of kernel terms sharing one output grid."""
+    """Weighted collection of kernel terms sharing one output grid, kept
+    as a tuple; stacks compare by identity."""
 
-    def __init__(self, terms, norm_exponent: float = 2.0):
-        terms = tuple(terms)
+    terms: tuple[OvKernelTerm, ...]
+    norm_exponent: float = 2.0
+
+    def __post_init__(self):
+        terms = tuple(self.terms)
         if not terms:
             raise ValueError("a kernel stack needs at least one term")
         grid = terms[0].operator.grid
         for t in terms[1:]:
             if t.operator.grid != grid:
                 raise DimensionError("all terms must share the output grid")
-        norm_exponent = float(norm_exponent)
+        norm_exponent = as_real("norm exponent", self.norm_exponent)
         if not norm_exponent >= 1:
             raise ValueError("norm exponent must be >= 1")
         d = np.array([t.weight for t in terms])
         if weight_constraint(d, norm_exponent) > 1.0 + 1e-9:
             raise ValueError("term weights violate the norm constraint")
-        self.terms = terms
-        self.norm_exponent = norm_exponent
-        self.output_grid = grid
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "norm_exponent", norm_exponent)
+        object.__setattr__(self, "output_grid", grid)
 
     @classmethod
     def uniform(cls, pairs, norm_exponent: float = 2.0) -> "KernelStack":

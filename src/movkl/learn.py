@@ -506,12 +506,11 @@ def model_from_doc(doc: dict) -> MovklModel:
     in_grid = _grid_from_doc(doc["input_grid"])
     out_grid = _grid_from_doc(doc["output_grid"])
     r = doc["norm_exponent"]
-    r = math.inf if r == "inf" else float(r)
     stack = KernelStack([
         OvKernelTerm(scalar_kernel_from_config(item["scalar"]),
                      operator_from_config(item["operator"], out_grid),
-                     float(item["weight"]))
-        for item in doc["terms"]], norm_exponent=r)
+                     item["weight"])
+        for item in doc["terms"]], norm_exponent=math.inf if r == "inf" else r)
     return MovklModel(
         # np.array of a JSON list is a new array that nothing else holds
         alpha=CurveVec(out_grid, np.array(doc["alpha"], dtype=float), copy=False),

@@ -745,6 +745,16 @@ class TestUnreadableInputs:
         self.assert_data_error(capsys, self.command(name, cfg_path, out, model, data),
                                f"{model}: {message}")
 
+    @pytest.mark.parametrize("name", ["predict", "eval"])
+    def test_non_finite_term_weight(self, tmp_path, capsys, run, name):
+        cfg_path, data, out = run
+        doc = json.loads((out / "model.json").read_text())
+        doc["terms"][0]["weight"] = float("nan")
+        model = tmp_path / "nan-weight.json"
+        model.write_text(json.dumps(doc))
+        self.assert_data_error(capsys, self.command(name, cfg_path, out, model, data),
+                               f"{model}: term weight must be nonnegative and finite")
+
 
 class TestCv:
     def test_cv_outputs(self, tmp_path):

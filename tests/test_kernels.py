@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -524,6 +527,17 @@ class TestIntegralSpectrum:
         with pytest.raises(ValueError, match="rank"):
             IntegralOperator(grid).truncated(0)
 
+    def test_replaced_rank_has_fresh_caches(self):
+        grid = Grid.uniform(0.0, 1.0, 20)
+        wide = IntegralOperator(grid, rank=8)
+        wide.eigvals()
+        wide.matrix()
+        narrow = dataclasses.replace(wide, rank=3)
+        fresh = IntegralOperator(grid, rank=3)
+        assert narrow == fresh and narrow.retained == 3
+        assert np.array_equal(narrow.eigvals(), fresh.eigvals())
+        assert np.array_equal(narrow.matrix(), fresh.matrix())
+
     def test_truncated_operator_builds_no_dense_matrix(self):
         op = IntegralOperator(Grid.uniform(0.0, 1.0, 50), rank=5)
         op.apply_rows(np.ones((2, 50)))
@@ -557,8 +571,53 @@ class TestStack:
         assert np.allclose(stack.weights, [0.5, 0.5])
 
     def test_negative_weight_rejected(self, grid):
-        with pytest.raises(ValueError):
-            OvKernelTerm(GaussianKernel(1.0), IdentityOperator(grid), -0.1)
+        # negative, non-finite and boolean weights alike
+        for bad in (-0.1, float("nan"), float("inf"), -float("inf"), True):
+            with pytest.raises(ValueError, match="term weight"):
+                OvKernelTerm(GaussianKernel(1.0), IdentityOperator(grid), bad)
+
+    @pytest.mark.parametrize("bad", [True, "3"])
+    def test_norm_exponent_must_be_a_number(self, grid, bad):
+        pairs = [(GaussianKernel(1.0), IdentityOperator(grid))]
+        with pytest.raises(ValueError, match="norm exponent"):
+            KernelStack.uniform(pairs, norm_exponent=bad)
+        stack = KernelStack.uniform(pairs, norm_exponent=math.inf)
+        assert stack.norm_exponent == math.inf
+
+
+# one maker per value type; each makes a value unequal to every other's
+VALUE_MAKERS = {
+    "gaussian": lambda g: GaussianKernel(0.7),
+    "polynomial": lambda g: PolynomialKernel(2, 0.5),
+    "scaled": lambda g: ScaledKernel(GaussianKernel(0.7), 2.0),
+    "identity": IdentityOperator,
+    "multiplication": MultiplicationOperator,
+    "integral": IntegralOperator,
+    "integral rank 3": lambda g: IntegralOperator(g, rank=3),
+    "stack": lambda g: KernelStack.uniform([(GaussianKernel(0.7), IdentityOperator(g))]),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_MAKERS))
+def test_values_are_frozen_and_compare_by_fields(grid, name):
+    # neither a field nor derived state or a filled cache can be reassigned,
+    # and the caches take no part in equality or hashing
+    value = VALUE_MAKERS[name](grid)
+    if isinstance(value, IntegralOperator):
+        value.eigvals()
+        value.matrix()
+    assert {f.name for f in dataclasses.fields(value)} <= set(vars(value))
+    for attr, current in vars(value).items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, current)
+    twin = VALUE_MAKERS[name](grid)
+    if name == "stack":
+        assert twin != value  # stacks compare by identity
+    else:
+        assert twin == value and hash(twin) == hash(value)
+    for other, make in VALUE_MAKERS.items():
+        if other != name:
+            assert make(grid) != value
 
 
 def densify_oracle(gram):

@@ -904,6 +904,11 @@ class TestPredictionPlan:
                             0.3)
         with pytest.raises(TypeError):
             model.stack.terms[0] = term
+        # nor can the kernels and operators of its terms
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.stack.terms[1].scalar.factor = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.stack.terms[1].operator.rank = 3
         assert np.array_equal(predict(model, q).values,
                               predict(rebuilt_copy(model), q).values)
 
